@@ -31,7 +31,6 @@ from .cftp import (
     forward_record,
     provably_never_coalesces,
     sample_counts,
-    sample_function,
     total_variation,
 )
 from .coupling import (
@@ -89,7 +88,7 @@ from .kset import (
     k_set_report,
     single_pair_balance,
 )
-from .mapfun import MapFunction, Partition, Support, compose, image_size
+from .mapfun import MapFunction, Partition, Support, compose
 from .matrix import (
     StochasticMatrix,
     invariant_distribution,

@@ -25,10 +25,11 @@ from .coupling import (
     ExplicitPermLaw,
     GrandCoupling,
     UniformPermLaw,
+    _block_perm_of,
     expand_support,
 )
 from .errors import BlockConditionsFail, DimensionMismatch, NotADivisor
-from .mapfun import MapFunction, Partition
+from .mapfun import Partition
 from .matrix import StochasticMatrix, is_doubly_stochastic
 from .semigroup import DEFAULT_CLOSURE_CAP, coalescence_number
 
@@ -158,25 +159,6 @@ def construct_block_measure(
     return BlockCoupling(partition, law, tuple(within))
 
 
-def _block_bijection_of(f: MapFunction, partition: Partition) -> tuple[int, ...] | None:
-    """The permutation of blocks f induces, or None.
-
-    None means f fails the structural condition: either some block is not
-    mapped into a single block, or the induced block map is not a bijection.
-    Injectivity inside a block is not required.
-    """
-    block_of = partition.block_of()
-    out = []
-    for blk in partition.blocks:
-        targets = {block_of[f(i)] for i in blk}
-        if len(targets) != 1:
-            return None
-        out.append(targets.pop())
-    if sorted(out) != list(range(partition.size)):
-        return None
-    return tuple(out)
-
-
 def _within_support_sets(mu: BlockCoupling) -> list[dict[int, set[int]]]:
     out = []
     for entry in mu.within:
@@ -250,7 +232,7 @@ def is_block_measure(
         return coalescence_number(support, max_closure=max_closure) == l
     support = expand_support(mu, cap=support_cap)
     for f in support:
-        if _block_bijection_of(f, partition) is None:
+        if _block_perm_of(f, partition) is None:
             return False
     return coalescence_number(support, max_closure=max_closure) == l
 

@@ -76,11 +76,6 @@ class CoalescenceRecord:
         return not isinstance(self.time, DidNotCoalesce)
 
 
-def sample_function(mu: GrandCoupling, rng: random.Random):
-    """One draw from the coupling, as an image tuple."""
-    return mu.sample_image(rng)
-
-
 def _is_constant(images: tuple[int, ...]) -> bool:
     first = images[0]
     return all(v == first for v in images)
@@ -174,6 +169,38 @@ def cftp_sample(
         target = min(depth * 2, t_max)
 
 
+def _record(
+    mu: GrandCoupling,
+    stream: RngStream,
+    t_max: int,
+    collect_trace: bool,
+    direction: str,
+) -> CoalescenceRecord:
+    """First constancy time of the one-step composition chain in the given
+    direction: "backward" applies each new draw first, "forward" last."""
+    n = mu.n
+    if n == 1:
+        return CoalescenceRecord(1, 0, direction, (1,) if collect_trace else None)
+    backward = direction == "backward"
+    composite = tuple(range(n))
+    trace: list[int] | None = [] if collect_trace else None
+    for t in range(1, t_max + 1):
+        img = mu.sample_image(stream.substream(t))
+        if backward:
+            composite = tuple([composite[v] for v in img])
+        else:
+            composite = tuple([img[v] for v in composite])
+        if trace is not None:
+            trace.append(len(set(composite)))
+        if _is_constant(composite):
+            return CoalescenceRecord(
+                t, composite[0], direction, tuple(trace) if trace else None
+            )
+    return CoalescenceRecord(
+        DidNotCoalesce(t_max), None, direction, tuple(trace) if trace else None
+    )
+
+
 def backward_record(
     mu: GrandCoupling,
     stream: RngStream,
@@ -183,23 +210,7 @@ def backward_record(
     """Exact first constancy time of the backward composition, one step at a
     time, with the constant value. Uses the same substream layout as
     cftp_sample, so the value agrees with it run for run."""
-    n = mu.n
-    if n == 1:
-        return CoalescenceRecord(1, 0, "backward", (1,) if collect_trace else None)
-    composite = tuple(range(n))
-    trace: list[int] | None = [] if collect_trace else None
-    for t in range(1, t_max + 1):
-        img = mu.sample_image(stream.substream(t))
-        composite = tuple(composite[v] for v in img)
-        if trace is not None:
-            trace.append(len(set(composite)))
-        if _is_constant(composite):
-            return CoalescenceRecord(
-                t, composite[0], "backward", tuple(trace) if trace else None
-            )
-    return CoalescenceRecord(
-        DidNotCoalesce(t_max), None, "backward", tuple(trace) if trace else None
-    )
+    return _record(mu, stream, t_max, collect_trace, "backward")
 
 
 def forward_record(
@@ -211,23 +222,7 @@ def forward_record(
     """First time the forward composition (new draw applied last) is
     constant. The time matches the backward one in distribution, though the
     constant value does not follow the invariant distribution."""
-    n = mu.n
-    if n == 1:
-        return CoalescenceRecord(1, 0, "forward", (1,) if collect_trace else None)
-    composite = tuple(range(n))
-    trace: list[int] | None = [] if collect_trace else None
-    for t in range(1, t_max + 1):
-        img = mu.sample_image(stream.substream(t))
-        composite = tuple(img[v] for v in composite)
-        if trace is not None:
-            trace.append(len(set(composite)))
-        if _is_constant(composite):
-            return CoalescenceRecord(
-                t, composite[0], "forward", tuple(trace) if trace else None
-            )
-    return CoalescenceRecord(
-        DidNotCoalesce(t_max), None, "forward", tuple(trace) if trace else None
-    )
+    return _record(mu, stream, t_max, collect_trace, "forward")
 
 
 def sample_counts(

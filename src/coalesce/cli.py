@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import secrets
 import sys
 import time
@@ -61,7 +60,7 @@ from .matrix import (
     period,
 )
 from .rational import format_rational
-from .reference import REGISTRY, run_example
+from .reference import run_all
 from .semigroup import (
     DEFAULT_CLOSURE_CAP,
     coalescence_number,
@@ -77,7 +76,6 @@ class _Run:
     """What the manifest needs to know about one invocation."""
 
     seed: int
-    threads: int
     inputs: list = field(default_factory=list)
 
     def read_file(self, path: str) -> str:
@@ -512,13 +510,7 @@ def _cmd_examples(args, run: _Run) -> int:
     only = None
     if args.only:
         only = [x for item in args.only for x in item.split(",") if x]
-    ids = only if only is not None else list(REGISTRY)
-    rows = []
-    for example_id in ids:
-        rows.extend(run_example(example_id, overrides.get(example_id)))
-    for example_id in overrides:
-        if example_id not in ids:
-            raise ValueError(f"--override for {example_id!r} which did not run")
+    rows = run_all(only, overrides)
     failed = [r for r in rows if not r.passed]
     if args.format == "json":
         print(
@@ -645,19 +637,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
 
-    threads = 1
-    raw_threads = os.environ.get("COALESCE_THREADS")
-    if raw_threads is not None:
-        try:
-            threads = int(raw_threads)
-        except ValueError:
-            threads = -1
-        if threads < 1:
-            print(f"error: COALESCE_THREADS={raw_threads!r} is not a positive integer", file=sys.stderr)
-            return 2
-
     seed = args.seed if args.seed is not None else secrets.randbits(32)
-    run = _Run(seed=seed, threads=threads)
+    run = _Run(seed=seed)
     started = time.perf_counter()
     try:
         code = args.handler(args, run)
@@ -677,7 +658,6 @@ def main(argv=None) -> int:
             "t_max": args.t_max,
             "support_cap": DEFAULT_SUPPORT_CAP,
         },
-        "threads": threads,
         "version": __version__,
         "wall_clock_seconds": round(time.perf_counter() - started, 6),
         "exit_code": code,

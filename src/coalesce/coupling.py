@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 
 from .birkhoff import birkhoff_decomposition
 from .errors import (
@@ -57,9 +57,7 @@ def _sampling_table(pairs):
     one; returns (denominator, cumulative thresholds, payloads).
     """
     weights = [w for _, w in pairs]
-    den = 1
-    for w in weights:
-        den = den * w.denominator // _gcd(den, w.denominator)
+    den = lcm(*(w.denominator for w in weights))
     cum = []
     acc = 0
     for w in weights:
@@ -68,15 +66,27 @@ def _sampling_table(pairs):
     return den, cum, [p for p, _ in pairs]
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _pick(rng, table):
     den, cum, payloads = table
     return payloads[bisect_right(cum, rng.randrange(den))]
+
+
+def _block_perm_of(f: MapFunction, partition: Partition) -> tuple[int, ...] | None:
+    """The permutation of blocks f induces, or None.
+
+    None means f sends some block into more than one block, or the induced
+    block map is not a bijection. Injectivity inside a block is not required.
+    """
+    block_of = partition.block_of()
+    out = []
+    for blk in partition.blocks:
+        targets = {block_of[f(i)] for i in blk}
+        if len(targets) != 1:
+            return None
+        out.append(targets.pop())
+    if sorted(out) != list(range(partition.size)):
+        return None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -345,7 +355,7 @@ class BlockCoupling:
                 yield MapFunction(img), w
 
     def weight_of(self, f: MapFunction) -> Fraction:
-        perm = self._block_perm_of(f)
+        perm = _block_perm_of(f, self.partition)
         if perm is None:
             return _ZERO
         w = self.law.weight_of(perm)
@@ -361,19 +371,6 @@ class BlockCoupling:
                 return _ZERO
             w *= prob
         return w
-
-    def _block_perm_of(self, f: MapFunction) -> tuple[int, ...] | None:
-        """The block permutation induced by f, or None if f spans blocks."""
-        block_of = self.partition.block_of()
-        out = [-1] * self.partition.size
-        for r, blk in enumerate(self.partition.blocks):
-            targets = {block_of[f(i)] for i in blk}
-            if len(targets) != 1:
-                return None
-            out[r] = targets.pop()
-        if sorted(out) != list(range(self.partition.size)):
-            return None
-        return tuple(out)
 
     @cached_property
     def _samplers(self):
@@ -415,30 +412,33 @@ def is_consistent(mu: GrandCoupling, P: StochasticMatrix) -> bool:
     return induced_matrix(mu).entries == P.entries
 
 
+def _check_support_cap(mu: GrandCoupling, cap: int) -> None:
+    """Raise SupportTooLarge when mu has more than cap support functions."""
+    if isinstance(mu, ExplicitCoupling):
+        if mu.support_size() > cap:
+            raise SupportTooLarge(f"{mu.support_size()} functions exceed cap {cap}")
+        return
+    size = mu.support_size(cap=cap)
+    if size > cap:
+        raise SupportTooLarge(f"support of at least {size} functions exceeds cap {cap}")
+
+
 def expand_support(mu: GrandCoupling, cap: int = DEFAULT_SUPPORT_CAP) -> Support:
     """The set of functions carrying positive weight.
 
     Raises SupportTooLarge when more than cap functions would be produced.
     """
+    _check_support_cap(mu, cap)
     if isinstance(mu, ExplicitCoupling):
-        if mu.support_size() > cap:
-            raise SupportTooLarge(f"{mu.support_size()} functions exceed cap {cap}")
         return mu.support()
-    size = mu.support_size(cap=cap)
-    if size > cap:
-        raise SupportTooLarge(f"support of at least {size} functions exceeds cap {cap}")
     return Support.of(f for f, _ in mu.iter_terms())
 
 
 def to_explicit(mu: GrandCoupling, cap: int = DEFAULT_SUPPORT_CAP) -> ExplicitCoupling:
     """Materialise any coupling as an ExplicitCoupling (subject to cap)."""
+    _check_support_cap(mu, cap)
     if isinstance(mu, ExplicitCoupling):
-        if mu.support_size() > cap:
-            raise SupportTooLarge(f"{mu.support_size()} functions exceed cap {cap}")
         return mu
-    size = mu.support_size(cap=cap)
-    if size > cap:
-        raise SupportTooLarge(f"support of at least {size} functions exceeds cap {cap}")
     return ExplicitCoupling.from_pairs(mu.iter_terms())
 
 

@@ -76,6 +76,7 @@ class MapFunction:
         return frozenset(self.image)
 
     def image_size(self) -> int:
+        """Number of distinct values taken (the rank of the 0/1 matrix)."""
         return len(set(self.image))
 
     def is_permutation(self) -> bool:
@@ -96,11 +97,6 @@ def compose(f: MapFunction, g: MapFunction) -> MapFunction:
     gi = g.image
     fi = f.image
     return MapFunction(tuple(fi[v] for v in gi))
-
-
-def image_size(f: MapFunction) -> int:
-    """Number of distinct values taken by f (the rank of its 0/1 matrix)."""
-    return f.image_size()
 
 
 @dataclass(frozen=True)

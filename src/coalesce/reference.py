@@ -301,8 +301,16 @@ def run_all(
     only: Iterable[str] | None = None,
     overrides: dict[str, StochasticMatrix] | None = None,
 ) -> list[ExampleRow]:
+    """Run the given examples (all by default) in order and collect their rows.
+
+    overrides maps example ids to replacement matrices; an override for an
+    example that is not run is rejected before any example runs.
+    """
     ids = list(only) if only is not None else example_ids()
     overrides = overrides or {}
+    for example_id in overrides:
+        if example_id not in ids:
+            raise ValueError(f"--override for {example_id!r} which did not run")
     rows: list[ExampleRow] = []
     for example_id in ids:
         rows.extend(run_example(example_id, overrides.get(example_id)))

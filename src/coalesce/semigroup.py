@@ -5,6 +5,12 @@ carry positive weight: it is the least image size over all finite
 compositions of support functions. This module computes that closure, the
 pairs of states that can be merged, and the partitions a coupling can lock
 into.
+
+One breadth-first walk over image tuples (_walk) serves both close, which
+keeps every element with a parent pointer to rebuild shortest words, and
+coalescence_number, which keeps only the least image size and stops at the
+first constant composite. The closure cap is checked at the end of each
+breadth-first layer.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import ClosureTooLarge
-from .mapfun import MapFunction, Partition, Support, compose
+from .mapfun import MapFunction, Partition, Support
 
 DEFAULT_CLOSURE_CAP = 250_000
 
@@ -25,13 +31,20 @@ class SemigroupClosure:
     """All finite compositions of a generating set, with shortest words.
 
     elements are listed in breadth-first order, so generators come first and
-    image sizes along the list are a superset-filtration friendly order.
+    word lengths never decrease along the list. Element p was first reached
+    as generators[_last[p]] after elements[_parent[p]] (-1 for a generator),
+    which is enough to rebuild a shortest word for every element.
     """
 
     n: int
     generators: tuple[MapFunction, ...]
     elements: tuple[MapFunction, ...]
-    _words: dict[MapFunction, tuple[int, ...]] = field(repr=False)
+    _last: tuple[int, ...] = field(repr=False)
+    _parent: tuple[int, ...] = field(repr=False)
+    _position: dict[MapFunction, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._position = {f: p for p, f in enumerate(self.elements)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -40,18 +53,26 @@ class SemigroupClosure:
         return iter(self.elements)
 
     def __contains__(self, f: MapFunction) -> bool:
-        return f in self._words
+        return f in self._position
+
+    def _word(self, p: int) -> tuple[MapFunction, ...]:
+        word = []
+        while p >= 0:
+            word.append(self.generators[self._last[p]])
+            p = self._parent[p]
+        return tuple(word)
 
     def word_for(self, f: MapFunction) -> tuple[MapFunction, ...]:
         """A shortest sequence of generators composing to f (leftmost last applied)."""
-        idxs = self._words.get(f)
-        if idxs is None:
+        p = self._position.get(f)
+        if p is None:
             raise KeyError(f"{f.to_notation()} is not in the closure")
-        return tuple(self.generators[i] for i in idxs)
+        return self._word(p)
 
     @property
     def max_word_length(self) -> int:
-        return max(len(w) for w in self._words.values())
+        # breadth-first order: the last element has a longest shortest word
+        return len(self._word(len(self.elements) - 1))
 
     def min_image_size(self) -> int:
         return min(f.image_size() for f in self.elements)
@@ -71,72 +92,50 @@ def _generators(support) -> tuple[MapFunction, ...]:
     return gens
 
 
+def _walk(gens: tuple[MapFunction, ...], max_size: int):
+    """Breadth-first walk of the composition closure of gens (distinct maps).
+
+    Yields (image, i, parent) for each element once, in breadth-first order:
+    image is the element's image tuple, i the index of the generator applied
+    last and parent the position (in yield order) of the element it was
+    applied to, or -1 for a generator itself. Raises ClosureTooLarge at the
+    end of the first layer after which more than max_size elements are known.
+    """
+    images = [g.image for g in gens]
+    seen = set(images)
+    order = list(images)
+    for i, t in enumerate(images):
+        yield t, i, -1
+    start = 0
+    while start < len(order):
+        end = len(order)
+        for p in range(start, end):
+            t = order[p]
+            for i, g in enumerate(images):
+                c = tuple([g[v] for v in t])  # generator i after element p
+                if c not in seen:
+                    seen.add(c)
+                    order.append(c)
+                    yield c, i, p
+        if len(seen) > max_size:
+            raise ClosureTooLarge(
+                f"closure exceeds {max_size} elements; raise the cap to continue"
+            )
+        start = end
+
+
 def close(support, max_size: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
     """Breadth-first closure under composition, recording shortest words.
 
     Raises ClosureTooLarge when the closure would exceed max_size elements.
     """
     gens = _generators(support)
-    n = gens[0].n
-    words: dict[MapFunction, tuple[int, ...]] = {}
-    order: list[MapFunction] = []
-    for i, g in enumerate(gens):
-        if g not in words:
-            words[g] = (i,)
-            order.append(g)
-    frontier = list(order)
-    while frontier:
-        fresh = []
-        for e in frontier:
-            we = words[e]
-            for i, g in enumerate(gens):
-                h = compose(g, e)
-                if h not in words:
-                    words[h] = (i,) + we
-                    order.append(h)
-                    fresh.append(h)
-        if len(words) > max_size:
-            raise ClosureTooLarge(
-                f"closure exceeds {max_size} elements; raise the cap to continue"
-            )
-        frontier = fresh
-    return SemigroupClosure(n, gens, tuple(order), words)
-
-
-def _min_image_bfs(images: list[tuple[int, ...]], max_size: int) -> int:
-    """Least image size over the composition closure, early exit at 1."""
-    gens = images
-    seen: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = []
-    best = len(gens[0])
-    for t in gens:
-        if t not in seen:
-            seen.add(t)
-            frontier.append(t)
-            sz = len(set(t))
-            if sz < best:
-                best = sz
-    if best == 1:
-        return 1
-    while frontier:
-        fresh = []
-        for t in frontier:
-            for g in gens:
-                c = tuple(g[v] for v in t)
-                if c not in seen:
-                    seen.add(c)
-                    fresh.append(c)
-                    sz = len(set(c))
-                    if sz < best:
-                        best = sz
-                        if best == 1:
-                            return 1
-        if len(seen) > max_size:
-            raise ClosureTooLarge(
-                f"closure exceeds {max_size} elements; raise the cap to continue"
-            )
-        frontier = fresh
-    return best
+    elements, last, parent = [], [], []
+    for t, i, p in _walk(gens, max_size):
+        elements.append(MapFunction(t))
+        last.append(i)
+        parent.append(p)
+    return SemigroupClosure(gens[0].n, gens, tuple(elements), tuple(last), tuple(parent))
 
 
 def coalescence_number(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> int:
@@ -146,7 +145,14 @@ def coalescence_number(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> int:
     support can only lower (never raise) the value.
     """
     gens = _generators(support)
-    return _min_image_bfs([g.image for g in gens], max_closure)
+    best = gens[0].n
+    for t, _, _ in _walk(gens, max_closure):
+        size = len(set(t))
+        if size < best:
+            if size == 1:
+                return 1
+            best = size
+    return best
 
 
 def coalescing_pairs(support) -> PairSet:

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 
 import pytest
 
@@ -14,24 +13,13 @@ from conftest import EX10_TEXT, EX11_TEXT
 ROTATED_TEXT = "1/2 0 1/2\n1/2 1/2 0\n0 1/2 1/2\n"
 
 
-def run_cli(*argv, env=None):
-    saved = {}
-    if env:
-        for k, v in env.items():
-            saved[k] = os.environ.get(k)
-            os.environ[k] = v
+def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    if env:
-        for k, v in saved.items():
-            if v is None:
-                del os.environ[k]
-            else:
-                os.environ[k] = v
     return code, out.getvalue(), err.getvalue()
 
 
@@ -266,18 +254,6 @@ def test_diagram(doeblin_file):
     code, out, _ = run_cli("diagram", doeblin_file, "--seed", "6", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph")
-
-
-def test_threads_env(ex10_file):
-    code, _, err = run_cli(
-        "analyze", ex10_file, "--seed", "1", env={"COALESCE_THREADS": "zebra"}
-    )
-    assert code == 2
-    code, _, err = run_cli(
-        "analyze", ex10_file, "--seed", "1", env={"COALESCE_THREADS": "4"}
-    )
-    assert code == 0
-    assert manifest_of(err)["threads"] == 4
 
 
 def test_missing_file_and_bad_subcommand(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from coalesce import MapFunction, NotationError, Partition, Support, compose, image_size
+from coalesce import MapFunction, NotationError, Partition, Support, compose
 
 
 def test_notation_roundtrip():
@@ -44,8 +44,8 @@ def test_compose_identity():
 
 
 def test_image_size_and_permutation():
-    assert image_size(MapFunction.from_notation("3434")) == 2
-    assert image_size(MapFunction.constant(5, 2)) == 1
+    assert MapFunction.from_notation("3434").image_size() == 2
+    assert MapFunction.constant(5, 2).image_size() == 1
     assert MapFunction.from_notation("2341").is_permutation()
     assert not MapFunction.from_notation("2344").is_permutation()
 

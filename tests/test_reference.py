@@ -30,3 +30,9 @@ def test_override_on_derived_example_rejected():
     rotated = parse_matrix("0 1\n1 0\n")
     with pytest.raises(ValueError):
         run_example("divisors", override_matrix=rotated)
+
+
+def test_run_all_rejects_unused_override():
+    rotated = parse_matrix("1/2 0 1/2\n1/2 1/2 0\n0 1/2 1/2\n")
+    with pytest.raises(ValueError, match="did not run"):
+        run_all(only=["ex7"], overrides={"ex10": rotated})

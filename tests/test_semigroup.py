@@ -51,12 +51,26 @@ def test_closure_contains_generators_and_is_closed(ex7_support):
 
 
 def test_word_for_composes_back(ex7_support):
-    clo = close(ex7_support)
-    for f in clo.elements:
-        word = clo.word_for(f)
-        assert 1 <= len(word) <= clo.max_word_length
-        # leftmost entry applied last
-        assert reduce(compose, word) == f
+    rng = random.Random(77)
+    supports = [ex7_support]
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        count = rng.randint(1, 3)
+        supports.append(
+            _support_of({tuple(rng.randrange(n) for _ in range(n)) for _ in range(count)})
+        )
+    for sup in supports:
+        clo = close(sup)
+        lengths = []
+        for f in clo.elements:
+            word = clo.word_for(f)
+            assert 1 <= len(word) <= clo.max_word_length
+            # leftmost entry applied last
+            assert reduce(compose, word) == f
+            lengths.append(len(word))
+        # breadth-first order: word lengths never decrease along the list
+        assert lengths == sorted(lengths)
+        assert lengths[-1] == clo.max_word_length
 
 
 def test_single_permutation_closure():
