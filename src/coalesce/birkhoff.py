@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotDoublyStochastic
-from .matrix import StochasticMatrix, is_doubly_stochastic
+from .matrix import StochasticMatrix, is_doubly_stochastic, row_reduce
 from .mapfun import MapFunction
 
 _ZERO = Fraction(0)
@@ -168,26 +168,12 @@ def _affine_dependency(perms: list[MapFunction], n: int) -> list[Fraction]:
             A[i * n + p(i)][c] = Fraction(1)
         A[n * n][c] = Fraction(1)
     # Row-reduce and read a kernel vector off the first free column.
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, rows) if A[i][c] != 0), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        pv = A[r][c]
-        A[r] = [v / pv for v in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [vi - f * vr for vi, vr in zip(A[i], A[r])]
-        piv_of_col[c] = r
-        r += 1
-    free = next(c for c in range(m) if c not in piv_of_col)
+    pivots = row_reduce(A, m)
+    free = next(c for c in range(m) if c not in pivots)
     gamma = [_ZERO] * m
     gamma[free] = Fraction(1)
-    for c, rr in piv_of_col.items():
-        gamma[c] = -A[rr][free]
+    for r, c in enumerate(pivots):
+        gamma[c] = -A[r][free]
     if any(g > 0 for g in gamma):
         return gamma
     return [-g for g in gamma]

@@ -1,11 +1,19 @@
 """Coupling from the past, exactly, plus coalescence-time diagnostics.
 
-The sampler composes random functions drawn from a grand coupling. Running
-the composition backward (new draw applied first) and returning the constant
-value the first time the composite becomes constant produces a state with
-exactly the chain's invariant distribution, with no burn-in bias. The
-doubling schedule reuses draws: the function at depth t is always generated
-from the same substream, so extending the horizon never resamples the past.
+The sampler composes random functions drawn from a grand coupling. The draw
+F_t at depth t always comes from its own substream, so every run sees the
+same past however far back it looks. The backward composite
+G_t = F_1 o ... o F_t applies the newest draw first; the first time it is a
+constant map, its value has exactly the chain's invariant distribution, with
+no burn-in bias (Propp and Wilson's coupling from the past).
+
+Checking after every draw is exact: once G_s is the constant c, every
+deeper composite G_t = G_s o (F_{s+1} o ... o F_t) is c too, so the value at
+the first constant time is the value at any longer horizon. Propp and
+Wilson double the horizon because they re-simulate trajectories forward from
+time -T; this module keeps the whole composite map instead, so one pass of
+draws (_walk) serves the sampler, both coalescence records and the diagram,
+and a sample costs exactly its coalescence time in draws.
 
 Backward and forward one-step compositions become constant at the same time
 in distribution (the draws are exchangeable), which gives a sharp self-test:
@@ -77,17 +85,37 @@ class CoalescenceRecord:
 
 
 def _is_constant(images: tuple[int, ...]) -> bool:
-    first = images[0]
-    return all(v == first for v in images)
+    return images.count(images[0]) == len(images)
+
+
+def _walk(mu: GrandCoupling, stream: RngStream, t_max: int, backward: bool):
+    """The composite after each draw t = 1..t_max, as an image tuple.
+
+    Draw t comes from stream.substream(t). backward applies each new draw
+    first (F_1 o ... o F_t), forward applies it last (F_t o ... o F_1).
+    Callers stop reading once they have what they need.
+    """
+    composite = tuple(range(mu.n))
+    for t in range(1, t_max + 1):
+        img = mu.sample_image(stream.substream(t))
+        if backward:
+            composite = tuple([composite[v] for v in img])
+        else:
+            composite = tuple([img[v] for v in composite])
+        yield composite
 
 
 def _all_permutations(mu: GrandCoupling) -> bool:
-    """True when every support function is a bijection.
+    """True when there are two or more states and every support function is
+    a bijection.
 
     Compositions of bijections are bijections, so such a coupling can never
     coalesce; the sampler uses this to answer DidNotCoalesce without
-    drawing. Block couplings are checked structurally.
+    drawing. On one state the only map is constant as well as bijective, so
+    that chain coalesces at once. Block couplings are checked structurally.
     """
+    if mu.n == 1:
+        return False
     if isinstance(mu, ExplicitCoupling):
         return all(f.is_permutation() for f, _ in mu.terms)
     if isinstance(mu, BlockCoupling):
@@ -136,37 +164,19 @@ def cftp_sample(
 ) -> int | DidNotCoalesce:
     """One exact draw from the invariant distribution of the coupled chain.
 
-    Doubles the backward horizon until the composition of the drawn
-    functions (most recent applied last) is constant, then returns the
-    constant. The draw at each depth is pinned to its own substream, so
-    deeper horizons extend the past instead of resampling it. Returns
-    DidNotCoalesce when the horizon t_max is reached without coalescence;
-    couplings supported entirely on bijections are recognized up front,
-    since they provably never coalesce.
+    Reads the backward composite one draw at a time and returns its value
+    the first time it is constant; by the argument in the module docstring
+    this is the value every longer horizon would give. Returns
+    DidNotCoalesce when t_max draws pass without coalescence; couplings
+    supported entirely on bijections are recognized up front, since they
+    provably never coalesce.
     """
-    n = mu.n
-    if n == 1:
-        return 0
     if short_circuit and _all_permutations(mu):
         return DidNotCoalesce(t_max)
-    composite = None  # backward composite at current depth
-    depth = 0
-    target = 1
-    while True:
-        # extend: suffix = F_{-(depth+1)} o ... o F_{-target}, applied first
-        suffix = tuple(range(n))
-        for t in range(depth + 1, target + 1):
-            img = mu.sample_image(stream.substream(t))
-            suffix = tuple(suffix[v] for v in img)
-        composite = (
-            suffix if composite is None else tuple(composite[v] for v in suffix)
-        )
-        depth = target
+    for composite in _walk(mu, stream, t_max, backward=True):
         if _is_constant(composite):
             return composite[0]
-        if depth >= t_max:
-            return DidNotCoalesce(t_max)
-        target = min(depth * 2, t_max)
+    return DidNotCoalesce(t_max)
 
 
 def _record(
@@ -178,18 +188,9 @@ def _record(
 ) -> CoalescenceRecord:
     """First constancy time of the one-step composition chain in the given
     direction: "backward" applies each new draw first, "forward" last."""
-    n = mu.n
-    if n == 1:
-        return CoalescenceRecord(1, 0, direction, (1,) if collect_trace else None)
-    backward = direction == "backward"
-    composite = tuple(range(n))
     trace: list[int] | None = [] if collect_trace else None
-    for t in range(1, t_max + 1):
-        img = mu.sample_image(stream.substream(t))
-        if backward:
-            composite = tuple([composite[v] for v in img])
-        else:
-            composite = tuple([img[v] for v in composite])
+    walk = _walk(mu, stream, t_max, backward=direction == "backward")
+    for t, composite in enumerate(walk, 1):
         if trace is not None:
             trace.append(len(set(composite)))
         if _is_constant(composite):

@@ -641,6 +641,10 @@ def main(argv=None) -> int:
     run = _Run(seed=seed)
     started = time.perf_counter()
     try:
+        for option in ("n_samples", "runs", "t_max"):
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{option.replace('_', '-')} must be at least 1, got {value}")
         code = args.handler(args, run)
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

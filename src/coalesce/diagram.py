@@ -7,7 +7,7 @@ visible as identical row suffixes (text) or shared nodes (DOT).
 """
 from __future__ import annotations
 
-from .cftp import RngStream
+from .cftp import RngStream, _is_constant, _walk
 from .coupling import GrandCoupling
 from .errors import TooManyStates
 
@@ -17,22 +17,19 @@ MAX_DIAGRAM_STATES = 50
 def _simulate(mu: GrandCoupling, stream: RngStream, t_max: int):
     """Trajectory table: rows[i][t] is the state of trajectory i at time t.
 
-    Stops early once all trajectories occupy one state; returns (rows,
-    coalesced_at or None).
+    Column t is the forward composite after t draws, read from the same
+    one-step walk (and so the same draws) as cftp.forward_record. Stops
+    once all trajectories occupy one state; returns (rows, coalesced_at or
+    None).
     """
-    n = mu.n
-    position = list(range(n))
-    rows = [[i] for i in range(n)]
+    columns = [tuple(range(mu.n))]
     coalesced_at = None
-    for t in range(1, t_max + 1):
-        img = mu.sample_image(stream.substream(t))
-        position = [img[v] for v in position]
-        for i in range(n):
-            rows[i].append(position[i])
-        if len(set(position)) == 1:
-            coalesced_at = t
+    for composite in _walk(mu, stream, t_max, backward=False):
+        columns.append(composite)
+        if _is_constant(composite):
+            coalesced_at = len(columns) - 1
             break
-    return rows, coalesced_at
+    return list(zip(*columns)), coalesced_at
 
 
 def emit_trajectory_diagram(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .coupling import ExplicitCoupling
 from .errors import DimensionMismatch
 from .mapfun import MapFunction, Support
-from .matrix import StochasticMatrix
+from .matrix import StochasticMatrix, pivot_step, row_reduce
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -93,13 +93,7 @@ class _Simplex:
         self.feasible = self._phase1()
 
     def _pivot(self, r: int, e: int):
-        T = self.T
-        piv = T[r][e]
-        T[r] = [x / piv for x in T[r]]
-        for i in range(len(T)):
-            if i != r and T[i][e] != 0:
-                coef = T[i][e]
-                T[i] = [x - coef * y for x, y in zip(T[i], T[r])]
+        pivot_step(self.T, r, e)
         self.basis[r] = e
 
     def _solve(self, cost: list[Fraction], allowed: list[int]) -> Fraction:
@@ -274,28 +268,10 @@ class SupportTester:
 
 
 def _independent_rows(rows: list[list[Fraction]], b: list[Fraction]) -> list[int]:
-    """Indices of a maximal independent subset of the augmented rows [A | b]."""
-    if not rows:
-        return []
-    width = len(rows[0]) + 1
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    keep: list[int] = []
-    for ridx, (row, bv) in enumerate(zip(rows, b)):
-        work = list(row) + [bv]
-        for prow, pcol in zip(reduced, pivots):
-            if work[pcol] != 0:
-                coef = work[pcol]
-                work = [x - coef * y for x, y in zip(work, prow)]
-        pcol = next((j for j in range(width) if work[j] != 0), None)
-        if pcol is None:
-            continue
-        piv = work[pcol]
-        work = [x / piv for x in work]
-        reduced.append(work)
-        pivots.append(pcol)
-        keep.append(ridx)
-    return keep
+    """Indices of the augmented rows [A | b] that are independent of the
+    rows before them: the pivot columns of the transpose."""
+    transpose = [list(col) for col in zip(*rows)] + [list(b)]
+    return row_reduce(transpose, len(rows))
 
 
 def _split_unsupported(P: StochasticMatrix, support: Support):

@@ -135,6 +135,19 @@ def can_exclude_second_largest(P: StochasticMatrix) -> bool:
     )
 
 
+def _single_pair_exclusions(P: StochasticMatrix) -> list[KExclusion]:
+    """The exclusion of k = n-1 when can_exclude_second_largest holds."""
+    if not can_exclude_second_largest(P):
+        return []
+    return [
+        KExclusion(
+            P.n - 1,
+            "single-pair-criterion",
+            "every pair fails the balance required of a lone coalescing pair",
+        )
+    ]
+
+
 def _set_partitions(n: int):
     """All partitions of range(n), by restricted growth strings."""
     codes = [0] * n
@@ -286,14 +299,7 @@ def k_set_certificates(
                 "a coupling with no coalescing pair must ride on permutations",
             )
         )
-    if n >= 3 and can_exclude_second_largest(P):
-        exclusions.append(
-            KExclusion(
-                n - 1,
-                "single-pair-criterion",
-                "every pair fails the balance required of a lone coalescing pair",
-            )
-        )
+    exclusions += _single_pair_exclusions(P)
     counted = 0
     truncated = False
     for partition in _set_partitions(n):
@@ -370,18 +376,9 @@ def divisor_members(n: int) -> KSetReport:
         if not is_block_measure(mu):
             raise AssertionError(f"divisor coupling for l={l} is not a block measure")
         members.append(KMember(l, mu, "divisor"))
-    exclusions = []
-    if n >= 3 and can_exclude_second_largest(P):
-        exclusions.append(
-            KExclusion(
-                n - 1,
-                "single-pair-criterion",
-                "every pair fails the balance required of a lone coalescing pair",
-            )
-        )
     return KSetReport(
         n=n,
         members=tuple(members),
-        exclusions=tuple(exclusions),
+        exclusions=tuple(_single_pair_exclusions(P)),
         exact=False,
     )

@@ -160,45 +160,45 @@ def invariant_distribution(P: StochasticMatrix) -> tuple[Fraction, ...]:
     if not is_irreducible(P):
         raise NotIrreducible("invariant distribution requires irreducibility")
     n = P.n
-    # Rows of (P^T - I) x = 0 plus the normalisation row sum(x) = 1.
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for j in range(n):
-        A.append([P.entries[i][j] - (1 if i == j else 0) for i in range(n)])
-        b.append(_ZERO)
-    A.append([_ONE] * n)
-    b.append(_ONE)
-    x = _solve_full_rank(A, b, n)
-    return tuple(x)
-
-
-def _solve_full_rank(A: list[list[Fraction]], b: list[Fraction], n: int) -> list[Fraction]:
-    """Gaussian elimination on an overdetermined but consistent rational system."""
-    m = len(A)
-    rows = [list(A[i]) + [b[i]] for i in range(m)]
-    piv_rows: list[int] = []
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
-        piv_rows.append(r)
-        piv_cols.append(c)
-        r += 1
-    if r < n:
+    # Augmented rows of (P^T - I) x = 0 plus the normalisation row sum(x) = 1.
+    rows = [
+        [P.entries[i][j] - (1 if i == j else 0) for i in range(n)] + [_ZERO]
+        for j in range(n)
+    ]
+    rows.append([_ONE] * (n + 1))
+    if len(row_reduce(rows, n)) < n:
         raise NotIrreducible("singular system; chain is not irreducible")
-    x = [_ZERO] * n
-    for rr, cc in zip(piv_rows, piv_cols):
-        x[cc] = rows[rr][n]
-    return x
+    return tuple(rows[k][n] for k in range(n))
+
+
+def pivot_step(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """One exact Gauss-Jordan step, in place: scale row r so that its entry
+    in column c is 1, then clear column c from every other row."""
+    top = rows[r]
+    pv = top[c]
+    if pv != 1:
+        top = rows[r] = [v / pv for v in top]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f != 0 and i != r:
+            rows[i] = [x - f * y for x, y in zip(row, top)]
+
+
+def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduced row echelon form, in place, pivoting on the first ncols
+    columns only. Returns the pivot columns in order: row k holds the k-th,
+    and a column is a pivot exactly when it is independent of the columns
+    before it."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot_step(rows, r, c)
+        pivots.append(c)
+    return pivots
 
 
 def relabel(P: StochasticMatrix, sigma: MapFunction) -> StochasticMatrix:

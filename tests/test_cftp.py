@@ -1,11 +1,15 @@
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
 from coalesce import (
     DidNotCoalesce,
+    ExplicitCoupling,
+    MapFunction,
     RngStream,
+    StochasticMatrix,
     backward_record,
     cftp_sample,
     chi_square_pvalue,
@@ -30,12 +34,26 @@ def test_reproducible_runs(ex10):
     assert a != c
 
 
+@dataclass(frozen=True)
+class CountingStream(RngStream):
+    """An RngStream that records the index of every substream it hands out."""
+
+    drawn: list = field(default_factory=list, compare=False)
+
+    def substream(self, index):
+        self.drawn.append(index)
+        return super().substream(index)
+
+
 def test_backward_record_agrees_with_sample(ex10):
     mu = doeblin_coupling(ex10)
     for i in range(40):
         rec = backward_record(mu, RngStream(11).fork(i), collect_trace=True)
         assert rec.coalesced
-        assert rec.state == cftp_sample(mu, RngStream(11).fork(i))
+        stream = CountingStream(11, (i,))  # the layout of RngStream(11).fork(i)
+        assert rec.state == cftp_sample(mu, stream)
+        # a sample costs exactly its coalescence time in draws, one per depth
+        assert stream.drawn == list(range(1, rec.time + 1))
         # the number of distinct values can only shrink going further back
         assert all(x >= y for x, y in zip(rec.trace, rec.trace[1:]))
         assert rec.trace[-1] == 1
@@ -69,6 +87,13 @@ def test_provable_shortcut_negative(ex10):
     assert not provably_never_coalesces(doeblin_coupling(ex10))
     assert not provably_never_coalesces(uniform_divisor_coupling(2, 1))
     assert provably_never_coalesces(uniform_divisor_coupling(4, 2))
+    # on one state the only map is constant as well as bijective
+    for one in (
+        doeblin_coupling(StochasticMatrix.identity(1)),
+        ExplicitCoupling.from_pairs([(MapFunction((0,)), Fraction(1))]),
+    ):
+        assert not provably_never_coalesces(one)
+        assert sample_counts(one, RngStream(20), 5) == (Counter({0: 5}), 0)
 
 
 def test_sample_counts_all_failures(quarter_coupling):

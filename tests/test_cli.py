@@ -221,6 +221,20 @@ def test_verify_equidist(doeblin_file, quarter_file):
     assert "verdict: fail" in out
 
 
+def test_non_positive_counts_rejected(ex10_file, doeblin_file):
+    for option, argv in (
+        ("--n-samples", ("sample", ex10_file, "--n-samples", "-5")),
+        ("--n-samples", ("sample", ex10_file, "--n-samples", "0")),
+        ("--t-max", ("sample", ex10_file, "--n-samples", "10", "--t-max", "0")),
+        ("--runs", ("verify-equidist", doeblin_file, "--runs", "-3")),
+    ):
+        code, out, err = run_cli(*argv, "--seed", "1")
+        assert code == 2, argv
+        assert out == ""
+        assert option in err.splitlines()[0]
+        assert manifest_of(err)["exit_code"] == 2
+
+
 def test_examples_subcommand():
     code, out, _ = run_cli("examples", "--only", "ex7", "--seed", "1", "--format", "tsv")
     assert code == 0
