@@ -257,7 +257,7 @@ class EquidistributionReport:
     forward_failures: int
     max_cdf_gap: Fraction
 
-    def passed(self, tolerance: float) -> bool:
+    def passed(self, tolerance: Fraction) -> bool:
         if self.backward_failures or self.forward_failures:
             return False
         return self.max_cdf_gap < tolerance

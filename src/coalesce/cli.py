@@ -483,7 +483,7 @@ def _cmd_verify_equidist(args, run: _Run) -> int:
                     "backward_failures": report.backward_failures,
                     "forward_failures": report.forward_failures,
                     "max_cdf_gap": str(report.max_cdf_gap),
-                    "tolerance": args.tolerance,
+                    "tolerance": float(args.tolerance),
                     "passed": ok,
                 },
                 indent=2,
@@ -562,7 +562,7 @@ def _cmd_diagram(args, run: _Run) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: fresh random, recorded in the manifest)")
-    common.add_argument("--exact-cap", type=int, default=DEFAULT_SUBSET_BUDGET, help="max support subsets to enumerate before falling back to certificates")
+    common.add_argument("--exact-cap", type=int, default=DEFAULT_SUBSET_BUDGET, help="max support subsets to enumerate before falling back to certificates (0: certificates only)")
     common.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP, help="max semigroup closure size")
     common.add_argument("--t-max", type=int, default=None, help="time horizon for sampling runs")
     common.add_argument("--format", choices=("text", "json", "tsv", "dot"), default="text", help="output format")
@@ -613,7 +613,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-equidist", parents=[common], help="compare backward and forward coalescence-time laws")
     p.add_argument("coupling")
     p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=0.05, help="max allowed CDF gap")
+    p.add_argument(
+        "--tolerance",
+        type=Fraction,
+        default=Fraction(1, 20),
+        help="the max CDF gap must be below this; read exactly, as a decimal or p/q",
+    )
     p.set_defaults(handler=_cmd_verify_equidist)
 
     p = sub.add_parser(
@@ -641,10 +646,12 @@ def main(argv=None) -> int:
     run = _Run(seed=seed)
     started = time.perf_counter()
     try:
-        for option in ("n_samples", "runs", "t_max"):
+        for option, least in (("n_samples", 1), ("runs", 1), ("t_max", 1), ("exact_cap", 0)):
             value = getattr(args, option, None)
-            if value is not None and value < 1:
-                raise ValueError(f"--{option.replace('_', '-')} must be at least 1, got {value}")
+            if value is not None and value < least:
+                raise ValueError(
+                    f"--{option.replace('_', '-')} must be at least {least}, got {value}"
+                )
         code = args.handler(args, run)
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,21 +12,24 @@ w_f over the closed polytope (w_f >= 0). If every maximum is positive, the
 average of the maximizing points is a strictly positive solution; if some
 maximum is zero, no solution can use that function.
 
-Everything here runs over Fractions. The simplex is a dense two-phase
-tableau with Bland's rule, so it terminates without any tolerance.
+Everything is exact. The right-hand side is scaled by the least common
+denominator of its entries, so the system is integral, and the simplex is a
+dense two-phase tableau over Python integers with fraction-free (Bareiss)
+pivots and Bland's rule: it terminates without any tolerance, and Fractions
+are built only for the weights it reports.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .coupling import ExplicitCoupling
 from .errors import DimensionMismatch
 from .mapfun import MapFunction, Support
-from .matrix import StochasticMatrix, pivot_step, row_reduce
+from .matrix import StochasticMatrix, row_reduce
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,87 +74,104 @@ class Infeasible:
 
 
 class _Simplex:
-    """Dense exact two-phase simplex with Bland's rule.
+    """Fraction-free two-phase simplex with Bland's rule.
 
-    Solves the system A x = b, x >= 0 once (phase 1), then answers repeated
+    Solves the integer system A x = b, x >= 0 (b >= 0 is the true right-hand
+    side times scale) once (phase 1), then answers repeated
     maximize-one-coordinate queries warm-starting from the last basis.
+
+    The tableau, cost row included, is kept as integers M over one common
+    denominator d = |det B| of the current basis, so the true tableau is
+    M / d. A pivot on p = M[r][e] maps every other entry to
+    (p * M[i][j] - M[i][e] * M[r][j]) / d, a division that is always exact
+    (Bareiss), and then sets d = p.
     """
 
-    def __init__(self, columns: list[list[Fraction]], b: list[Fraction]):
+    def __init__(self, columns: list[list[int]], b: list[int], scale: int):
         m = len(b)
         nv = len(columns)
-        self.m, self.nv = m, nv
-        # tableau rows: nv real columns, m artificials, then the rhs
-        self.T = []
-        for r in range(m):
-            sign = -1 if b[r] < 0 else 1
-            row = [sign * columns[j][r] for j in range(nv)]
-            row += [_ONE if r == k else _ZERO for k in range(m)]
-            row.append(sign * b[r])
-            self.T.append(row)
+        self.m, self.nv, self.scale = m, nv, scale
+        # rows: nv real columns, m artificials, then the rhs; row m is the cost row
+        self.M = [
+            [col[r] for col in columns] + [int(r == k) for k in range(m)] + [b[r]]
+            for r in range(m)
+        ]
+        self.M.append([0] * (nv + m + 1))
+        self.d = 1
         self.basis = [nv + r for r in range(m)]
         self.feasible = self._phase1()
 
     def _pivot(self, r: int, e: int):
-        pivot_step(self.T, r, e)
+        M, d = self.M, self.d
+        top = M[r]
+        # only a phase-1 expel pivot can be negative; flip its sign into
+        # every row so that the new denominator q = |p| stays positive
+        s = -1 if top[e] < 0 else 1
+        q = s * top[e]
+        for i, row in enumerate(M):
+            f = s * row[e]
+            if i == r:
+                if s < 0:
+                    M[i] = [-x for x in row]
+            elif f:
+                M[i] = [(q * x - f * y) // d for x, y in zip(row, top)]
+            elif q != d:
+                M[i] = [q * x // d for x in row]
+        self.d = q
         self.basis[r] = e
 
-    def _solve(self, cost: list[Fraction], allowed: list[int]) -> Fraction:
-        """Minimize cost . x over the current system; Bland anticycling."""
-        T = self.T
-        m = self.m
-        width = len(T[0])
-        z = [-c for c in cost] + [_ZERO] * (width - len(cost))
+    def _solve(self, cost: list[int], allowed) -> int:
+        """Minimize cost . x over the current system; Bland anticycling.
+        Returns the optimum times d * scale."""
+        M, m, d = self.M, self.m, self.d
+        z = [-c * d for c in cost] + [0] * (len(M[0]) - len(cost))
         for r in range(m):
-            cb = cost[self.basis[r]] if self.basis[r] < len(cost) else _ZERO
-            if cb != 0:
-                z = [x + cb * y for x, y in zip(z, T[r])]
+            cb = cost[self.basis[r]] if self.basis[r] < len(cost) else 0
+            if cb:
+                z = [x + cb * y for x, y in zip(z, M[r])]
+        M[m] = z
         while True:
-            e = -1
-            for j in allowed:
-                if z[j] > 0:
-                    e = j
-                    break
+            z = M[m]
+            e = next((j for j in allowed if z[j] > 0), -1)
             if e < 0:
                 return z[-1]
-            r_best, ratio = -1, None
+            # min ratio M[r][-1] / M[r][e] over M[r][e] > 0, by cross-multiplication
+            r_best, num, den = -1, 0, 1
             for r in range(m):
-                if T[r][e] > 0:
-                    cand = T[r][-1] / T[r][e]
-                    if ratio is None or cand < ratio or (
-                        cand == ratio and self.basis[r] < self.basis[r_best]
+                a = M[r][e]
+                if a > 0:
+                    lhs, rhs = M[r][-1] * den, num * a
+                    if r_best < 0 or lhs < rhs or (
+                        lhs == rhs and self.basis[r] < self.basis[r_best]
                     ):
-                        r_best, ratio = r, cand
+                        r_best, num, den = r, M[r][-1], a
             if r_best < 0:
                 raise ArithmeticError("unbounded coordinate in a bounded polytope")
-            coef = z[e]
             self._pivot(r_best, e)
-            z = [x - coef * y for x, y in zip(z, self.T[r_best])]
 
     def _phase1(self) -> bool:
         nv, m = self.nv, self.m
-        cost = [_ZERO] * nv + [_ONE] * m
-        val = self._solve(cost, list(range(nv + m)))
-        if val != 0:
+        if self._solve([0] * nv + [1] * m, range(nv + m)) != 0:
             return False
         # expel artificials still basic at level zero, dropping dead rows
         for r in range(m):
             if self.basis[r] >= nv:
-                e = next((j for j in range(nv) if self.T[r][j] != 0), None)
+                e = next((j for j in range(nv) if self.M[r][j] != 0), None)
                 if e is not None:
                     self._pivot(r, e)
         return True
 
     def maximize_coord(self, j: int) -> tuple[Fraction, list[Fraction]]:
         """Max value of x_j over the feasible region, with an attaining point."""
-        cost = [_ZERO] * self.nv
-        cost[j] = -_ONE
-        val = -self._solve(cost, list(range(self.nv)))
+        cost = [0] * self.nv
+        cost[j] = -1
+        z = self._solve(cost, range(self.nv))
+        den = self.d * self.scale
         x = [_ZERO] * self.nv
         for r, bj in enumerate(self.basis):
             if bj < self.nv:
-                x[bj] = self.T[r][-1]
-        return val, x
+                x[bj] = Fraction(self.M[r][-1], den)
+        return Fraction(-z, den), x
 
 
 class SupportTester:
@@ -185,10 +205,12 @@ class SupportTester:
             self.masks.append(mask)
         self.full_mask = (1 << len(self.cells)) - 1
         rows = [
-            [(_ONE if mask >> pos & 1 else _ZERO) for mask in self.masks]
-            for pos in range(len(self.cells))
+            [mask >> pos & 1 for mask in self.masks] for pos in range(len(self.cells))
         ]
+        # b times its least common denominator: the whole system is integral
         b = [P.entries[i][j] for i, j in self.cells]
+        self._scale = lcm(*(v.denominator for v in b))
+        b = [v.numerator * (self._scale // v.denominator) for v in b]
         self._row_idx = _independent_rows(rows, b)
         self._columns = [
             [rows[r][c] for r in self._row_idx] for c in range(len(self.functions))
@@ -205,7 +227,7 @@ class SupportTester:
         return self.cover_mask(idxs) == self.full_mask
 
     def _simplex(self, idxs) -> _Simplex:
-        return _Simplex([self._columns[c] for c in idxs], self._b)
+        return _Simplex([self._columns[c] for c in idxs], self._b, self._scale)
 
     def decide(self, idxs) -> bool:
         """True iff some coupling of P has support exactly {functions[c] for c in idxs}.
@@ -267,10 +289,10 @@ class SupportTester:
         return FeasibilityWitness(self.P, weights)
 
 
-def _independent_rows(rows: list[list[Fraction]], b: list[Fraction]) -> list[int]:
+def _independent_rows(rows: list[list[int]], b: list[int]) -> list[int]:
     """Indices of the augmented rows [A | b] that are independent of the
     rows before them: the pivot columns of the transpose."""
-    transpose = [list(col) for col in zip(*rows)] + [list(b)]
+    transpose = [[Fraction(v) for v in col] for col in (*zip(*rows), b)]
     return row_reduce(transpose, len(rows))
 
 

@@ -15,6 +15,7 @@ doubly stochastic block matrices contribute verified block-measure members.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,17 +187,18 @@ def k_set_exact(
     achieving each value. With collect_feasible=True every feasible support
     actually tested is recorded with its k, and no early stop is taken.
 
-    Raises BudgetExceeded when there are more than cap non-empty subsets.
+    Raises BudgetExceeded when there are more than cap non-empty subsets,
+    before any function is built.
     """
-    allowed = allowed_functions(P)
-    functions = allowed.sorted_functions()
-    m = len(functions)
-    total_subsets = (1 << m) - 1
-    if total_subsets > cap:
+    m = math.prod(len(s) for s in P.row_supports)
+    # 2^m - 1 > cap, without building 2^m when m is past cap's bit length
+    if m > cap.bit_length() or (1 << m) - 1 > cap:
         raise BudgetExceeded(
-            f"{total_subsets} candidate supports exceed the budget of {cap}; "
+            f"2^{m} - 1 candidate supports exceed the budget of {cap}; "
             "use the certificate route instead"
         )
+    allowed = allowed_functions(P)
+    functions = allowed.sorted_functions()
     tester = SupportTester(P, allowed)
     n = P.n
     k_floor = coalescence_number(allowed, max_closure=max_closure)

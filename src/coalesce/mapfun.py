@@ -136,6 +136,10 @@ class Partition:
             blocks = [[int(v) for v in part.split(",")] for part in text.split("|")]
         except ValueError:
             raise NotationError(f"bad partition notation: {text!r}") from None
+        states = [v for b in blocks for v in b]
+        repeated = next((v for v in states if states.count(v) > 1), None)
+        if repeated is not None:
+            raise NotationError(f"state {repeated} appears twice in partition {text!r}")
         return cls.from_onebased(blocks)
 
     @classmethod

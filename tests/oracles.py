@@ -225,6 +225,73 @@ def oracle_weakly_feasible(P_rows, images: list[Image]) -> bool:
     return any(True for _ in polytope_vertices(P_rows, images))
 
 
+# --- the textbook simplex over Fractions -------------------------------------
+
+
+class FractionSimplex:
+    """Dense two-phase simplex with Bland's rule, every entry a Fraction.
+
+    Takes the integer system the package's fraction-free simplex takes
+    (columns of A, and b times scale) and makes the same pivot choices, so
+    every basis and every reported value must agree with it exactly.
+    """
+
+    def __init__(self, columns, b, scale):
+        m, nv = len(b), len(columns)
+        assert all(v >= 0 for v in b)
+        self.m, self.nv = m, nv
+        self.T = [
+            [Fraction(columns[j][r]) for j in range(nv)]
+            + [Fraction(int(r == k)) for k in range(m)]
+            + [Fraction(b[r], scale)]
+            for r in range(m)
+        ]
+        self.basis = [nv + r for r in range(m)]
+        self.T.append([])
+        self.feasible = self._solve([0] * nv + [1] * m, range(nv + m)) == 0
+        if self.feasible:
+            for r in range(m):
+                if self.basis[r] >= nv:
+                    e = next((j for j in range(nv) if self.T[r][j] != 0), None)
+                    if e is not None:
+                        self._pivot(r, e)
+
+    def _pivot(self, r, e):
+        pv = self.T[r][e]
+        self.T[r] = [v / pv for v in self.T[r]]
+        for i, row in enumerate(self.T):
+            if i != r and row[e] != 0:
+                f = row[e]
+                self.T[i] = [a - f * c for a, c in zip(row, self.T[r])]
+        self.basis[r] = e
+
+    def _solve(self, cost, allowed):
+        m = self.m
+        z = [Fraction(-c) for c in cost] + [Fraction(0)] * (len(self.T[0]) - len(cost))
+        for r, bj in enumerate(self.basis):
+            if bj < len(cost) and cost[bj]:
+                z = [a + cost[bj] * c for a, c in zip(z, self.T[r])]
+        self.T[m] = z
+        while True:
+            z = self.T[m]
+            e = next((j for j in allowed if z[j] > 0), None)
+            if e is None:
+                return z[-1]
+            rows = [r for r in range(m) if self.T[r][e] > 0]
+            r = min(rows, key=lambda r: (self.T[r][-1] / self.T[r][e], self.basis[r]))
+            self._pivot(r, e)
+
+    def maximize_coord(self, j):
+        cost = [0] * self.nv
+        cost[j] = -1
+        val = -self._solve(cost, range(self.nv))
+        x = [Fraction(0)] * self.nv
+        for r, bj in enumerate(self.basis):
+            if bj < self.nv:
+                x[bj] = self.T[r][-1]
+        return val, x
+
+
 # --- random instances -------------------------------------------------------
 
 
@@ -274,6 +341,26 @@ def random_doubly_stochastic(rng: random.Random, n: int, max_perms: int = 10):
         for perm, a in zip(perms, raw):
             for i in range(n):
                 rows[i][perm[i]] += Fraction(a, total)
+        if strongly_connected(rows):
+            return rows
+
+
+def random_stochastic_denominators(rng: random.Random, n: int, denominators):
+    """Like random_stochastic, but each row is split over one denominator
+    drawn from the given ones (times the support size when it is smaller),
+    so entries such as 2/7, 5/9 and 1/97 mix."""
+    while True:
+        rows = []
+        for _ in range(n):
+            sup = rng.sample(range(n), rng.randint(1, n))
+            den = rng.choice(denominators)
+            if den < len(sup):
+                den *= len(sup)
+            cuts = sorted(rng.sample(range(1, den), len(sup) - 1))
+            row = [Fraction(0)] * n
+            for j, a, c in zip(sup, [0] + cuts, cuts + [den]):
+                row[j] = Fraction(c - a, den)
+            rows.append(row)
         if strongly_connected(rows):
             return rows
 

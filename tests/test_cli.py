@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from coalesce import doeblin_coupling, parse_matrix, serialize_coupling
+from coalesce import doeblin_coupling, parse_matrix, serialize_coupling, uniform_divisor_coupling
 from coalesce.cli import main
 
 from conftest import EX10_TEXT, EX11_TEXT
@@ -233,6 +233,54 @@ def test_non_positive_counts_rejected(ex10_file, doeblin_file):
         assert out == ""
         assert option in err.splitlines()[0]
         assert manifest_of(err)["exit_code"] == 2
+
+
+def test_exact_cap_below_zero_rejected(ex10_file):
+    code, out, err = run_cli("kset", ex10_file, "--exact-cap", "-1", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "--exact-cap" in err.splitlines()[0]
+    assert manifest_of(err)["exit_code"] == 2
+    # zero keeps meaning "certificates only"
+    code, out, _ = run_cli("kset", ex10_file, "--exact-cap", "0", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["exact"] is False and doc["values"] == [1, 3]
+
+
+def test_kset_budget_on_large_cycle_falls_back(tmp_path):
+    # 3^9 = 19,683 allowed functions: the budget message used to format
+    # 2^19683 - 1 and die on the integer string conversion limit (exit 2)
+    p = tmp_path / "cycle9.txt"
+    p.write_text(
+        "".join(
+            " ".join("1/3" if (j - i) % 9 in (0, 1, 8) else "0" for j in range(9)) + "\n"
+            for i in range(9)
+        )
+    )
+    code, out, err = run_cli("kset", str(p), "--seed", "1")
+    assert code == 0, err
+    assert "coalescence numbers: 1 9 (not exhaustive)" in out
+    assert "note: 2^19683 - 1 candidate supports exceed the budget of 1048576" in out
+
+
+def test_verify_equidist_tolerance_is_exact(tmp_path):
+    # the gap here is exactly 1/20, which is not below a tolerance of 0.05;
+    # read as a float, 0.05 is slightly above 1/20 and the run passed
+    p = tmp_path / "divisor.json"
+    p.write_text(serialize_coupling(uniform_divisor_coupling(4, 1)))
+    argv = ("verify-equidist", str(p), "--runs", "300", "--seed", "7")
+    code, out, _ = run_cli(*argv)
+    assert code == 1
+    assert "max CDF gap: 0.050000 (1/20)" in out
+    assert "verdict: fail" in out
+    code, out, _ = run_cli(*argv, "--tolerance", "0.0501", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["max_cdf_gap"] == "1/20" and doc["tolerance"] == 0.0501
+    assert doc["passed"] is True
+    code, _, _ = run_cli(*argv, "--tolerance", "1/20")
+    assert code == 1
 
 
 def test_examples_subcommand():

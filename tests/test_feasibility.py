@@ -5,18 +5,21 @@ from itertools import combinations
 import pytest
 
 import oracles
+from coalesce import feasibility
 from coalesce import (
     FeasibilityWitness,
     Infeasible,
     MapFunction,
     StochasticMatrix,
     Support,
+    SupportTester,
     allowed_functions,
     feasible_weights,
     induced_matrix,
     is_consistent,
     is_feasible_support,
     is_weakly_feasible,
+    k_set_exact,
     necessary_support_filter,
 )
 
@@ -166,3 +169,106 @@ def test_necessary_support_filter(ex10):
 def test_witness_support_matches_input(ex11, quarter_coupling):
     res = feasible_weights(ex11, quarter_coupling.support())
     assert res.support() == quarter_coupling.support()
+
+
+def _integral(sx):
+    return all(type(v) is int for row in sx.M for v in row) and type(sx.d) is int
+
+
+def test_integer_simplex_matches_fraction_reference_and_oracle(monkeypatch):
+    # count pivots made outside _solve: the phase-1 expel of artificials
+    # still basic at level zero, the only place a pivot can be negative
+    expel = {"pivots": 0, "negative": 0}
+    solve, pivot = feasibility._Simplex._solve, feasibility._Simplex._pivot
+
+    def traced_solve(self, *args):
+        self.solving = True
+        try:
+            return solve(self, *args)
+        finally:
+            self.solving = False
+
+    def traced_pivot(self, r, e):
+        if not getattr(self, "solving", False):
+            expel["pivots"] += 1
+            expel["negative"] += self.M[r][e] < 0
+        pivot(self, r, e)
+
+    monkeypatch.setattr(feasibility._Simplex, "_solve", traced_solve)
+    monkeypatch.setattr(feasibility._Simplex, "_pivot", traced_pivot)
+    rng = random.Random(80)
+    tally = {"feasible": 0, "infeasible": 0}
+    for _ in range(40):
+        rows = oracles.random_stochastic_denominators(rng, rng.randint(3, 4), (2, 3, 7, 9, 97))
+        P = StochasticMatrix.from_rows(rows)
+        tester = SupportTester(P, allowed_functions(P))
+        m = len(tester.functions)
+        for _ in range(5):
+            idxs = sorted(rng.sample(range(m), rng.randint(1, min(7, m))))
+            want = oracles.oracle_exact_feasible(
+                rows, [tester.functions[c].image for c in idxs]
+            )
+            assert tester.decide(idxs) == want
+            res = tester.witness(idxs)
+            assert bool(res) == want
+            tally["feasible" if want else "infeasible"] += 1
+            if not tester.covers(idxs):
+                continue
+            sx = tester._simplex(idxs)
+            ref = oracles.FractionSimplex(
+                [tester._columns[c] for c in idxs], tester._b, tester._scale
+            )
+            assert sx.feasible == ref.feasible
+            assert sx.basis == ref.basis
+            if not sx.feasible:
+                continue
+            for j in range(len(idxs)):
+                assert sx.maximize_coord(j) == ref.maximize_coord(j)
+                assert sx.basis == ref.basis
+                assert _integral(sx)
+    assert tally == {"feasible": 18, "infeasible": 182}
+    assert expel["pivots"] > 0 and expel["negative"] > 0
+
+
+def test_large_denominators_stay_exact():
+    rows = [
+        [Fraction(2, 7), Fraction(5, 7), 0],
+        [0, Fraction(5, 9), Fraction(4, 9)],
+        [Fraction(1, 97), 0, Fraction(96, 97)],
+    ]
+    P = StochasticMatrix.from_rows(rows)
+    tester = SupportTester(P, allowed_functions(P))
+    assert tester._scale == 7 * 9 * 97
+    res = tester.witness(range(len(tester.functions)))
+    assert isinstance(res, FeasibilityWitness)
+    assert induced_matrix(res.as_coupling()).entries == P.entries
+    assert sum(w for _, w in res.weights) == 1
+
+
+def test_witness_golden_weights(ex11):
+    # pinned from the Fraction tableau this simplex replaced: the pivot
+    # sequence, and with it every witness, is unchanged
+    res = feasible_weights(ex11, sup("2344", "1331", "2241", "1234", "2341"))
+    assert [(f.to_notation(), w) for f, w in res.weights] == [
+        ("1234", Fraction(7, 20)),
+        ("1331", Fraction(3, 20)),
+        ("2241", Fraction(3, 20)),
+        ("2341", Fraction(1, 5)),
+        ("2344", Fraction(3, 20)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fixture, golden",
+    [
+        ("ex10", {1: ["121", "233"], 3: ["123", "231"]}),
+        ("ex11", {1: ["1231", "2344"], 2: ["1331", "2244"], 4: ["1234", "2341"]}),
+    ],
+)
+def test_kset_witness_golden(fixture, golden, request):
+    report = k_set_exact(request.getfixturevalue(fixture))
+    got = {
+        m.k: [(f.to_notation(), w) for f, w in m.coupling.terms] for m in report.members
+    }
+    half = Fraction(1, 2)
+    assert got == {k: [(s, half) for s in fs] for k, fs in golden.items()}

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+from coalesce import kset
 from coalesce import (
+    BudgetExceeded,
     StochasticMatrix,
     allowed_functions,
     can_exclude_second_largest,
@@ -123,6 +127,27 @@ def test_divisor_members():
     for m in report.members:
         assert m.how == "divisor"
         assert is_consistent(m.coupling, U6)
+
+
+def test_budget_checked_before_functions_are_built(monkeypatch):
+    # 9-state cycle, each state to itself and both neighbours: 3^9 = 19,683
+    # allowed functions
+    P = StochasticMatrix.from_rows(
+        [[Fraction(1, 3) if (j - i) % 9 in (0, 1, 8) else 0 for j in range(9)] for i in range(9)]
+    )
+
+    def fail(_):
+        raise AssertionError("allowed functions built before the budget check")
+
+    monkeypatch.setattr(kset, "allowed_functions", fail)
+    with pytest.raises(BudgetExceeded, match=r"^2\^19683 - 1 candidate supports"):
+        k_set_exact(P)
+    third = Fraction(1, 3)
+    P3 = StochasticMatrix.from_rows([[third] * 3, [1, 0, 0], [0, 1, 0]])
+    with pytest.raises(BudgetExceeded, match=r"^2\^3 - 1 .* budget of 6;"):
+        k_set_exact(P3, cap=6)
+    monkeypatch.undo()
+    assert k_set_exact(P3, cap=7).subsets_enumerated <= 7
 
 
 def test_budget_fallback(ex10):

@@ -75,6 +75,14 @@ def test_partition_rejects(bad):
         Partition.parse(bad)
 
 
+def test_partition_rejects_repeated_state():
+    # a repeated state used to collapse silently, reading "1,1|2,3" as "1|2,3"
+    with pytest.raises(NotationError, match="state 1 appears twice"):
+        Partition.parse("1,1|2,3")
+    with pytest.raises(NotationError, match="state 3 appears twice"):
+        Partition.parse("1,3|2,3,4")
+
+
 def test_partition_block_of():
     p = Partition.parse("1,4|2|3")
     assert p.block_of() == (0, 1, 2, 0)
