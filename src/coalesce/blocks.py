@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .birkhoff import _max_matching, birkhoff_decomposition
 from .coupling import (
@@ -31,7 +32,7 @@ from .coupling import (
 from .errors import BlockConditionsFail, DimensionMismatch, NotADivisor
 from .mapfun import Partition
 from .matrix import StochasticMatrix, is_doubly_stochastic
-from .semigroup import DEFAULT_CLOSURE_CAP, coalescence_number
+from .semigroup import coalescing_pairs
 
 _ZERO = Fraction(0)
 
@@ -205,18 +206,24 @@ def _common_point_certificate(mu: BlockCoupling) -> bool:
 def is_block_measure(
     mu: GrandCoupling,
     partition: Partition | None = None,
-    max_closure: int = DEFAULT_CLOSURE_CAP,
     support_cap: int = DEFAULT_SUPPORT_CAP,
 ) -> bool:
     """Whether mu permutes the partition's blocks and coalesces to one
     survivor per block.
 
     Two requirements: every support function induces a bijection of blocks,
-    and the coalescence number equals the block count. For block-structured
-    couplings over the same partition the first is automatic and the second
-    is first attempted structurally, so enormous supports (for example a
-    uniform law over all block permutations) are handled without
-    enumeration.
+    and the coalescence number equals the block count l. For
+    block-structured couplings over the same partition the first is
+    automatic and the second is first attempted structurally, so enormous
+    supports (for example a uniform law over all block permutations) are
+    handled without enumeration.
+
+    The second is then decided on state pairs: for a block-permuting
+    support, k = l exactly when every pair of states in a common block
+    coalesces. Every composite permutes the blocks, so its image has at
+    least l points; if it has two in one block, the composition that merges
+    them lowers the image size by at least one. Conversely a composite with
+    l points in its image sends each block to a single point.
     """
     if partition is None:
         if not isinstance(mu, BlockCoupling):
@@ -224,17 +231,18 @@ def is_block_measure(
         partition = mu.partition
     if partition.n != mu.n:
         raise DimensionMismatch(f"partition on n={partition.n}, coupling on n={mu.n}")
-    l = partition.size
-    if isinstance(mu, BlockCoupling) and mu.partition == partition:
-        if _common_point_certificate(mu):
-            return True
-        support = expand_support(mu, cap=support_cap)
-        return coalescence_number(support, max_closure=max_closure) == l
+    structured = isinstance(mu, BlockCoupling) and mu.partition == partition
+    if structured and _common_point_certificate(mu):
+        return True
     support = expand_support(mu, cap=support_cap)
-    for f in support:
-        if _block_perm_of(f, partition) is None:
-            return False
-    return coalescence_number(support, max_closure=max_closure) == l
+    if not structured and any(_block_perm_of(f, partition) is None for f in support):
+        return False
+    pairs = coalescing_pairs(support)
+    return all(
+        frozenset(p) in pairs
+        for blk in partition.blocks
+        for p in combinations(sorted(blk), 2)
+    )
 
 
 def uniform_divisor_coupling(n: int, l: int) -> BlockCoupling:

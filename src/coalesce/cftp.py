@@ -28,8 +28,8 @@ from fractions import Fraction
 from hashlib import blake2b
 
 from .coupling import BlockCoupling, ExplicitCoupling, GrandCoupling, expand_support
-from .errors import ClosureTooLarge, SupportTooLarge
-from .semigroup import coalescence_number
+from .errors import SupportTooLarge
+from .semigroup import coalescing_pairs
 
 DEFAULT_T_MAX = 2**20
 
@@ -135,25 +135,26 @@ def _all_permutations(mu: GrandCoupling) -> bool:
     return False
 
 
-def provably_never_coalesces(
-    mu: GrandCoupling, expand_cap: int = 1024, closure_cap: int = 20_000
-) -> bool:
+def provably_never_coalesces(mu: GrandCoupling, expand_cap: int = 1024) -> bool:
     """True only with a proof that no composition of support functions is
     constant, so every sampling run must end in DidNotCoalesce.
 
-    Cheap structural route first (all support functions bijective), then a
-    budgeted closure computation: the minimum image size over the closed
-    composition semigroup exceeding 1 rules coalescence out surely, not just
-    almost surely. Returns False when the budgets are exhausted, never
-    guessing.
+    Cheap structural route first (all support functions bijective), then
+    the pair test: some composition is constant exactly when every pair of
+    states is merged by some composition, since merging the pairs of an
+    image one at a time shrinks it to a point. So a pair outside
+    coalescing_pairs rules coalescence out surely, not just almost surely.
+    Returns False when the support has more than expand_cap functions,
+    never guessing.
     """
     if _all_permutations(mu):
         return True
     try:
         support = expand_support(mu, cap=expand_cap)
-        return coalescence_number(support, max_closure=closure_cap) > 1
-    except (SupportTooLarge, ClosureTooLarge):
+    except SupportTooLarge:
         return False
+    n = mu.n
+    return len(coalescing_pairs(support)) < n * (n - 1) // 2
 
 
 def cftp_sample(

@@ -90,6 +90,13 @@ def _load_matrix(run: _Run, path: str) -> StochasticMatrix:
     return parse_matrix(run.read_file(path))
 
 
+def _load_irreducible(run: _Run, path: str) -> StochasticMatrix:
+    P = _load_matrix(run, path)
+    if not is_irreducible(P):
+        raise ValueError("matrix is not irreducible")
+    return P
+
+
 def _load_coupling(run: _Run, path: str):
     return parse_coupling(run.read_file(path))
 
@@ -179,9 +186,7 @@ def _kset_lines(report) -> list[str]:
 
 def _cmd_analyze(args, run: _Run) -> int:
     _require_format(args, "text", "json")
-    P = _load_matrix(run, args.matrix)
-    if not is_irreducible(P):
-        raise ValueError("matrix is not irreducible")
+    P = _load_irreducible(run, args.matrix)
     p = period(P)
     ds = is_doubly_stochastic(P)
     pi = invariant_distribution(P)
@@ -352,7 +357,7 @@ def _cmd_blocks(args, run: _Run) -> int:
             print("coupling constructed: no")
             print(f"detail: {exc}")
         return 1
-    verified = is_block_measure(mu, partition, max_closure=args.max_closure)
+    verified = is_block_measure(mu, partition)
     law_terms = [
         (MapFunction(perm).to_notation(), mu.law.weight_of(perm))
         for perm in mu.law.iter_support()
@@ -407,7 +412,7 @@ def _cmd_birkhoff(args, run: _Run) -> int:
 
 def _cmd_kset(args, run: _Run) -> int:
     _require_format(args, "text", "json")
-    P = _load_matrix(run, args.matrix)
+    P = _load_irreducible(run, args.matrix)
     report = k_set_report(P, cap=args.exact_cap, max_closure=args.max_closure)
     if args.format == "json":
         print(json.dumps(_kset_payload(report, include_couplings=True), indent=2))
@@ -563,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: fresh random, recorded in the manifest)")
     common.add_argument("--exact-cap", type=int, default=DEFAULT_SUBSET_BUDGET, help="max support subsets to enumerate before falling back to certificates (0: certificates only)")
-    common.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP, help="max semigroup closure size")
+    common.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP, help="max image sets walked for a coalescence number, and max maps in the closure for limiting partitions")
     common.add_argument("--t-max", type=int, default=None, help="time horizon for sampling runs")
     common.add_argument("--format", choices=("text", "json", "tsv", "dot"), default="text", help="output format")
 

@@ -22,7 +22,9 @@ JSON schema (states, blocks and map notation are 1-based):
      "within": [{"2": {"3": "1/2", "4": "1/2"}}, ...]}
 
 "within" lists one object per state; keys are target block indices, values
-map target states to weights. Zero-weight entries are rejected everywhere.
+map target states to weights. Zero-weight entries are rejected everywhere,
+and so are unknown keys; parse_coupling raises CouplingFormatError, naming
+the key, entry or state, for every malformed document.
 """
 from __future__ import annotations
 
@@ -38,6 +40,8 @@ from .birkhoff import birkhoff_decomposition
 from .errors import (
     CouplingFormatError,
     DimensionMismatch,
+    MalformedRational,
+    NotationError,
     SupportTooLarge,
 )
 from .mapfun import MapFunction, Partition, Support
@@ -524,92 +528,167 @@ def serialize_coupling(mu: GrandCoupling) -> str:
     return json.dumps(doc, indent=1)
 
 
+_EXPLICIT_KEYS = {"n", "functions"}
+_BLOCK_KEYS = {"n", "partition", "block_perms", "within"}
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _object(value, keys: set[str], what: str) -> dict:
+    """value as a JSON object with only the given keys, all present."""
+    if not isinstance(value, dict):
+        raise CouplingFormatError(f"{what} must be an object, got {_brief(value)}")
+    unknown = sorted(set(value) - keys)
+    if unknown:
+        raise CouplingFormatError(f"unknown key {unknown[0]!r} in {what}")
+    missing = sorted(keys - set(value))
+    if missing:
+        raise CouplingFormatError(f"{what} has no {missing[0]!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise CouplingFormatError(f"{what} must be a list, got {_brief(value)}")
+    return value
+
+
+def _weight(value, what: str) -> Fraction:
+    """A positive weight written as a "p/q" string or a JSON integer."""
+    if not (isinstance(value, str) or _is_int(value)):
+        raise CouplingFormatError(f"{what}: weight must be a \"p/q\" string, got {_brief(value)}")
+    try:
+        w = parse_rational(str(value))
+    except MalformedRational as exc:
+        raise CouplingFormatError(f"{what}: {exc}") from None
+    if w <= 0:
+        raise CouplingFormatError(f"{what}: zero or negative weight {_brief(value)}")
+    return w
+
+
+def _index(value, limit: int, what: str) -> int:
+    """A 1-based index in 1..limit, given as a JSON integer or as a
+    canonical decimal string (object keys are always strings); returned
+    0-based."""
+    if isinstance(value, str):
+        canonical = value.isascii() and value.isdigit() and value[:1] != "0"
+        if canonical and len(value) <= len(str(limit)):
+            value = int(value)
+    if not _is_int(value) or not 1 <= value <= limit:
+        raise CouplingFormatError(f"{what} must be one of 1..{limit}, got {_brief(value)}")
+    return value - 1
+
+
 def parse_coupling(text: str) -> GrandCoupling:
+    """Read a coupling document (schema in the module docstring).
+
+    Every malformed document raises CouplingFormatError naming the key,
+    entry or state at fault; unknown keys are rejected, not ignored.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CouplingFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc:
         raise CouplingFormatError("coupling document must be an object with 'n'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise CouplingFormatError(f"bad state count: {n!r}")
+    if not _is_int(n) or n < 1:
+        raise CouplingFormatError(f"bad state count 'n': {_brief(n)}")
     if "functions" in doc:
-        return _parse_explicit(doc, n)
+        return _parse_explicit(_object(doc, _EXPLICIT_KEYS, "an explicit coupling"), n)
     if "partition" in doc:
-        return _parse_block(doc, n)
+        return _parse_block(_object(doc, _BLOCK_KEYS, "a block coupling"), n)
     raise CouplingFormatError("expected 'functions' or 'partition'")
 
 
 def _parse_explicit(doc: dict, n: int) -> ExplicitCoupling:
-    items = doc["functions"]
-    if not isinstance(items, list):
-        raise CouplingFormatError("'functions' must be a list")
     pairs = []
-    for item in items:
+    for c, item in enumerate(_list(doc["functions"], "'functions'"), 1):
+        what = f"function entry {c}"
+        _object(item, {"map", "weight"}, what)
+        text = item["map"]
+        if not (isinstance(text, str) or _is_int(text)):
+            raise CouplingFormatError(f"{what}: 'map' must be a string, got {_brief(text)}")
         try:
-            f = MapFunction.from_notation(str(item["map"]))
-            w = parse_rational(str(item["weight"]))
-        except (KeyError, TypeError):
-            raise CouplingFormatError(f"bad function entry: {item!r}") from None
+            f = MapFunction.from_notation(str(text))
+        except NotationError as exc:
+            raise CouplingFormatError(f"{what}: {exc}") from None
         if f.n != n:
             raise CouplingFormatError(
-                f"function {item['map']!r} is on {f.n} states, document says {n}"
+                f"{what}: map {_brief(text)} is on {f.n} states, 'n' is {n}"
             )
-        if w <= 0:
-            raise CouplingFormatError(f"zero or negative weight on {item['map']!r}")
-        pairs.append((f, w))
+        pairs.append((f, _weight(item["weight"], what)))
     return ExplicitCoupling.from_pairs(pairs)
 
 
 def _parse_block(doc: dict, n: int) -> BlockCoupling:
-    try:
-        partition = Partition.from_onebased(doc["partition"])
-    except (TypeError, KeyError):
-        raise CouplingFormatError("bad 'partition'") from None
-    if partition.n != n:
-        raise CouplingFormatError("partition does not cover 1..n")
+    blocks = []
+    placed: set[int] = set()
+    for r, raw in enumerate(_list(doc["partition"], "'partition'"), 1):
+        block = []
+        for v in _list(raw, f"partition block {r}"):
+            i = _index(v, n, f"a state in partition block {r}")
+            if i in placed:
+                raise CouplingFormatError(f"state {i + 1} appears twice in 'partition'")
+            placed.add(i)
+            block.append(i)
+        if not block:
+            raise CouplingFormatError(f"partition block {r} is empty")
+        blocks.append(block)
+    if len(placed) != n:
+        missing = next(i for i in range(n) if i not in placed)
+        raise CouplingFormatError(f"state {missing + 1} is in no partition block")
+    partition = Partition.from_blocks(blocks)
     l = partition.size
-    raw_law = doc.get("block_perms")
+    raw_law = doc["block_perms"]
     law: ExplicitPermLaw | UniformPermLaw
     if raw_law == "uniform":
         law = UniformPermLaw(l)
-    elif isinstance(raw_law, list):
-        terms = []
-        for item in raw_law:
-            try:
-                perm = tuple(int(v) - 1 for v in item["perm"])
-                w = parse_rational(str(item["weight"]))
-            except (KeyError, TypeError, ValueError):
-                raise CouplingFormatError(f"bad block permutation entry: {item!r}") from None
-            if w <= 0:
-                raise CouplingFormatError("zero or negative block permutation weight")
-            terms.append((perm, w))
-        law = ExplicitPermLaw(tuple(terms))
     else:
-        raise CouplingFormatError("'block_perms' must be a list or \"uniform\"")
-    raw_within = doc.get("within")
-    if not isinstance(raw_within, list) or len(raw_within) != n:
-        raise CouplingFormatError("'within' must list one object per state")
+        terms = []
+        for c, item in enumerate(_list(raw_law, "'block_perms'"), 1):
+            what = f"block permutation entry {c}"
+            _object(item, {"perm", "weight"}, what)
+            perm = tuple(
+                _index(v, l, f"{what}: a block")
+                for v in _list(item["perm"], f"{what}: 'perm'")
+            )
+            if len(perm) != l:
+                raise CouplingFormatError(
+                    f"{what}: 'perm' has {len(perm)} blocks, 'partition' has {l}"
+                )
+            terms.append((perm, _weight(item["weight"], what)))
+        law = ExplicitPermLaw(tuple(terms))
+    raw_within = _list(doc["within"], "'within'")
+    if len(raw_within) != n:
+        raise CouplingFormatError(
+            f"'within' must list one object per state: {len(raw_within)} for {n} states"
+        )
     within = []
     for i, obj in enumerate(raw_within):
         if not isinstance(obj, dict):
             raise CouplingFormatError(f"within entry for state {i + 1} is not an object")
         entry = []
-        for key in sorted(obj, key=lambda k: int(k)):
-            dist_obj = obj[key]
-            s = int(key) - 1
+        for key, dist_obj in obj.items():
+            what = f"within entry for state {i + 1}"
+            s = _index(key, l, f"{what}: block key")
+            what += f", block {s + 1}"
             if not isinstance(dist_obj, dict) or not dist_obj:
-                raise CouplingFormatError(
-                    f"bad within-distribution for state {i + 1}, block {key}"
-                )
+                raise CouplingFormatError(f"{what}: not a non-empty object")
             dist = tuple(
                 sorted(
-                    (int(jk) - 1, parse_rational(str(wv))) for jk, wv in dist_obj.items()
+                    (_index(jk, n, f"{what}: target state"), _weight(wv, what))
+                    for jk, wv in dist_obj.items()
                 )
             )
-            if any(w <= 0 for _, w in dist):
-                raise CouplingFormatError("zero or negative within weight")
             entry.append((s, dist))
-        within.append(tuple(entry))
+        within.append(tuple(sorted(entry)))
     return BlockCoupling(partition, law, tuple(within))

@@ -51,7 +51,8 @@ class SupportTooLarge(CoalesceError):
 
 
 class ClosureTooLarge(CoalesceError):
-    """Semigroup closure exceeded the configured element cap."""
+    """A closure walk exceeded its cap: maps for the semigroup closure, image
+    sets for the coalescence number."""
 
 
 class NotADivisor(CoalesceError):

@@ -31,11 +31,7 @@ from .coupling import (
     is_consistent,
     permutation_coupling,
 )
-from .errors import (
-    BudgetExceeded,
-    ClosureTooLarge,
-    SupportTooLarge,
-)
+from .errors import BudgetExceeded, SupportTooLarge
 from .feasibility import FeasibilityWitness, SupportTester
 from .mapfun import MapFunction, Partition, Support
 from .matrix import StochasticMatrix, is_doubly_stochastic, period
@@ -178,7 +174,7 @@ def k_set_exact(
 
     Every non-empty subset of the allowed functions is considered, smallest
     first. Subsets failing the cell-cover precheck are discarded without
-    solving; feasible ones contribute their closure's minimum image size.
+    solving; feasible ones contribute their coalescence number.
 
     With prune=True (safe for the resulting set), a subset is skipped when
     it contains an already-feasible subset T such that every value between
@@ -205,7 +201,7 @@ def k_set_exact(
     full_range = set(range(k_floor, n + 1))
     achieved: dict[int, FeasibilityWitness] = {}
     records: list[tuple[Support, int]] = []
-    prune_list: list[tuple[int, int]] = []  # (mask, k) antichain
+    prune_list: list[int] = []  # antichain of subset masks
     enumerated = lp_decided = cover_skipped = pruned = 0
     bit = [1 << c for c in range(m)]
     stop = False
@@ -220,7 +216,7 @@ def k_set_exact(
             if not tester.covers(idxs):
                 cover_skipped += 1
                 continue
-            if prune and any(pm & mask == pm for pm, _ in prune_list):
+            if prune and any(pm & mask == pm for pm in prune_list):
                 pruned += 1
                 continue
             lp_decided += 1
@@ -236,11 +232,9 @@ def k_set_exact(
                 assert isinstance(witness, FeasibilityWitness)
                 achieved[k_s] = witness
             if prune and all(v in achieved for v in range(k_floor, k_s + 1)):
-                if not any(pm & mask == pm for pm, _ in prune_list):
-                    prune_list = [
-                        (pm, kv) for pm, kv in prune_list if pm & mask != mask
-                    ]
-                    prune_list.append((mask, k_s))
+                # no member is inside mask, or it would have been pruned
+                prune_list = [pm for pm in prune_list if pm & mask != mask]
+                prune_list.append(mask)
             if not collect_feasible and set(achieved) == full_range:
                 stop = True
                 break
@@ -264,9 +258,7 @@ def k_set_exact(
 
 
 def k_set_certificates(
-    P: StochasticMatrix,
-    max_partitions: int = 20_000,
-    max_closure: int = DEFAULT_CLOSURE_CAP,
+    P: StochasticMatrix, max_partitions: int = 20_000
 ) -> KSetReport:
     """One-sided conclusions about K(P) that avoid subset enumeration.
 
@@ -319,10 +311,10 @@ def k_set_certificates(
             continue
         mu = construct_block_measure(P, partition)
         try:
-            if is_block_measure(mu, partition, max_closure=max_closure):
+            if is_block_measure(mu, partition):
                 members.append(KMember(l, mu, "block-partition"))
                 seen.add(l)
-        except (SupportTooLarge, ClosureTooLarge):
+        except SupportTooLarge:
             notes.append(
                 f"partition {partition.format_onebased()} produced a coupling too "
                 "large to verify; not counted"
@@ -349,7 +341,7 @@ def k_set_report(
     try:
         return k_set_exact(P, cap=cap, max_closure=max_closure)
     except BudgetExceeded as exc:
-        report = k_set_certificates(P, max_closure=max_closure)
+        report = k_set_certificates(P)
         return KSetReport(
             n=report.n,
             members=report.members,

@@ -2,15 +2,22 @@
 
 The coalescence number of a grand coupling depends only on which functions
 carry positive weight: it is the least image size over all finite
-compositions of support functions. This module computes that closure, the
-pairs of states that can be merged, and the partitions a coupling can lock
-into.
+compositions of support functions. Each question here is answered on the
+smallest object that decides it:
 
-One breadth-first walk over image tuples (_walk) serves both close, which
-keeps every element with a parent pointer to rebuild shortest words, and
-coalescence_number, which keeps only the least image size and stops at the
-first constant composite. The closure cap is checked at the end of each
-breadth-first layer.
+* coalescing_pairs walks the graph of state pairs (at most n(n-1)/2 nodes).
+  When every pair can be merged, merging the pairs of an image one at a
+  time shrinks it to a point; the same holds block by block for a
+  block-permuting support, whose composites keep pairs inside blocks. So
+  the pairs alone decide whether k = 1 and, for block-permuting supports,
+  whether k equals the block count.
+* coalescence_number walks image sets (at most 2^n), since
+  image(g o h) = g(image h).
+* close walks maps (at most n^n) and is the only code here that does; it
+  keeps every element with a parent pointer to rebuild shortest words, and
+  limiting_partitions reads the kernels of its least-image elements.
+
+Both walks check their cap at the end of each breadth-first layer.
 """
 from __future__ import annotations
 
@@ -92,20 +99,19 @@ def _generators(support) -> tuple[MapFunction, ...]:
     return gens
 
 
-def _walk(gens: tuple[MapFunction, ...], max_size: int):
-    """Breadth-first walk of the composition closure of gens (distinct maps).
+def close(support, max_size: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
+    """Breadth-first closure under composition, recording shortest words.
 
-    Yields (image, i, parent) for each element once, in breadth-first order:
-    image is the element's image tuple, i the index of the generator applied
-    last and parent the position (in yield order) of the element it was
-    applied to, or -1 for a generator itself. Raises ClosureTooLarge at the
-    end of the first layer after which more than max_size elements are known.
+    Element p is generator last[p] applied after element parent[p] (-1 for
+    a generator itself). Raises ClosureTooLarge at the end of the first
+    breadth-first layer after which more than max_size elements are known.
     """
+    gens = _generators(support)
     images = [g.image for g in gens]
-    seen = set(images)
     order = list(images)
-    for i, t in enumerate(images):
-        yield t, i, -1
+    seen = set(order)
+    last = list(range(len(images)))
+    parent = [-1] * len(images)
     start = 0
     while start < len(order):
         end = len(order)
@@ -116,42 +122,49 @@ def _walk(gens: tuple[MapFunction, ...], max_size: int):
                 if c not in seen:
                     seen.add(c)
                     order.append(c)
-                    yield c, i, p
+                    last.append(i)
+                    parent.append(p)
         if len(seen) > max_size:
             raise ClosureTooLarge(
                 f"closure exceeds {max_size} elements; raise the cap to continue"
             )
         start = end
-
-
-def close(support, max_size: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
-    """Breadth-first closure under composition, recording shortest words.
-
-    Raises ClosureTooLarge when the closure would exceed max_size elements.
-    """
-    gens = _generators(support)
-    elements, last, parent = [], [], []
-    for t, i, p in _walk(gens, max_size):
-        elements.append(MapFunction(t))
-        last.append(i)
-        parent.append(p)
-    return SemigroupClosure(gens[0].n, gens, tuple(elements), tuple(last), tuple(parent))
+    elements = tuple(MapFunction(t) for t in order)
+    return SemigroupClosure(gens[0].n, gens, elements, tuple(last), tuple(parent))
 
 
 def coalescence_number(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> int:
     """k(S): the least image size over all compositions of members of S.
 
+    Walks the image sets of composites breadth first from the full state
+    set, since image(g o h) = g(image h), and returns 1 at the first
+    singleton. max_closure caps the number of distinct image sets reached;
+    ClosureTooLarge is raised at the end of the first layer past it.
+
     Depends only on the support set, and is antitone in it: enlarging the
     support can only lower (never raise) the value.
     """
     gens = _generators(support)
+    images = [g.image for g in gens]
     best = gens[0].n
-    for t, _, _ in _walk(gens, max_closure):
-        size = len(set(t))
-        if size < best:
-            if size == 1:
-                return 1
-            best = size
+    seen: set[frozenset[int]] = set()
+    frontier = [frozenset(range(best))]
+    while frontier:
+        layer = []
+        for s in frontier:
+            for g in images:
+                c = frozenset([g[v] for v in s])
+                if c not in seen:
+                    if len(c) == 1:
+                        return 1
+                    seen.add(c)
+                    layer.append(c)
+                    best = min(best, len(c))
+        if len(seen) > max_closure:
+            raise ClosureTooLarge(
+                f"more than {max_closure} image sets; raise the cap to continue"
+            )
+        frontier = layer
     return best
 
 
@@ -159,31 +172,30 @@ def coalescing_pairs(support) -> PairSet:
     """The pairs of distinct states that some composition merges.
 
     A pair {x, y} belongs to the result exactly when some finite composition
-    f of support functions has f(x) = f(y). Computed by a fixpoint on the
-    pair graph: a pair coalesces if some single function either merges it
-    outright or sends it to a pair already known to coalesce.
+    f of support functions has f(x) = f(y): either a single function merges
+    it outright, or one sends it to a pair already known to coalesce.
+    Computed as a backward search on the pair graph from the pairs merged
+    outright, so each (pair, function) edge is looked at once.
     """
     gens = _generators(support)
-    n = gens[0].n
-    pairs = [frozenset(p) for p in combinations(range(n), 2)]
-    coalescing: set[frozenset[int]] = set()
-    for p in pairs:
-        x, y = tuple(p)
-        if any(g(x) == g(y) for g in gens):
-            coalescing.add(p)
-    changed = True
-    while changed:
-        changed = False
-        for p in pairs:
-            if p in coalescing:
-                continue
-            x, y = tuple(p)
-            for g in gens:
-                if frozenset((g(x), g(y))) in coalescing:
-                    coalescing.add(p)
-                    changed = True
-                    break
-    return frozenset(coalescing)
+    images = [g.image for g in gens]
+    merged: list[tuple[int, int]] = []
+    sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p in combinations(range(gens[0].n), 2):
+        x, y = p
+        for g in images:
+            a, b = g[x], g[y]
+            if a == b:
+                merged.append(p)
+                break
+            sources.setdefault((a, b) if a < b else (b, a), []).append(p)
+    found = set(merged)
+    for p in merged:  # grows while it is read
+        for q in sources.get(p, ()):
+            if q not in found:
+                found.add(q)
+                merged.append(q)
+    return frozenset(frozenset(p) for p in found)
 
 
 def limiting_partitions(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> frozenset[Partition]:
@@ -191,7 +203,8 @@ def limiting_partitions(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> froz
 
     These are exactly the partitions a trajectory of the coupling can end up
     gluing states by: each is reachable with positive probability, and once
-    the image size bottoms out the kernel can only be one of these.
+    the image size bottoms out the kernel can only be one of these. Reads
+    the map closure from close, so max_closure counts maps here.
     """
     closure = close(support, max_size=max_closure)
     return frozenset(f.kernel() for f in closure.min_image_elements())

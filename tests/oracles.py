@@ -385,3 +385,24 @@ def all_images(n: int) -> list[Image]:
 
 def all_permutation_images(n: int) -> list[Image]:
     return [tuple(p) for p in permutations(range(n))]
+
+
+def random_block_permuting(rng: random.Random, n: int, count: int):
+    """A random partition of range(n) (as a list of blocks) and up to count
+    distinct maps that each send every block into one block, bijectively
+    at the block level; inside a block the images are arbitrary, and one
+    map in three is constant on every block, so k = l is common."""
+    labels = [rng.randrange(n) for _ in range(n)]
+    blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+    images = set()
+    for _ in range(count):
+        perm = random_permutation_image(rng, len(blocks))
+        flat = rng.randrange(3) == 0
+        t = [0] * n
+        for r, blk in enumerate(blocks):
+            target = blocks[perm[r]]
+            point = rng.choice(target)
+            for i in blk:
+                t[i] = point if flat else rng.choice(target)
+        images.add(tuple(t))
+    return blocks, sorted(images)

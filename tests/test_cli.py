@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -94,6 +95,18 @@ def test_analyze_rejects_reducible(tmp_path):
     assert "error:" in err
 
 
+def test_kset_rejects_reducible(tmp_path):
+    # the exact route answered (exit 0) and the certificate route died on
+    # the period (exit 2); both now stop where analyze does
+    p = tmp_path / "red.txt"
+    p.write_text("1/2 1/2 0\n0 1 0\n0 0 1\n")
+    for argv in (("kset",), ("kset", "--exact-cap", "0"), ("analyze",)):
+        code, out, err = run_cli(*argv, str(p), "--seed", "1")
+        assert code == 2, argv
+        assert out == ""
+        assert "error: matrix is not irreducible" in err
+
+
 def test_coupling_check(quarter_file, ex11_file, ex10_file, tmp_path):
     code, out, _ = run_cli("coupling-check", quarter_file, ex11_file, "--seed", "1")
     assert code == 0
@@ -116,6 +129,17 @@ def test_k_number(quarter_file):
     assert "coalescence number: 2" in out
     assert "{1,2} {1,4} {2,3} {3,4}" in out
     assert "1,2|3,4" in out and "1,4|2,3" in out
+
+
+def test_coupling_file_faults_are_named(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({
+        "n": 2, "partition": [[1, 2]], "block_perms": "uniform",
+        "within": [{"x": {"1": "1"}}, {"1": {"1": "1"}}],
+    }))
+    code, _, err = run_cli("k-number", str(p), "--seed", "1")
+    assert code == 2
+    assert "within entry for state 1: block key must be one of 1..1, got 'x'" in err
 
 
 def test_k_number_budget(quarter_file):
@@ -152,6 +176,25 @@ def test_blocks_verified(tmp_path):
     assert code == 0
     assert "lumpable: yes" in out
     assert "verified block measure: yes" in out
+
+
+def test_blocks_on_large_cycle_is_decided_on_pairs(tmp_path):
+    # 4,097 support functions on 12 states: the function closure of this
+    # support did not finish in 100 s; the pair test takes about a second
+    p = tmp_path / "cycle12.txt"
+    p.write_text(
+        "".join(
+            " ".join("1/3" if (j - i) % 12 in (0, 1, 11) else "0" for j in range(12)) + "\n"
+            for i in range(12)
+        )
+    )
+    t0 = time.monotonic()
+    code, out, err = run_cli(
+        "blocks", str(p), "--partition", "1,3,5,7,9,11|2,4,6,8,10,12", "--seed", "1"
+    )
+    assert code == 0, err
+    assert "verified block measure: yes" in out
+    assert time.monotonic() - t0 < 30
 
 
 def test_blocks_constructed_but_not_block_measure(ex11_file):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalesce import (
     BlockCoupling,
@@ -151,6 +153,153 @@ def test_parse_coupling_rejects_malformed():
                 {"n": 2, "functions": [{"map": "12", "weight": "1/2"}]}
             )
         )
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"n": True, "functions": [{"map": "1", "weight": "1"}]}, "'n'"),
+        ({"n": 1, "functions": [{"map": "1", "weight": "1"}], "extra": 0}, "'extra'"),
+        ({"n": 2, "functions": [{"map": "12", "weight": "1", "w": 1}]}, "'w'"),
+        (
+            {"n": 2, "partition": [[1, 2]], "block_perms": "uniform",
+             "within": [{"x": {"1": "1"}}, {"1": {"1": "1"}}]},
+            "state 1: block key",
+        ),
+        (
+            {"n": 2, "partition": [[1, 2]], "block_perms": "uniform",
+             "within": [{"1": {"1": "1"}}, {"1": {"01": "1"}}]},
+            "state 2, block 1: target state",
+        ),
+        (
+            {"n": 2, "partition": [[1, 1], [2]], "block_perms": "uniform",
+             "within": [{"1": {"1": "1"}}, {"2": {"2": "1"}}]},
+            "state 1 appears twice",
+        ),
+        (
+            {"n": 2, "partition": [[1.0, 2.0]], "block_perms": "uniform",
+             "within": [{"1": {"1": "1"}}, {"1": {"1": "1"}}]},
+            "partition block 1",
+        ),
+        (
+            {"n": 2, "partition": [[1], [2]], "block_perms": [{"perm": [1], "weight": "1"}],
+             "within": [{"1": {"1": "1"}}, {"2": {"2": "1"}}]},
+            "block permutation entry 1",
+        ),
+        ({"n": 2, "functions": [{"map": "12", "weight": 0.5}, {"map": "21", "weight": "1/2"}]},
+         "function entry 1"),
+    ],
+)
+def test_parse_coupling_names_the_fault(doc, named):
+    with pytest.raises(CouplingFormatError, match=named):
+        parse_coupling(json.dumps(doc))
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["1", "2", "1/2", "0", "-1", "01", "x", "uniform"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_VALID = [
+    json.loads(serialize_coupling(mu))
+    for mu in (
+        uniform_divisor_coupling(4, 2),
+        doeblin_coupling(StochasticMatrix.uniform(2), lazy=True),
+        doeblin_coupling(StochasticMatrix.uniform(2)),
+        permutation_coupling(StochasticMatrix.uniform(3)),
+    )
+]
+
+
+_DELETE = object()
+
+
+def _replace(doc, path, value):
+    """doc with the node at path (a list of keys or indices) replaced, or
+    deleted when value is the sentinel _DELETE."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    if rest or value is not _DELETE:
+        out[head] = _replace(out[head], rest, value)
+    else:
+        del out[head]
+    return out
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = draw(st.sampled_from(_VALID))
+    for _ in range(draw(st.integers(1, 2))):
+        path, node = [], doc
+        while isinstance(node, (dict, list)) and node and (not path or draw(st.booleans())):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            path.append(key)
+            node = node[key]
+        doc = _replace(doc, path, draw(_JSON | st.just(_DELETE)))
+    if draw(st.integers(0, 3)) == 0:
+        doc = {**doc, draw(st.text(max_size=4)): draw(_JSON)}
+    return doc
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_mutated_documents() | _JSON)
+def test_parse_coupling_accepts_or_names_the_fault(doc):
+    # any JSON document parses to a coupling or raises CouplingFormatError
+    try:
+        mu = parse_coupling(json.dumps(doc))
+    except CouplingFormatError:
+        return
+    assert parse_coupling(serialize_coupling(mu)) == mu
+
+
+def _weights(draw, count: int) -> list[Fraction]:
+    raw = draw(st.lists(st.integers(1, 9), min_size=count, max_size=count))
+    return [Fraction(w, sum(raw)) for w in raw]
+
+
+@st.composite
+def _couplings(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        images = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), min_size=1,
+                               max_size=5, unique=True))
+        return ExplicitCoupling.from_pairs(zip(map(MapFunction, images), _weights(draw, len(images))))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    partition = Partition.from_blocks(
+        [i for i in range(n) if labels[i] == b] for b in sorted(set(labels))
+    )
+    l = partition.size
+    if draw(st.booleans()):
+        law = UniformPermLaw(l)
+        reach = [set(range(l))] * l
+    else:
+        perms = draw(st.lists(st.permutations(range(l)).map(tuple), min_size=1, max_size=3,
+                              unique=True))
+        law = ExplicitPermLaw(tuple(zip(perms, _weights(draw, len(perms)))))
+        reach = [{p[r] for p in perms} for r in range(l)]
+    block_of = partition.block_of()
+    within = []
+    for i in range(n):
+        entry = []
+        for s in sorted(reach[block_of[i]]):
+            targets = draw(st.lists(st.sampled_from(sorted(partition.blocks[s])), min_size=1,
+                                    unique=True))
+            entry.append((s, tuple(zip(sorted(targets), _weights(draw, len(targets))))))
+        within.append(tuple(entry))
+    return BlockCoupling(partition, law, tuple(within))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_couplings())
+def test_serialize_parse_roundtrip_property(mu):
+    assert parse_coupling(serialize_coupling(mu)) == mu
 
 
 def test_sample_image_matches_support(quarter_coupling):

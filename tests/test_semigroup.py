@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from coalesce import (
     ClosureTooLarge,
+    ExplicitCoupling,
     MapFunction,
     Partition,
     Support,
@@ -13,7 +15,9 @@ from coalesce import (
     coalescence_number,
     coalescing_pairs,
     compose,
+    is_block_measure,
     limiting_partitions,
+    provably_never_coalesces,
     relabel,
 )
 
@@ -110,6 +114,29 @@ def test_oracle_agreement_random_supports():
         got = {tuple(sorted(p)) for p in coalescing_pairs(sup)}
         want = {tuple(sorted(p)) for p in oracles.oracle_coalescing_pairs(images)}
         assert got == want
+    for _ in range(60):
+        n = rng.randint(5, 6)
+        images = list(
+            {tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+        )
+        assert coalescence_number(_support_of(images)) == oracles.oracle_min_image(images)
+    # the pair criteria: k > 1 exactly when some pair never merges, and for
+    # a block-permuting support k = l exactly when every pair inside a block
+    # merges
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        blocks, images = oracles.random_block_permuting(rng, n, rng.randint(1, 3))
+        k = oracles.oracle_min_image(images)
+        mu = ExplicitCoupling.from_pairs(
+            (MapFunction(t), Fraction(1, len(images))) for t in images
+        )
+        partition = Partition.from_blocks(blocks)
+        assert is_block_measure(mu, partition) == (k == len(blocks))
+        assert provably_never_coalesces(mu) == (k > 1)
+        assert coalescence_number(_support_of(images)) == k
+        seen.add((k == len(blocks), k > 1))
+    assert seen == {(True, True), (True, False), (False, True)}  # k = 1 forces l = 1
 
 
 def test_limiting_partitions_match_oracle_kernels():
