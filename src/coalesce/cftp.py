@@ -144,17 +144,17 @@ def provably_never_coalesces(mu: GrandCoupling, expand_cap: int = 1024) -> bool:
     states is merged by some composition, since merging the pairs of an
     image one at a time shrinks it to a point. So a pair outside
     coalescing_pairs rules coalescence out surely, not just almost surely.
-    Returns False when the support has more than expand_cap functions,
-    never guessing.
+    Returns False, never guessing, when a BlockCoupling would expand to
+    more than expand_cap functions; an explicit support is always read.
     """
     if _all_permutations(mu):
         return True
+    cap = expand_cap if isinstance(mu, BlockCoupling) else mu.support_size()
     try:
-        support = expand_support(mu, cap=expand_cap)
+        support = expand_support(mu, cap=cap)
     except SupportTooLarge:
         return False
-    n = mu.n
-    return len(coalescing_pairs(support)) < n * (n - 1) // 2
+    return len(coalescing_pairs(support)) < mu.n * (mu.n - 1) // 2
 
 
 def cftp_sample(

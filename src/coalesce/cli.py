@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: fresh random, recorded in the manifest)")
     common.add_argument("--exact-cap", type=int, default=DEFAULT_SUBSET_BUDGET, help="max support subsets to enumerate before falling back to certificates (0: certificates only)")
-    common.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP, help="max image sets walked for a coalescence number, and max maps in the closure for limiting partitions")
+    common.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP, help="max state pairs searched for a coalescence number, and max maps in the closure for limiting partitions")
     common.add_argument("--t-max", type=int, default=None, help="time horizon for sampling runs")
     common.add_argument("--format", choices=("text", "json", "tsv", "dot"), default="text", help="output format")
 

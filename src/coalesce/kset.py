@@ -4,7 +4,7 @@ K(P) collects every value k for which some grand coupling consistent with P
 has coalescence number k. Since k depends only on the support, and supports
 live inside the finite set of row-compatible functions, K(P) is computable
 by exhaustive enumeration: test each candidate support for exact
-feasibility, and close the feasible ones under composition.
+feasibility, and find the coalescence number of each feasible one.
 
 Enumeration is exponential in the allowed-function count, so a second,
 certificate-based route covers larger instances with one-sided conclusions:

@@ -2,22 +2,23 @@
 
 The coalescence number of a grand coupling depends only on which functions
 carry positive weight: it is the least image size over all finite
-compositions of support functions. Each question here is answered on the
-smallest object that decides it:
+compositions of support functions. Two walks answer every question here:
 
-* coalescing_pairs walks the graph of state pairs (at most n(n-1)/2 nodes).
-  When every pair can be merged, merging the pairs of an image one at a
-  time shrinks it to a point; the same holds block by block for a
-  block-permuting support, whose composites keep pairs inside blocks. So
-  the pairs alone decide whether k = 1 and, for block-permuting supports,
-  whether k equals the block count.
-* coalescence_number walks image sets (at most 2^n), since
-  image(g o h) = g(image h).
-* close walks maps (at most n^n) and is the only code here that does; it
-  keeps every element with a parent pointer to rebuild shortest words, and
-  limiting_partitions reads the kernels of its least-image elements.
+* _merge_steps walks the graph of state pairs (at most n(n-1)/2 nodes),
+  recording for each pair that some composition merges the first map of a
+  shortest merging word. coalescing_pairs is the set of those pairs. When
+  all pairs merge, merging an image's pairs one at a time shrinks it to a
+  point (block by block for a block-permuting support), so the pairs alone
+  decide whether k = 1 and, for such supports, whether k is the block count.
+  coalescence_number merges greedily (Eppstein 1990): from the full state
+  set I, while some pair of I has a merging word, apply it to I. Then |I|
+  is the least rank, since a composite w of smaller rank would have
+  |w(I)| < |I| and so merge a pair of I.
+* close walks maps (at most n^n); it keeps every element with a parent
+  pointer to rebuild shortest words, and limiting_partitions reads the
+  kernels of its least-image elements.
 
-Both walks check their cap at the end of each breadth-first layer.
+The pair cap is checked before the walk, the map cap as each map is added.
 """
 from __future__ import annotations
 
@@ -99,73 +100,90 @@ def _generators(support) -> tuple[MapFunction, ...]:
     return gens
 
 
+def _too_large(cap: int, what: str) -> ClosureTooLarge:
+    return ClosureTooLarge(f"more than {cap} {what}; raise the cap to continue")
+
+
 def close(support, max_size: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
     """Breadth-first closure under composition, recording shortest words.
 
     Element p is generator last[p] applied after element parent[p] (-1 for
-    a generator itself). Raises ClosureTooLarge at the end of the first
-    breadth-first layer after which more than max_size elements are known.
+    a generator itself). ClosureTooLarge is raised as soon as an element
+    past max_size would be added, so exactly when the closure is larger.
     """
     gens = _generators(support)
     images = [g.image for g in gens]
     order = list(images)
+    if len(order) > max_size:
+        raise _too_large(max_size, "maps in the closure")
     seen = set(order)
     last = list(range(len(images)))
     parent = [-1] * len(images)
-    start = 0
-    while start < len(order):
-        end = len(order)
-        for p in range(start, end):
-            t = order[p]
-            for i, g in enumerate(images):
-                c = tuple([g[v] for v in t])  # generator i after element p
-                if c not in seen:
-                    seen.add(c)
-                    order.append(c)
-                    last.append(i)
-                    parent.append(p)
-        if len(seen) > max_size:
-            raise ClosureTooLarge(
-                f"closure exceeds {max_size} elements; raise the cap to continue"
-            )
-        start = end
+    for p, t in enumerate(order):  # grows while it is read
+        for i, g in enumerate(images):
+            c = tuple([g[v] for v in t])  # generator i after element p
+            if c not in seen:
+                if len(order) == max_size:
+                    raise _too_large(max_size, "maps in the closure")
+                seen.add(c)
+                order.append(c)
+                last.append(i)
+                parent.append(p)
     elements = tuple(MapFunction(t) for t in order)
     return SemigroupClosure(gens[0].n, gens, elements, tuple(last), tuple(parent))
+
+
+def _merge_steps(images: list[tuple[int, ...]], n: int) -> dict:
+    """Maps each pair (x, y), x < y, that some composition merges to the
+    index of the first map of a shortest merging word and the pair that map
+    sends it to (None when it merges the pair outright).
+
+    A backward breadth-first search on the pair graph from the pairs merged
+    outright, so each (pair, map) edge is looked at once.
+    """
+    step: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
+    sources: dict[tuple[int, int], dict[tuple[int, int], int]] = {}  # q -> {p: map}
+    for p in combinations(range(n), 2):
+        x, y = p
+        for i, g in enumerate(images):
+            a, b = g[x], g[y]
+            if a == b:
+                step[p] = (i, None)
+                break
+            sources.setdefault((a, b) if a < b else (b, a), {}).setdefault(p, i)
+    found = list(step)
+    for q in found:  # grows while it is read
+        for p, i in sources.get(q, {}).items():
+            if p not in step:
+                step[p] = (i, q)
+                found.append(p)
+    return step
 
 
 def coalescence_number(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> int:
     """k(S): the least image size over all compositions of members of S.
 
-    Walks the image sets of composites breadth first from the full state
-    set, since image(g o h) = g(image h), and returns 1 at the first
-    singleton. max_closure caps the number of distinct image sets reached;
-    ClosureTooLarge is raised at the end of the first layer past it.
+    Greedy pair merging: start from the full state set I and, while some
+    pair of I has a merging word, apply that word to I. max_closure caps
+    the n(n-1)/2 state pairs of the search, checked before it starts.
 
     Depends only on the support set, and is antitone in it: enlarging the
     support can only lower (never raise) the value.
     """
     gens = _generators(support)
+    n = gens[0].n
+    if n * (n - 1) // 2 > max_closure:
+        raise _too_large(max_closure, "state pairs")
     images = [g.image for g in gens]
-    best = gens[0].n
-    seen: set[frozenset[int]] = set()
-    frontier = [frozenset(range(best))]
-    while frontier:
-        layer = []
-        for s in frontier:
-            for g in images:
-                c = frozenset([g[v] for v in s])
-                if c not in seen:
-                    if len(c) == 1:
-                        return 1
-                    seen.add(c)
-                    layer.append(c)
-                    best = min(best, len(c))
-        if len(seen) > max_closure:
-            raise ClosureTooLarge(
-                f"more than {max_closure} image sets; raise the cap to continue"
-            )
-        frontier = layer
-    return best
+    step = _merge_steps(images, n)
+    image = set(range(n))
+    while True:
+        pair = next((p for p in combinations(sorted(image), 2) if p in step), None)
+        if pair is None:
+            return len(image)
+        while pair is not None:
+            i, pair = step[pair]
+            image = {images[i][v] for v in image}
 
 
 def coalescing_pairs(support) -> PairSet:
@@ -174,28 +192,9 @@ def coalescing_pairs(support) -> PairSet:
     A pair {x, y} belongs to the result exactly when some finite composition
     f of support functions has f(x) = f(y): either a single function merges
     it outright, or one sends it to a pair already known to coalesce.
-    Computed as a backward search on the pair graph from the pairs merged
-    outright, so each (pair, function) edge is looked at once.
     """
     gens = _generators(support)
-    images = [g.image for g in gens]
-    merged: list[tuple[int, int]] = []
-    sources: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for p in combinations(range(gens[0].n), 2):
-        x, y = p
-        for g in images:
-            a, b = g[x], g[y]
-            if a == b:
-                merged.append(p)
-                break
-            sources.setdefault((a, b) if a < b else (b, a), []).append(p)
-    found = set(merged)
-    for p in merged:  # grows while it is read
-        for q in sources.get(p, ()):
-            if q not in found:
-                found.add(q)
-                merged.append(q)
-    return frozenset(frozenset(p) for p in found)
+    return frozenset(frozenset(p) for p in _merge_steps([g.image for g in gens], gens[0].n))
 
 
 def limiting_partitions(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> frozenset[Partition]:

@@ -20,6 +20,7 @@ from coalesce import (
     permutation_coupling,
     provably_never_coalesces,
     sample_counts,
+    to_explicit,
     total_variation,
     uniform_divisor_coupling,
 )
@@ -94,6 +95,17 @@ def test_provable_shortcut_negative(ex10):
     ):
         assert not provably_never_coalesces(one)
         assert sample_counts(one, RngStream(20), 5) == (Counter({0: 5}), 0)
+
+
+def test_large_explicit_support_is_proven_never_to_coalesce():
+    # 1,458 support maps with k = 2: the explicit support is read whatever
+    # its size, so sampling fails at once instead of walking the horizon
+    mu = to_explicit(uniform_divisor_coupling(6, 2))
+    assert len(mu.terms) == 1458
+    assert provably_never_coalesces(mu)
+    stream = CountingStream(17)
+    assert sample_counts(mu, stream, count=3) == (Counter(), 3)
+    assert stream.drawn == []
 
 
 def test_sample_counts_all_failures(quarter_coupling):

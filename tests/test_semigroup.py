@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -10,15 +11,19 @@ from coalesce import (
     ExplicitCoupling,
     MapFunction,
     Partition,
+    StochasticMatrix,
     Support,
     close,
     coalescence_number,
     coalescing_pairs,
     compose,
+    construct_block_measure,
+    expand_support,
     is_block_measure,
     limiting_partitions,
     provably_never_coalesces,
     relabel,
+    uniform_divisor_coupling,
 )
 
 
@@ -99,6 +104,56 @@ def test_closure_cap():
         close(_support_of(images), max_size=4)
     with pytest.raises(ClosureTooLarge):
         coalescence_number(_support_of(images), max_closure=4)
+
+
+def test_closure_cap_boundary():
+    # the cap is exact: a closure of exactly max_size elements fits
+    rng = random.Random(2)
+    images = {tuple(rng.randrange(5) for _ in range(5)) for _ in range(3)}
+    sup = _support_of(images)
+    size = len(close(sup))
+    assert len(close(sup, max_size=size)) == size
+    with pytest.raises(ClosureTooLarge):
+        close(sup, max_size=size - 1)
+    # a coalescence number's cap counts the n(n-1)/2 = 10 state pairs
+    assert coalescence_number(sup, max_closure=10) == coalescence_number(sup)
+    with pytest.raises(ClosureTooLarge):
+        coalescence_number(sup, max_closure=9)
+
+
+def test_twelve_state_block_coupling():
+    # 4,097 support maps on the 3-neighbour 12-cycle, blocks odd | even
+    rows = [["1/3" if (j - i) % 12 in (0, 1, 11) else "0" for j in range(12)] for i in range(12)]
+    mu = construct_block_measure(
+        StochasticMatrix.from_rows(rows), Partition.parse("1,3,5,7,9,11|2,4,6,8,10,12")
+    )
+    sup = expand_support(mu)
+    assert len(sup) == 4097
+    assert coalescence_number(sup) == 2
+    assert coalescing_pairs(sup) == {
+        frozenset(p) for p in combinations(range(12), 2) if (p[0] - p[1]) % 2 == 0
+    }
+
+
+@pytest.mark.parametrize("n, l", [(7, 7), (8, 4)])
+def test_divisor_coupling_k_equals_block_count(n, l):
+    assert coalescence_number(expand_support(uniform_divisor_coupling(n, l))) == l
+
+
+def _cerny(n):
+    shift = tuple((i + 1) % n for i in range(n))
+    merge = (1,) + tuple(range(1, n))  # sends state 0 to state 1
+    return [shift, merge]
+
+
+def test_cerny_automata_coalesce():
+    # C_n needs a merging word of length (n-1)^2, so the greedy follows
+    # long chains of pair steps
+    for n in range(3, 13):
+        images = _cerny(n)
+        assert coalescence_number(_support_of(images)) == 1
+        if n <= 5:
+            assert oracles.oracle_min_image(images) == 1
 
 
 def test_oracle_agreement_random_supports():
