@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .birkhoff import _max_matching, birkhoff_decomposition
+from .birkhoff import birkhoff_decomposition
 from .coupling import (
-    DEFAULT_SUPPORT_CAP,
     BlockCoupling,
     ExplicitPermLaw,
     GrandCoupling,
@@ -160,70 +159,24 @@ def construct_block_measure(
     return BlockCoupling(partition, law, tuple(within))
 
 
-def _within_support_sets(mu: BlockCoupling) -> list[dict[int, set[int]]]:
-    out = []
-    for entry in mu.within:
-        out.append({s: {j for j, _ in dist} for s, dist in entry})
-    return out
-
-
-def _common_point_certificate(mu: BlockCoupling) -> bool:
-    """Sufficient check that some support function is constant on each block.
-
-    Looks for a block permutation in the law's support such that, for every
-    block r, all states of r can simultaneously target one common state of
-    the image block. Such a function has image size equal to the block
-    count, which pins the coalescence number there.
-    """
-    l = mu.partition.size
-    supports = _within_support_sets(mu)
-    members = [sorted(blk) for blk in mu.partition.blocks]
-    common = [[False] * l for _ in range(l)]
-    for r in range(l):
-        for s in range(l):
-            if mu.law.marginal(r, s) == 0:
-                continue
-            acc: set[int] | None = None
-            ok = True
-            for i in members[r]:
-                sup = supports[i].get(s)
-                if sup is None:
-                    ok = False
-                    break
-                acc = set(sup) if acc is None else acc & sup
-                if not acc:
-                    ok = False
-                    break
-            common[r][s] = ok and bool(acc)
-    if isinstance(mu.law, UniformPermLaw):
-        adj = [[s for s in range(l) if common[r][s]] for r in range(l)]
-        return _max_matching(adj, l, [-1] * l)
-    return any(
-        all(common[r][perm[r]] for r in range(l)) for perm in mu.law.iter_support()
-    )
-
-
-def is_block_measure(
-    mu: GrandCoupling,
-    partition: Partition | None = None,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> bool:
+def is_block_measure(mu: GrandCoupling, partition: Partition | None = None) -> bool:
     """Whether mu permutes the partition's blocks and coalesces to one
     survivor per block.
 
     Two requirements: every support function induces a bijection of blocks,
-    and the coalescence number equals the block count l. For
-    block-structured couplings over the same partition the first is
-    automatic and the second is first attempted structurally, so enormous
-    supports (for example a uniform law over all block permutations) are
-    handled without enumeration.
+    and the coalescence number equals the block count l. For a
+    BlockCoupling over the same partition the first is automatic and the
+    state pairs come from its structure, so enormous supports (for example
+    a uniform law over all block permutations) are never enumerated. Any
+    other coupling has its support expanded to check the first, which
+    raises SupportTooLarge past the default support cap.
 
-    The second is then decided on state pairs: for a block-permuting
-    support, k = l exactly when every pair of states in a common block
-    coalesces. Every composite permutes the blocks, so its image has at
-    least l points; if it has two in one block, the composition that merges
-    them lowers the image size by at least one. Conversely a composite with
-    l points in its image sends each block to a single point.
+    The second is decided on state pairs: for a block-permuting support,
+    k = l exactly when every pair of states in a common block coalesces.
+    Every composite permutes the blocks, so its image has at least l
+    points; if it has two in one block, the composition that merges them
+    lowers the image size by at least one. Conversely a composite with l
+    points in its image sends each block to a single point.
     """
     if partition is None:
         if not isinstance(mu, BlockCoupling):
@@ -231,13 +184,13 @@ def is_block_measure(
         partition = mu.partition
     if partition.n != mu.n:
         raise DimensionMismatch(f"partition on n={partition.n}, coupling on n={mu.n}")
-    structured = isinstance(mu, BlockCoupling) and mu.partition == partition
-    if structured and _common_point_certificate(mu):
-        return True
-    support = expand_support(mu, cap=support_cap)
-    if not structured and any(_block_perm_of(f, partition) is None for f in support):
-        return False
-    pairs = coalescing_pairs(support)
+    if isinstance(mu, BlockCoupling) and mu.partition == partition:
+        pairs = coalescing_pairs(mu)
+    else:
+        support = expand_support(mu)
+        if any(_block_perm_of(f, partition) is None for f in support):
+            return False
+        pairs = coalescing_pairs(support)
     return all(
         frozenset(p) in pairs
         for blk in partition.blocks

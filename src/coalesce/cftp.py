@@ -18,6 +18,12 @@ and a sample costs exactly its coalescence time in draws.
 Backward and forward one-step compositions become constant at the same time
 in distribution (the draws are exchangeable), which gives a sharp self-test:
 the empirical laws of the two times must agree.
+
+Some couplings can never coalesce: some pair of states is merged by no
+composition of support functions. provably_never_coalesces finds such a
+pair on the state-pair graph, which every coupling hands over from its
+structure, and the samplers then report every run as DidNotCoalesce
+without drawing.
 """
 from __future__ import annotations
 
@@ -27,8 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
 
-from .coupling import BlockCoupling, ExplicitCoupling, GrandCoupling, expand_support
-from .errors import SupportTooLarge
+from .coupling import GrandCoupling
 from .semigroup import coalescing_pairs
 
 DEFAULT_T_MAX = 2**20
@@ -105,56 +110,19 @@ def _walk(mu: GrandCoupling, stream: RngStream, t_max: int, backward: bool):
         yield composite
 
 
-def _all_permutations(mu: GrandCoupling) -> bool:
-    """True when there are two or more states and every support function is
-    a bijection.
+def provably_never_coalesces(mu: GrandCoupling) -> bool:
+    """True exactly when no composition of support functions is constant,
+    so every sampling run must end in DidNotCoalesce.
 
-    Compositions of bijections are bijections, so such a coupling can never
-    coalesce; the sampler uses this to answer DidNotCoalesce without
-    drawing. On one state the only map is constant as well as bijective, so
-    that chain coalesces at once. Block couplings are checked structurally.
+    Some composition is constant exactly when every pair of states is
+    merged by some composition, since merging the pairs of an image one at
+    a time shrinks it to a point. So a pair outside coalescing_pairs rules
+    coalescence out surely, not just almost surely. The pairs are read from
+    the coupling's structure, never from an expanded support, so the answer
+    is exact at any support size. On one state there are no pairs, and the
+    chain coalesces at once.
     """
-    if mu.n == 1:
-        return False
-    if isinstance(mu, ExplicitCoupling):
-        return all(f.is_permutation() for f, _ in mu.terms)
-    if isinstance(mu, BlockCoupling):
-        for r, blk in enumerate(mu.partition.blocks):
-            for s in range(mu.partition.size):
-                if mu.law.marginal(r, s) == 0:
-                    continue
-                targets: set[int] = set()
-                for i in sorted(blk):
-                    dist = mu.within_dist(i, s)
-                    if dist is None or len(dist) != 1:
-                        return False
-                    targets.add(dist[0][0])
-                if len(targets) != len(blk):
-                    return False
-        return True
-    return False
-
-
-def provably_never_coalesces(mu: GrandCoupling, expand_cap: int = 1024) -> bool:
-    """True only with a proof that no composition of support functions is
-    constant, so every sampling run must end in DidNotCoalesce.
-
-    Cheap structural route first (all support functions bijective), then
-    the pair test: some composition is constant exactly when every pair of
-    states is merged by some composition, since merging the pairs of an
-    image one at a time shrinks it to a point. So a pair outside
-    coalescing_pairs rules coalescence out surely, not just almost surely.
-    Returns False, never guessing, when a BlockCoupling would expand to
-    more than expand_cap functions; an explicit support is always read.
-    """
-    if _all_permutations(mu):
-        return True
-    cap = expand_cap if isinstance(mu, BlockCoupling) else mu.support_size()
-    try:
-        support = expand_support(mu, cap=cap)
-    except SupportTooLarge:
-        return False
-    return len(coalescing_pairs(support)) < mu.n * (mu.n - 1) // 2
+    return len(coalescing_pairs(mu)) < mu.n * (mu.n - 1) // 2
 
 
 def cftp_sample(
@@ -168,11 +136,12 @@ def cftp_sample(
     Reads the backward composite one draw at a time and returns its value
     the first time it is constant; by the argument in the module docstring
     this is the value every longer horizon would give. Returns
-    DidNotCoalesce when t_max draws pass without coalescence; couplings
-    supported entirely on bijections are recognized up front, since they
-    provably never coalesce.
+    DidNotCoalesce when t_max draws pass without coalescence. With
+    short_circuit, a coupling that provably never coalesces
+    (provably_never_coalesces) returns it up front without drawing; pass
+    short_circuit=False when that proof has already been run.
     """
-    if short_circuit and _all_permutations(mu):
+    if short_circuit and provably_never_coalesces(mu):
         return DidNotCoalesce(t_max)
     for composite in _walk(mu, stream, t_max, backward=True):
         if _is_constant(composite):
@@ -233,13 +202,17 @@ def sample_counts(
     count: int,
     t_max: int = DEFAULT_T_MAX,
 ) -> tuple[Counter, int]:
-    """count independent exact samples; returns (state counts, failures)."""
+    """count independent exact samples; returns (state counts, failures).
+
+    Runs provably_never_coalesces once, and reports every sample as a
+    failure without drawing when it holds.
+    """
     states: Counter = Counter()
     if provably_never_coalesces(mu):
         return states, count
     failures = 0
     for i in range(count):
-        out = cftp_sample(mu, stream.fork(i), t_max=t_max)
+        out = cftp_sample(mu, stream.fork(i), t_max=t_max, short_circuit=False)
         if isinstance(out, DidNotCoalesce):
             failures += 1
         else:

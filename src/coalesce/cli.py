@@ -63,8 +63,7 @@ from .rational import format_rational
 from .reference import run_all
 from .semigroup import (
     DEFAULT_CLOSURE_CAP,
-    coalescence_number,
-    coalescing_pairs,
+    coalescence_number_and_pairs,
     limiting_partitions,
 )
 
@@ -253,8 +252,7 @@ def _cmd_k_number(args, run: _Run) -> int:
     _require_format(args, "text", "json")
     mu = _load_coupling(run, args.coupling)
     support = expand_support(mu)
-    k = coalescence_number(support, max_closure=args.max_closure)
-    pairs = coalescing_pairs(support)
+    k, pairs = coalescence_number_and_pairs(support, max_closure=args.max_closure)
     parts = sorted(
         p.format_onebased()
         for p in limiting_partitions(support, max_closure=args.max_closure)
@@ -651,12 +649,15 @@ def main(argv=None) -> int:
     run = _Run(seed=seed)
     started = time.perf_counter()
     try:
-        for option, least in (("n_samples", 1), ("runs", 1), ("t_max", 1), ("exact_cap", 0)):
+        for option, least in (("n_samples", 1), ("runs", 1), ("t_max", 1), ("exact_cap", 0), ("max_closure", 1)):
             value = getattr(args, option, None)
             if value is not None and value < least:
                 raise ValueError(
                     f"--{option.replace('_', '-')} must be at least {least}, got {value}"
                 )
+        tolerance = getattr(args, "tolerance", None)
+        if tolerance is not None and tolerance <= 0:
+            raise ValueError(f"--tolerance must be above 0, got {tolerance}")
         code = args.handler(args, run)
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ P's rows. Two storage forms are supported:
 
 The block form can describe supports far too large to enumerate (for example
 a uniform law over all l! block permutations), while still allowing exact
-marginal computations and exact sampling.
+marginal computations, exact sampling, and the one-step image pairs
+(image_pairs) that decide which state pairs ever merge.
 
 JSON schema (states, blocks and map notation are 1-based):
 
@@ -143,6 +144,16 @@ class ExplicitCoupling:
         return _ZERO
 
     @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        # _columns[x] lists f(x) over the terms
+        return tuple(zip(*(f.image for f, _ in self.terms)))
+
+    def image_pairs(self, x: int, y: int):
+        """(f(x), f(y)) for each support function f, in support order; lazy,
+        so a pair search stops reading at the first map that merges them."""
+        return zip(self._columns[x], self._columns[y])
+
+    @cached_property
     def induced(self) -> StochasticMatrix:
         n = self.n
         out = [[_ZERO] * n for _ in range(n)]
@@ -200,6 +211,10 @@ class ExplicitPermLaw:
     def support_count(self) -> int:
         return len(self.terms)
 
+    def block_pairs(self, r: int, q: int) -> list[tuple[int, int]]:
+        """The pairs (perm[r], perm[q]) over the support, each once."""
+        return sorted({(perm[r], perm[q]) for perm, _ in self.terms})
+
     def iter_support(self):
         for perm, _ in self.terms:
             yield perm
@@ -236,6 +251,11 @@ class UniformPermLaw:
 
     def support_count(self) -> int:
         return factorial(self.l)
+
+    def block_pairs(self, r: int, q: int) -> list[tuple[int, int]]:
+        """The pairs (perm[r], perm[q]) over all permutations: every pair
+        of blocks, equal exactly when r = q."""
+        return [(s, t) for s in range(self.l) for t in range(self.l) if (s == t) == (r == q)]
 
     def iter_support(self):
         return itertools.permutations(range(self.l))
@@ -329,9 +349,8 @@ class BlockCoupling:
 
     def support_size(self, cap: int | None = None) -> int:
         """Number of support functions; stops early past cap when given."""
-        per_pi_floor = 1
         count_pi = self.law.support_count()
-        if cap is not None and count_pi * per_pi_floor > cap:
+        if cap is not None and count_pi > cap:
             return count_pi  # already past cap, each permutation contributes
         block_of = self.partition.block_of()
         total = 0
@@ -344,6 +363,23 @@ class BlockCoupling:
             if cap is not None and total > cap:
                 return total
         return total
+
+    def image_pairs(self, x: int, y: int) -> list[tuple[int, int]]:
+        """(f(x), f(y)) over the support functions f, each pair once, read
+        from the structure without expanding the support.
+
+        Once the block permutation is fixed, x and y pick their images
+        independently, so for each block pair (s, t) the law can send x's
+        and y's blocks to, every target of x in s meets every target of y
+        in t.
+        """
+        block_of = self.partition.block_of()
+        return [
+            (a, b)
+            for s, t in self.law.block_pairs(block_of[x], block_of[y])
+            for a, _ in self.within_dist(x, s)
+            for b, _ in self.within_dist(y, t)
+        ]
 
     def iter_terms(self):
         """Yield (function, weight) over the whole support. May be huge."""

@@ -31,7 +31,7 @@ from .coupling import (
     is_consistent,
     permutation_coupling,
 )
-from .errors import BudgetExceeded, SupportTooLarge
+from .errors import BudgetExceeded
 from .feasibility import FeasibilityWitness, SupportTester
 from .mapfun import MapFunction, Partition, Support
 from .matrix import StochasticMatrix, is_doubly_stochastic, period
@@ -267,7 +267,10 @@ def k_set_certificates(
     permutation coupling). The value n-1 is excluded when every state pair
     fails the single-pair balance. Lumpable partitions whose block matrix
     is doubly stochastic contribute members after their constructed coupling
-    verifies as a block measure. The report is marked inexact.
+    verifies as a block measure; is_block_measure reads that coupling's
+    state pairs from its structure, so every such partition is decided,
+    whatever the size of the coupling's support. The report is marked
+    inexact.
     """
     n = P.n
     members: list[KMember] = []
@@ -310,15 +313,9 @@ def k_set_certificates(
         if not is_doubly_stochastic(lumped):
             continue
         mu = construct_block_measure(P, partition)
-        try:
-            if is_block_measure(mu, partition):
-                members.append(KMember(l, mu, "block-partition"))
-                seen.add(l)
-        except SupportTooLarge:
-            notes.append(
-                f"partition {partition.format_onebased()} produced a coupling too "
-                "large to verify; not counted"
-            )
+        if is_block_measure(mu, partition):
+            members.append(KMember(l, mu, "block-partition"))
+            seen.add(l)
     if truncated:
         notes.append(
             f"partition search stopped after {max_partitions} partitions"

@@ -5,15 +5,17 @@ carry positive weight: it is the least image size over all finite
 compositions of support functions. Two walks answer every question here:
 
 * _merge_steps walks the graph of state pairs (at most n(n-1)/2 nodes),
-  recording for each pair that some composition merges the first map of a
-  shortest merging word. coalescing_pairs is the set of those pairs. When
-  all pairs merge, merging an image's pairs one at a time shrinks it to a
-  point (block by block for a block-permuting support), so the pairs alone
-  decide whether k = 1 and, for such supports, whether k is the block count.
-  coalescence_number merges greedily (Eppstein 1990): from the full state
-  set I, while some pair of I has a merging word, apply it to I. Then |I|
-  is the least rank, since a composite w of smaller rank would have
-  |w(I)| < |I| and so merge a pair of I.
+  recording for each pair that some composition merges the first move of
+  a shortest merging word. It reads only the one-step image pairs
+  (f(x), f(y)), so a grand coupling can hand them over from its structure
+  without expanding its support. coalescing_pairs is the set of pairs it
+  records. When all pairs merge, merging an image's pairs one at a time
+  shrinks it to a point (block by block for a block-permuting support), so
+  the pairs alone decide whether k = 1 and, for such supports, whether k is
+  the block count. coalescence_number merges greedily (Eppstein 1990): from
+  the full state set I, while some pair of I has a merging word, apply it
+  to I. Then |I| is the least rank, since a composite w of smaller rank
+  would have |w(I)| < |I| and so merge a pair of I.
 * close walks maps (at most n^n); it keeps every element with a parent
   pointer to rebuild shortest words, and limiting_partitions reads the
   kernels of its least-image elements.
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .coupling import GrandCoupling
 from .errors import ClosureTooLarge
 from .mapfun import MapFunction, Partition, Support
 
@@ -133,20 +136,20 @@ def close(support, max_size: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
     return SemigroupClosure(gens[0].n, gens, elements, tuple(last), tuple(parent))
 
 
-def _merge_steps(images: list[tuple[int, ...]], n: int) -> dict:
+def _merge_steps(n: int, image_pairs) -> dict:
     """Maps each pair (x, y), x < y, that some composition merges to the
-    index of the first map of a shortest merging word and the pair that map
-    sends it to (None when it merges the pair outright).
+    position of the first move of a shortest merging word and the pair that
+    move sends it to (None when it merges the pair outright).
 
-    A backward breadth-first search on the pair graph from the pairs merged
-    outright, so each (pair, map) edge is looked at once.
+    image_pairs(x, y) yields (f(x), f(y)) over the one-step maps f. For a
+    list of maps it lists them in one order for every pair, so a position
+    is a map's index. A backward breadth-first search on the pair graph from
+    the pairs merged outright, so each (pair, move) edge is looked at once.
     """
     step: dict[tuple[int, int], tuple[int, tuple[int, int] | None]] = {}
-    sources: dict[tuple[int, int], dict[tuple[int, int], int]] = {}  # q -> {p: map}
+    sources: dict[tuple[int, int], dict[tuple[int, int], int]] = {}  # q -> {p: move}
     for p in combinations(range(n), 2):
-        x, y = p
-        for i, g in enumerate(images):
-            a, b = g[x], g[y]
+        for i, (a, b) in enumerate(image_pairs(*p)):
             if a == b:
                 step[p] = (i, None)
                 break
@@ -160,30 +163,46 @@ def _merge_steps(images: list[tuple[int, ...]], n: int) -> dict:
     return step
 
 
-def coalescence_number(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> int:
-    """k(S): the least image size over all compositions of members of S.
+def _map_pairs(images: list[tuple[int, ...]]):
+    """image_pairs for _merge_steps over a list of maps."""
+    columns = list(zip(*images))  # columns[x] lists g(x) over the maps
+    return lambda x, y: zip(columns[x], columns[y])
+
+
+def coalescence_number_and_pairs(
+    support, max_closure: int = DEFAULT_CLOSURE_CAP
+) -> tuple[int, PairSet]:
+    """k(S) and coalescing_pairs(S), read from one pair search.
 
     Greedy pair merging: start from the full state set I and, while some
     pair of I has a merging word, apply that word to I. max_closure caps
     the n(n-1)/2 state pairs of the search, checked before it starts.
-
-    Depends only on the support set, and is antitone in it: enlarging the
-    support can only lower (never raise) the value.
     """
     gens = _generators(support)
     n = gens[0].n
     if n * (n - 1) // 2 > max_closure:
         raise _too_large(max_closure, "state pairs")
     images = [g.image for g in gens]
-    step = _merge_steps(images, n)
+    step = _merge_steps(n, _map_pairs(images))
     image = set(range(n))
     while True:
         pair = next((p for p in combinations(sorted(image), 2) if p in step), None)
         if pair is None:
-            return len(image)
+            return len(image), frozenset(frozenset(p) for p in step)
         while pair is not None:
             i, pair = step[pair]
             image = {images[i][v] for v in image}
+
+
+def coalescence_number(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> int:
+    """k(S): the least image size over all compositions of members of S.
+
+    Found by greedy pair merging (coalescence_number_and_pairs), with
+    max_closure capping the state pairs. Depends only on the support set,
+    and is antitone in it: enlarging the support can only lower (never
+    raise) the value.
+    """
+    return coalescence_number_and_pairs(support, max_closure)[0]
 
 
 def coalescing_pairs(support) -> PairSet:
@@ -192,9 +211,16 @@ def coalescing_pairs(support) -> PairSet:
     A pair {x, y} belongs to the result exactly when some finite composition
     f of support functions has f(x) = f(y): either a single function merges
     it outright, or one sends it to a pair already known to coalesce.
+    support is a set of maps or a grand coupling; a coupling hands over its
+    one-step image pairs from its structure, so a block coupling is never
+    expanded.
     """
-    gens = _generators(support)
-    return frozenset(frozenset(p) for p in _merge_steps([g.image for g in gens], gens[0].n))
+    if isinstance(support, GrandCoupling):
+        step = _merge_steps(support.n, support.image_pairs)
+    else:
+        gens = _generators(support)
+        step = _merge_steps(gens[0].n, _map_pairs([g.image for g in gens]))
+    return frozenset(frozenset(p) for p in step)
 
 
 def limiting_partitions(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> frozenset[Partition]:

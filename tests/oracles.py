@@ -406,3 +406,50 @@ def random_block_permuting(rng: random.Random, n: int, count: int):
                 t[i] = point if flat else rng.choice(target)
         images.add(tuple(t))
     return blocks, sorted(images)
+
+
+def random_block_structure(rng: random.Random, n: int, uniform: bool):
+    """The support data of a random block coupling, as plain lists.
+
+    Returns the blocks of a random partition of range(n), ordered by their
+    least state (at most three under the uniform law, so that its l!
+    permutations stay few), the block permutations the law can draw (None
+    for the uniform law over all of them), and for each state a dict from
+    each target block its block can be sent to, to the one to three states
+    it may pick there. Half the moves between two blocks send the first
+    one-to-one into the second, so that pairs which never merge are common.
+    """
+    top = rng.randint(1, min(n, 3) if uniform else n)
+    labels = [rng.randrange(top) for _ in range(n)]
+    blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+    blocks.sort()  # by least state, the order a partition keeps
+    l = len(blocks)
+    perms = None
+    if not uniform:
+        perms = sorted({random_permutation_image(rng, l) for _ in range(rng.randint(1, 3))})
+    within: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for r, blk in enumerate(blocks):
+        targets = range(l) if perms is None else sorted({p[r] for p in perms})
+        for s in targets:
+            if len(blk) <= len(blocks[s]) and rng.randrange(2):
+                # one target each, distinct: this move merges no pair of blk
+                for i, j in zip(blk, rng.sample(blocks[s], len(blk))):
+                    within[i][s] = [j]
+            else:
+                for i in blk:
+                    within[i][s] = sorted(rng.sample(blocks[s], rng.randint(1, min(3, len(blocks[s])))))
+    return blocks, perms, within
+
+
+def block_support_images(blocks, perms, within) -> list[Image]:
+    """Every support map of a block coupling (random_block_structure's
+    form), by brute force: each block permutation of the law, then every
+    choice of one allowed target per state."""
+    n = len(within)
+    block_of = {i: r for r, blk in enumerate(blocks) for i in blk}
+    if perms is None:
+        perms = list(permutations(range(len(blocks))))
+    images: set[Image] = set()
+    for perm in perms:
+        images.update(product(*(within[i][perm[block_of[i]]] for i in range(n))))
+    return sorted(images)

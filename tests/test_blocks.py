@@ -1,20 +1,27 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from coalesce import (
     BlockConditionsFail,
+    BlockCoupling,
     ExplicitPermLaw,
     NotLumpable,
     Partition,
     StochasticMatrix,
+    UniformPermLaw,
     check_block_conditions,
     check_lumpability,
     coalescence_number,
+    coalescing_pairs,
     construct_block_measure,
     expand_support,
     is_block_measure,
     is_consistent,
+    provably_never_coalesces,
     to_explicit,
     uniform_divisor_coupling,
 )
@@ -101,3 +108,54 @@ def test_single_block_coupling_coalesces():
     mu = uniform_divisor_coupling(2, 1)
     assert coalescence_number(expand_support(mu)) == 1
     assert is_block_measure(mu)
+
+
+def _block_coupling(blocks, perms, within) -> BlockCoupling:
+    """A BlockCoupling with uniform weights on oracles.random_block_structure's data."""
+    l = len(blocks)
+    if perms is None:
+        law = UniformPermLaw(l)
+    else:
+        law = ExplicitPermLaw(tuple((p, Fraction(1, len(perms))) for p in perms))
+    return BlockCoupling(
+        Partition.from_blocks(blocks),
+        law,
+        tuple(
+            tuple((s, tuple((j, Fraction(1, len(js))) for j in js)) for s, js in sorted(entry.items()))
+            for entry in within
+        ),
+    )
+
+
+def test_structural_pairs_match_expanded_support():
+    # the pair graph a block coupling hands over from its structure, against
+    # its expanded support and, where the closure is small, the brute force
+    rng = random.Random(82)
+    seen = Counter()
+    for c in range(1000):
+        n = rng.randint(1, 7)
+        uniform = c % 2 == 0
+        blocks, perms, within = oracles.random_block_structure(rng, n, uniform)
+        mu = _block_coupling(blocks, perms, within)
+        images = oracles.block_support_images(blocks, perms, within)
+        explicit = to_explicit(mu)
+        assert [f.image for f, _ in explicit.terms] == images
+        pairs = coalescing_pairs(mu)
+        assert pairs == coalescing_pairs(expand_support(mu))
+        never = provably_never_coalesces(mu)
+        assert never == provably_never_coalesces(explicit)
+        block = is_block_measure(mu)
+        assert block == is_block_measure(explicit, mu.partition)
+        if n <= 4 and len(images) <= 16:
+            k = oracles.oracle_min_image(images)
+            assert pairs == oracles.oracle_coalescing_pairs(images)
+            assert never == (k > 1)
+            assert block == (k == len(blocks))
+            seen["oracle"] += 1
+        seen[uniform, n == 7, block, never] += 1
+    assert seen["oracle"] >= 300
+    # k = l > 1, k > l and k = l = 1 all occur at n = 7 under both laws
+    # (k = 1 forces one block, since every composite permutes the blocks)
+    for uniform in (True, False):
+        for block, never in ((True, True), (False, True), (True, False)):
+            assert seen[uniform, True, block, never], (uniform, block, never)

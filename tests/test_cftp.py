@@ -37,9 +37,13 @@ def test_reproducible_runs(ex10):
 
 @dataclass(frozen=True)
 class CountingStream(RngStream):
-    """An RngStream that records the index of every substream it hands out."""
+    """An RngStream that records the index of every substream it, or any
+    stream forked from it, hands out."""
 
     drawn: list = field(default_factory=list, compare=False)
+
+    def fork(self, index):
+        return CountingStream(self.seed, self.path + (index,), self.drawn)
 
     def substream(self, index):
         self.drawn.append(index)
@@ -98,13 +102,21 @@ def test_provable_shortcut_negative(ex10):
 
 
 def test_large_explicit_support_is_proven_never_to_coalesce():
-    # 1,458 support maps with k = 2: the explicit support is read whatever
-    # its size, so sampling fails at once instead of walking the horizon
-    mu = to_explicit(uniform_divisor_coupling(6, 2))
-    assert len(mu.terms) == 1458
-    assert provably_never_coalesces(mu)
-    stream = CountingStream(17)
-    assert sample_counts(mu, stream, count=3) == (Counter(), 3)
+    # 1,458 support maps with k = 2: the pairs are read from the coupling's
+    # structure in either form, so sampling fails at once instead of walking
+    # the horizon
+    block = uniform_divisor_coupling(6, 2)
+    explicit = to_explicit(block)
+    assert len(explicit.terms) == 1458
+    for mu in (explicit, block):
+        assert provably_never_coalesces(mu)
+        stream = CountingStream(17)
+        assert sample_counts(mu, stream, count=3) == (Counter(), 3)
+        assert stream.drawn == []
+    stream = CountingStream(18)
+    rep = equidistribution_report(block, stream, runs=4)
+    assert (rep.backward_failures, rep.forward_failures) == (4, 4)
+    assert not rep.passed(Fraction(1, 2))
     assert stream.drawn == []
 
 

@@ -278,6 +278,36 @@ def test_non_positive_counts_rejected(ex10_file, doeblin_file):
         assert manifest_of(err)["exit_code"] == 2
 
 
+def test_max_closure_below_one_rejected(ex10_file, quarter_file):
+    # a cap below 1 is bad input, not an exceeded budget
+    for argv in (
+        ("kset", ex10_file, "--max-closure", "-1"),
+        ("kset", ex10_file, "--max-closure", "0"),
+        ("k-number", quarter_file, "--max-closure", "0"),
+    ):
+        code, out, err = run_cli(*argv, "--seed", "1")
+        assert code == 2, argv
+        assert out == ""
+        assert "--max-closure" in err.splitlines()[0]
+        assert manifest_of(err)["exit_code"] == 2
+    # 1 is valid input, and a budget the 3 state pairs of ex10 exceed
+    code, _, err = run_cli("kset", ex10_file, "--max-closure", "1", "--seed", "1")
+    assert code == 3
+    assert "state pairs" in err.splitlines()[0]
+
+
+def test_non_positive_tolerance_rejected(doeblin_file):
+    # no gap is below a tolerance at or under 0, so such a run could only fail
+    for value in ("0", "-1/20", "-0.5"):
+        code, out, err = run_cli(
+            "verify-equidist", doeblin_file, "--runs", "5", f"--tolerance={value}", "--seed", "1"
+        )
+        assert code == 2, value
+        assert out == ""
+        assert "--tolerance" in err.splitlines()[0]
+        assert manifest_of(err)["exit_code"] == 2
+
+
 def test_exact_cap_below_zero_rejected(ex10_file):
     code, out, err = run_cli("kset", ex10_file, "--exact-cap", "-1", "--seed", "1")
     assert code == 2
