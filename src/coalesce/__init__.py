@@ -28,6 +28,7 @@ from .cftp import (
     cftp_sample,
     chi_square_pvalue,
     equidistribution_report,
+    equidistribution_tolerance,
     forward_record,
     provably_never_coalesces,
     sample_counts,

@@ -1,8 +1,10 @@
 """Coupling from the past, exactly, plus coalescence-time diagnostics.
 
-The sampler composes random functions drawn from a grand coupling. The draw
-F_t at depth t always comes from its own substream, so every run sees the
-same past however far back it looks. The backward composite
+The sampler composes random functions drawn from a grand coupling. Each
+sample owns one generator, seeded once from its stream's substream(0), and
+reads the draw F_t at depth t as the t-th image drawn from it. Depths are
+read once and in order, so every run sees the same past however far back it
+looks: the past is extended, never resampled. The backward composite
 G_t = F_1 o ... o F_t applies the newest draw first; the first time it is a
 constant map, its value has exactly the chain's invariant distribution, with
 no burn-in bias (Propp and Wilson's coupling from the past).
@@ -19,6 +21,11 @@ Backward and forward one-step compositions become constant at the same time
 in distribution (the draws are exchangeable), which gives a sharp self-test:
 the empirical laws of the two times must agree.
 
+The way draws are read from the seed is the RNG layout, recorded as
+rng_layout in the CLI run manifest. Layout 2 (RNG_LAYOUT, current) seeds
+one generator per sample as above. Layout 1 seeded a fresh generator for
+every depth t from substream(t); reseeding cost about ten times the draw.
+
 Some couplings can never coalesce: some pair of states is merged by no
 composition of support functions. provably_never_coalesces finds such a
 pair on the state-pair graph, which every coupling hands over from its
@@ -27,6 +34,7 @@ without drawing.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -38,6 +46,12 @@ from .semigroup import coalescing_pairs
 
 DEFAULT_T_MAX = 2**20
 
+# How seeded draws are laid out; see the module docstring.
+RNG_LAYOUT = 2
+
+# Default false-fail rate of the verify-equidist verdict on a correct coupling.
+FALSE_FAIL_RATE = Fraction(1, 1000)
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -46,7 +60,9 @@ class RngStream:
     fork(i) descends to an independent child stream; substream(t) yields a
     fresh random.Random whose seed is a keyed hash of the full path, so the
     generator for a given position never depends on how much of the tree has
-    been visited.
+    been visited. A sample is addressed by its fork path and, in layout 2,
+    draws everything from that path's substream(0); layout 1 took a
+    substream(t) for every depth t.
     """
 
     seed: int
@@ -96,13 +112,16 @@ def _is_constant(images: tuple[int, ...]) -> bool:
 def _walk(mu: GrandCoupling, stream: RngStream, t_max: int, backward: bool):
     """The composite after each draw t = 1..t_max, as an image tuple.
 
-    Draw t comes from stream.substream(t). backward applies each new draw
-    first (F_1 o ... o F_t), forward applies it last (F_t o ... o F_1).
+    Layout 2: one generator, stream.substream(0), seeded once before the
+    first draw; draw t is the t-th mu.sample_image on it. (Layout 1 drew
+    depth t from its own stream.substream(t).) backward applies each new
+    draw first (F_1 o ... o F_t), forward applies it last (F_t o ... o F_1).
     Callers stop reading once they have what they need.
     """
+    rng = stream.substream(0)
     composite = tuple(range(mu.n))
-    for t in range(1, t_max + 1):
-        img = mu.sample_image(stream.substream(t))
+    for _ in range(t_max):
+        img = mu.sample_image(rng)
         if backward:
             composite = tuple([composite[v] for v in img])
         else:
@@ -179,8 +198,8 @@ def backward_record(
     collect_trace: bool = False,
 ) -> CoalescenceRecord:
     """Exact first constancy time of the backward composition, one step at a
-    time, with the constant value. Uses the same substream layout as
-    cftp_sample, so the value agrees with it run for run."""
+    time, with the constant value. Reads the same draws as cftp_sample, so
+    the value agrees with it run for run."""
     return _record(mu, stream, t_max, collect_trace, "backward")
 
 
@@ -235,6 +254,19 @@ class EquidistributionReport:
         if self.backward_failures or self.forward_failures:
             return False
         return self.max_cdf_gap < tolerance
+
+
+def equidistribution_tolerance(runs: int, alpha: Fraction = FALSE_FAIL_RATE) -> Fraction:
+    """The CDF gap that a correct coupling reaches with probability at most
+    alpha over `runs` backward and `runs` forward runs.
+
+    Each empirical CDF lies within e of the common law except with
+    probability 2 exp(-2 runs e^2) (Dvoretzky-Kiefer-Wolfowitz with
+    Massart's constant), so the two are more than 2e apart with probability
+    at most 4 exp(-2 runs e^2). Setting that to alpha gives
+    2 sqrt(ln(4/alpha) / (2 runs)).
+    """
+    return Fraction(2 * math.sqrt(math.log(4 / alpha) / (2 * runs)))
 
 
 def _max_cdf_gap(a: Counter, b: Counter, runs: int) -> Fraction:

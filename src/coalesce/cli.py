@@ -2,7 +2,8 @@
 
 Every invocation writes a one-line JSON run manifest to stderr: the argv,
 sha256 digests of the input files it read, the seed in effect, the caps, the
-package version, and wall-clock time. Stdout carries only the results, in
+RNG layout the seed is read through (cftp.RNG_LAYOUT), the package version,
+and wall-clock time. Stdout carries only the results, in
 the format selected by --format.
 
 Exit codes: 0 success, 1 a check or reproduction failed, 2 bad input,
@@ -27,8 +28,11 @@ from .birkhoff import birkhoff_decomposition
 from .blocks import check_lumpability, construct_block_measure, is_block_measure
 from .cftp import (
     DEFAULT_T_MAX,
+    FALSE_FAIL_RATE,
+    RNG_LAYOUT,
     RngStream,
     equidistribution_report,
+    equidistribution_tolerance,
     sample_counts,
     total_variation,
 )
@@ -472,11 +476,11 @@ def _cmd_verify_equidist(args, run: _Run) -> int:
     mu = _load_coupling(run, args.coupling)
     t_max = args.t_max if args.t_max is not None else DEFAULT_T_MAX
     report = equidistribution_report(mu, RngStream(run.seed), args.runs, t_max=t_max)
-    ok = (
-        report.passed(args.tolerance)
-        and report.backward_failures == 0
-        and report.forward_failures == 0
-    )
+    if args.tolerance is None:
+        alpha, tolerance = FALSE_FAIL_RATE, equidistribution_tolerance(args.runs)
+    else:
+        alpha, tolerance = None, args.tolerance
+    ok = report.passed(tolerance)
     if args.format == "json":
         print(
             json.dumps(
@@ -486,7 +490,8 @@ def _cmd_verify_equidist(args, run: _Run) -> int:
                     "backward_failures": report.backward_failures,
                     "forward_failures": report.forward_failures,
                     "max_cdf_gap": str(report.max_cdf_gap),
-                    "tolerance": float(args.tolerance),
+                    "tolerance": float(tolerance),
+                    "alpha": None if alpha is None else float(alpha),
                     "passed": ok,
                 },
                 indent=2,
@@ -497,7 +502,10 @@ def _cmd_verify_equidist(args, run: _Run) -> int:
         print(f"backward failures: {report.backward_failures}")
         print(f"forward failures: {report.forward_failures}")
         print(f"max CDF gap: {_float6(report.max_cdf_gap)} ({report.max_cdf_gap})")
-        print(f"tolerance: {_float6(args.tolerance)}")
+        if alpha is None:
+            print(f"tolerance: {_float6(tolerance)}")
+        else:
+            print(f"tolerance: {_float6(tolerance)} (false-fail rate {float(alpha)}, DKW-Massart)")
         print(f"verdict: {'pass' if ok else 'fail'}")
     return 0 if ok else 1
 
@@ -619,8 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance",
         type=Fraction,
-        default=Fraction(1, 20),
-        help="the max CDF gap must be below this; read exactly, as a decimal or p/q",
+        default=None,
+        help="the max CDF gap must be below this; read exactly, as a decimal or p/q "
+        f"(default: the DKW-Massart bound for --runs at false-fail rate {float(FALSE_FAIL_RATE)})",
     )
     p.set_defaults(handler=_cmd_verify_equidist)
 
@@ -675,6 +684,7 @@ def main(argv=None) -> int:
             "t_max": args.t_max,
             "support_cap": DEFAULT_SUPPORT_CAP,
         },
+        "rng_layout": RNG_LAYOUT,
         "version": __version__,
         "wall_clock_seconds": round(time.perf_counter() - started, 6),
         "exit_code": code,

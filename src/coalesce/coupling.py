@@ -73,6 +73,8 @@ def _sampling_table(pairs):
 
 def _pick(rng, table):
     den, cum, payloads = table
+    if den == 1:  # one outcome: draw nothing
+        return payloads[0]
     return payloads[bisect_right(cum, rng.randrange(den))]
 
 

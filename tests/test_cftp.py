@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,6 +16,7 @@ from coalesce import (
     chi_square_pvalue,
     doeblin_coupling,
     equidistribution_report,
+    equidistribution_tolerance,
     forward_record,
     invariant_distribution,
     permutation_coupling,
@@ -50,19 +52,49 @@ class CountingStream(RngStream):
         return super().substream(index)
 
 
+class CountingCoupling:
+    """A coupling that counts the images drawn from it."""
+
+    def __init__(self, mu):
+        self.mu = mu
+        self.n = mu.n
+        self.images = 0
+
+    def sample_image(self, rng):
+        self.images += 1
+        return self.mu.sample_image(rng)
+
+
 def test_backward_record_agrees_with_sample(ex10):
     mu = doeblin_coupling(ex10)
     for i in range(40):
         rec = backward_record(mu, RngStream(11).fork(i), collect_trace=True)
         assert rec.coalesced
         stream = CountingStream(11, (i,))  # the layout of RngStream(11).fork(i)
-        assert rec.state == cftp_sample(mu, stream)
-        # a sample costs exactly its coalescence time in draws, one per depth
-        assert stream.drawn == list(range(1, rec.time + 1))
+        counting = CountingCoupling(mu)
+        assert rec.state == cftp_sample(counting, stream, short_circuit=False)
+        # one generator per sample, seeded once, and a sample costs exactly
+        # its coalescence time in draws
+        assert stream.drawn == [0]
+        assert counting.images == rec.time
         # the number of distinct values can only shrink going further back
         assert all(x >= y for x, y in zip(rec.trace, rec.trace[1:]))
         assert rec.trace[-1] == 1
         assert rec.time == len(rec.trace)
+
+
+def test_deeper_horizons_extend_the_past_never_resample_it(ex10):
+    # depth t is the t-th draw of the sample's one generator whatever the
+    # horizon, so the sample is the same at any t_max from the coalescence
+    # time on, and one draw short of it the composite is not yet constant
+    mu = doeblin_coupling(ex10)
+    for i in range(40):
+        stream = RngStream(21).fork(i)
+        rec = backward_record(mu, stream)
+        assert rec.coalesced
+        assert cftp_sample(mu, stream, t_max=rec.time) == rec.state
+        assert cftp_sample(mu, stream, t_max=rec.time + 7) == rec.state
+        assert cftp_sample(mu, stream, t_max=rec.time - 1) == DidNotCoalesce(rec.time - 1)
 
 
 def test_forward_record_coalesces(ex10):
@@ -162,3 +194,11 @@ def test_chi_square_sane(ex10):
     p = chi_square_pvalue(counts, invariant_distribution(ex10))
     assert 0 <= p <= 1
     assert p > 0.001
+
+
+def test_equidistribution_tolerance_meets_its_false_fail_rate():
+    # 4 exp(-runs t^2 / 2) = alpha at the derived tolerance t
+    for runs, alpha in ((200, Fraction(1, 1000)), (2000, Fraction(1, 1000)), (50, Fraction(1, 20))):
+        t = float(equidistribution_tolerance(runs, alpha))
+        assert 4 * math.exp(-runs * t * t / 2) == pytest.approx(float(alpha))
+    assert equidistribution_tolerance(200) > equidistribution_tolerance(2000)

@@ -3,11 +3,19 @@ import hashlib
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
-from coalesce import doeblin_coupling, parse_matrix, serialize_coupling, uniform_divisor_coupling
-from coalesce.cli import main
+from coalesce import (
+    EquidistributionReport,
+    doeblin_coupling,
+    equidistribution_tolerance,
+    parse_matrix,
+    serialize_coupling,
+    uniform_divisor_coupling,
+)
+from coalesce.cli import build_parser, main
 
 from conftest import EX10_TEXT, EX11_TEXT
 
@@ -80,6 +88,7 @@ def test_manifest_records_run(ex10_file):
     m = manifest_of(err)
     assert m["command"][1] == "analyze"
     assert m["seed"] == 5
+    assert m["rng_layout"] == 2
     assert m["exit_code"] == 0
     assert m["wall_clock_seconds"] >= 0
     with open(ex10_file, "rb") as fh:
@@ -338,22 +347,44 @@ def test_kset_budget_on_large_cycle_falls_back(tmp_path):
 
 
 def test_verify_equidist_tolerance_is_exact(tmp_path):
-    # the gap here is exactly 1/20, which is not below a tolerance of 0.05;
-    # read as a float, 0.05 is slightly above 1/20 and the run passed
+    # the verdict needs the gap strictly below the tolerance, compared
+    # exactly: a tolerance equal to the gap fails, one just above it passes
     p = tmp_path / "divisor.json"
     p.write_text(serialize_coupling(uniform_divisor_coupling(4, 1)))
     argv = ("verify-equidist", str(p), "--runs", "300", "--seed", "7")
-    code, out, _ = run_cli(*argv)
+    _, out, _ = run_cli(*argv, "--format", "json")
+    gap = Fraction(json.loads(out)["max_cdf_gap"])
+    assert gap > 0
+    code, out, _ = run_cli(*argv, "--tolerance", f"{gap.numerator}/{gap.denominator}")
     assert code == 1
-    assert "max CDF gap: 0.050000 (1/20)" in out
+    assert f"max CDF gap: {float(gap):.6f} ({gap})" in out
     assert "verdict: fail" in out
-    code, out, _ = run_cli(*argv, "--tolerance", "0.0501", "--format", "json")
+    code, out, _ = run_cli(*argv, "--tolerance", str(gap + Fraction(1, 10**6)), "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["max_cdf_gap"] == "1/20" and doc["tolerance"] == 0.0501
-    assert doc["passed"] is True
-    code, _, _ = run_cli(*argv, "--tolerance", "1/20")
-    assert code == 1
+    assert doc["max_cdf_gap"] == str(gap) and doc["tolerance"] == float(gap + Fraction(1, 10**6))
+    assert doc["passed"] is True and doc["alpha"] is None
+    # read as a float, 0.05 is slightly above 1/20 and a gap of 1/20 passed
+    args = build_parser().parse_args(["verify-equidist", str(p), "--runs", "1", "--tolerance", "0.05"])
+    report = EquidistributionReport(1, (), (), 0, 0, Fraction(1, 20))
+    assert not report.passed(args.tolerance)
+
+
+def test_verify_equidist_default_tolerance_follows_runs(doeblin_file):
+    tolerances = []
+    for runs in ("200", "800"):
+        code, out, _ = run_cli(
+            "verify-equidist", doeblin_file, "--runs", runs, "--seed", "3", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["alpha"] == 0.001
+        assert doc["tolerance"] == float(equidistribution_tolerance(int(runs)))
+        tolerances.append(doc["tolerance"])
+    # four times the runs halve the tolerance
+    assert tolerances[1] == pytest.approx(tolerances[0] / 2)
+    _, out, _ = run_cli("verify-equidist", doeblin_file, "--runs", "200", "--seed", "3")
+    assert "tolerance: 0.287994 (false-fail rate 0.001, DKW-Massart)" in out
 
 
 def test_examples_subcommand():

@@ -26,6 +26,7 @@ from coalesce import (
     to_explicit,
     uniform_divisor_coupling,
 )
+from coalesce.coupling import _pick, _sampling_table
 
 H = Fraction(1, 2)
 
@@ -318,3 +319,17 @@ def test_block_sample_image_consistent():
     rng = random.Random(6)
     for _ in range(100):
         assert mu.sample_image(rng) in sup
+
+
+def test_one_outcome_draw_leaves_generator_untouched():
+    # a law with one outcome needs no randomness, so it reads no bits
+    rng = random.Random(7)
+    before = rng.getstate()
+    assert _pick(rng, _sampling_table([("only", Fraction(1))])) == "only"
+    assert rng.getstate() == before
+    # the identity chain's product coupling has one outcome at every level
+    assert doeblin_coupling(StochasticMatrix.identity(3)).sample_image(rng) == (0, 1, 2)
+    assert rng.getstate() == before
+    # two outcomes do draw
+    _pick(rng, _sampling_table([("a", H), ("b", H)]))
+    assert rng.getstate() != before
