@@ -42,7 +42,6 @@ from .coupling import (
     UniformPermLaw,
     doeblin_coupling,
     expand_support,
-    induced_matrix,
     is_consistent,
     parse_coupling,
     permutation_coupling,
@@ -102,7 +101,6 @@ from .matrix import (
 from .rational import format_rational, parse_rational
 from .reference import ExampleRow, ex7_support, example_ids, path_walk, run_all, run_example
 from .semigroup import (
-    SemigroupClosure,
     close,
     coalescence_number,
     coalescing_pairs,

@@ -25,15 +25,32 @@ from .coupling import (
     ExplicitPermLaw,
     GrandCoupling,
     UniformPermLaw,
-    _block_perm_of,
     expand_support,
 )
 from .errors import BlockConditionsFail, DimensionMismatch, NotADivisor
-from .mapfun import Partition
+from .mapfun import MapFunction, Partition
 from .matrix import StochasticMatrix, is_doubly_stochastic
 from .semigroup import coalescing_pairs
 
 _ZERO = Fraction(0)
+
+
+def _block_perm_of(f: MapFunction, partition: Partition) -> tuple[int, ...] | None:
+    """The permutation of blocks f induces, or None.
+
+    None means f sends some block into more than one block, or the induced
+    block map is not a bijection. Injectivity inside a block is not required.
+    """
+    block_of = partition.block_of()
+    out = []
+    for blk in partition.blocks:
+        targets = {block_of[f(i)] for i in blk}
+        if len(targets) != 1:
+            return None
+        out.append(targets.pop())
+    if sorted(out) != list(range(partition.size)):
+        return None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -85,32 +102,23 @@ def check_lumpability(
     return StochasticMatrix(tuple(tuple(row) for row in rows))
 
 
-def check_block_conditions(
-    P: StochasticMatrix,
-    partition: Partition,
-    law: ExplicitPermLaw | UniformPermLaw | None = None,
-) -> bool:
+def check_block_conditions(P: StochasticMatrix, partition: Partition) -> bool:
     """True when construct_block_measure would succeed with these arguments."""
     try:
-        construct_block_measure(P, partition, law)
+        construct_block_measure(P, partition)
     except BlockConditionsFail:
         return False
     return True
 
 
-def construct_block_measure(
-    P: StochasticMatrix,
-    partition: Partition,
-    law: ExplicitPermLaw | UniformPermLaw | None = None,
-) -> BlockCoupling:
+def construct_block_measure(P: StochasticMatrix, partition: Partition) -> BlockCoupling:
     """Build the block-structured coupling of P over a partition.
 
-    Requires P lumpable over the partition, with the block-level matrix
-    matching the law's marginals. When no law is given the block-level
-    matrix must be doubly stochastic, and its Birkhoff decomposition is used
-    as the law.
+    Requires P lumpable over the partition, with a doubly stochastic
+    block-level matrix; its Birkhoff decomposition is the law on block
+    permutations.
 
-    Raises BlockConditionsFail when any requirement fails. Note that the
+    Raises BlockConditionsFail when either requirement fails. Note that the
     result is always a consistent coupling, but not automatically a block
     measure: the coalescence number can exceed the block count. Use
     is_block_measure to check.
@@ -118,28 +126,14 @@ def construct_block_measure(
     lumped = check_lumpability(P, partition)
     if not lumped:
         raise BlockConditionsFail(f"not lumpable: {lumped.describe()}")
+    if not is_doubly_stochastic(lumped):
+        raise BlockConditionsFail(
+            "the block-level matrix is not doubly stochastic, so no law on "
+            "block permutations has these marginals"
+        )
+    decomp = birkhoff_decomposition(lumped)
+    law = ExplicitPermLaw(tuple((f.image, w) for f, w in decomp.terms))
     l = partition.size
-    if law is None:
-        if not is_doubly_stochastic(lumped):
-            raise BlockConditionsFail(
-                "the block-level matrix is not doubly stochastic, so no law on "
-                "block permutations has these marginals"
-            )
-        decomp = birkhoff_decomposition(lumped)
-        law = ExplicitPermLaw(tuple((f.image, w) for f, w in decomp.terms))
-    else:
-        if law.l != l:
-            raise BlockConditionsFail(
-                f"law permutes {law.l} blocks, partition has {l}"
-            )
-        for r in range(l):
-            for s in range(l):
-                if law.marginal(r, s) != lumped.entries[r][s]:
-                    raise BlockConditionsFail(
-                        f"law sends block {r + 1} to block {s + 1} with "
-                        f"probability {law.marginal(r, s)}, but the block-level "
-                        f"matrix says {lumped.entries[r][s]}"
-                    )
     block_of = partition.block_of()
     within = []
     for i in range(P.n):

@@ -41,7 +41,6 @@ from .coupling import (
     BlockCoupling,
     doeblin_coupling,
     expand_support,
-    induced_matrix,
     parse_coupling,
     serialize_coupling,
 )
@@ -224,7 +223,7 @@ def _cmd_coupling_check(args, run: _Run) -> int:
     P = _load_matrix(run, args.matrix)
     if mu.n != P.n:
         raise ValueError(f"coupling is on {mu.n} states, matrix on {P.n}")
-    induced = induced_matrix(mu)
+    induced = mu.induced
     mismatches = [
         (i, j, induced.entries[i][j], P.entries[i][j])
         for i in range(P.n)
@@ -431,7 +430,7 @@ def _cmd_sample(args, run: _Run) -> int:
         mu = _load_coupling(run, args.coupling)
         if mu.n != P.n:
             raise ValueError(f"coupling is on {mu.n} states, matrix on {P.n}")
-        if induced_matrix(mu).entries != P.entries:
+        if mu.induced.entries != P.entries:
             raise ValueError("the coupling does not resum to the matrix")
     else:
         mu = doeblin_coupling(P, lazy=True)

@@ -78,24 +78,6 @@ def _pick(rng, table):
     return payloads[bisect_right(cum, rng.randrange(den))]
 
 
-def _block_perm_of(f: MapFunction, partition: Partition) -> tuple[int, ...] | None:
-    """The permutation of blocks f induces, or None.
-
-    None means f sends some block into more than one block, or the induced
-    block map is not a bijection. Injectivity inside a block is not required.
-    """
-    block_of = partition.block_of()
-    out = []
-    for blk in partition.blocks:
-        targets = {block_of[f(i)] for i in blk}
-        if len(targets) != 1:
-            return None
-        out.append(targets.pop())
-    if sorted(out) != list(range(partition.size)):
-        return None
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ExplicitCoupling:
     """A grand coupling given by explicit (function, weight) terms."""
@@ -138,12 +120,6 @@ class ExplicitCoupling:
 
     def iter_terms(self):
         return iter(self.terms)
-
-    def weight_of(self, f: MapFunction) -> Fraction:
-        for g, w in self.terms:
-            if g == f:
-                return w
-        return _ZERO
 
     @cached_property
     def _columns(self) -> tuple[tuple[int, ...], ...]:
@@ -338,6 +314,7 @@ class BlockCoupling:
 
     @cached_property
     def induced(self) -> StochasticMatrix:
+        """mu(f(i) = j) from the block-permutation marginals, never the support."""
         n = self.n
         block_of = self.partition.block_of()
         out = [[_ZERO] * n for _ in range(n)]
@@ -396,24 +373,6 @@ class BlockCoupling:
                     w *= ww
                 yield MapFunction(img), w
 
-    def weight_of(self, f: MapFunction) -> Fraction:
-        perm = _block_perm_of(f, self.partition)
-        if perm is None:
-            return _ZERO
-        w = self.law.weight_of(perm)
-        if w == 0:
-            return _ZERO
-        block_of = self.partition.block_of()
-        for i in range(self.n):
-            dist = self.within_dist(i, perm[block_of[i]])
-            if dist is None:
-                return _ZERO
-            prob = next((ww for j, ww in dist if j == f(i)), _ZERO)
-            if prob == 0:
-                return _ZERO
-            w *= prob
-        return w
-
     @cached_property
     def _samplers(self):
         block_of = self.partition.block_of()
@@ -438,20 +397,11 @@ class BlockCoupling:
 GrandCoupling = ExplicitCoupling | BlockCoupling
 
 
-def induced_matrix(mu: GrandCoupling) -> StochasticMatrix:
-    """The transition matrix with entries mu(f(i) = j), computed exactly.
-
-    For block couplings this uses the block-permutation marginals, never the
-    expanded support.
-    """
-    return mu.induced
-
-
 def is_consistent(mu: GrandCoupling, P: StochasticMatrix) -> bool:
     """True when mu's per-state marginals equal P row by row."""
     if mu.n != P.n:
         raise DimensionMismatch(f"coupling on n={mu.n}, matrix on n={P.n}")
-    return induced_matrix(mu).entries == P.entries
+    return mu.induced.entries == P.entries
 
 
 def _check_support_cap(mu: GrandCoupling, cap: int) -> None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blocks import (
-    check_lumpability,
     construct_block_measure,
     is_block_measure,
     uniform_divisor_coupling,
@@ -31,13 +30,14 @@ from .coupling import (
     is_consistent,
     permutation_coupling,
 )
-from .errors import BudgetExceeded
+from .errors import BlockConditionsFail, BudgetExceeded
 from .feasibility import FeasibilityWitness, SupportTester
 from .mapfun import MapFunction, Partition, Support
 from .matrix import StochasticMatrix, is_doubly_stochastic, period
 from .semigroup import DEFAULT_CLOSURE_CAP, coalescence_number
 
 DEFAULT_SUBSET_BUDGET = 2**20
+MAX_PARTITIONS = 20_000  # set partitions k_set_certificates tries
 
 _ZERO = Fraction(0)
 
@@ -82,11 +82,6 @@ class KSetReport:
     def values(self) -> frozenset[int]:
         return frozenset(m.k for m in self.members)
 
-    def witness_for(self, k: int) -> GrandCoupling:
-        for m in self.members:
-            if m.k == k:
-                return m.coupling
-        raise KeyError(k)
 
 
 def allowed_functions(P: StochasticMatrix) -> Support:
@@ -257,9 +252,7 @@ def k_set_exact(
     )
 
 
-def k_set_certificates(
-    P: StochasticMatrix, max_partitions: int = 20_000
-) -> KSetReport:
+def k_set_certificates(P: StochasticMatrix) -> KSetReport:
     """One-sided conclusions about K(P) that avoid subset enumeration.
 
     Membership of 1 is equivalent to aperiodicity (witnessed by the product
@@ -301,24 +294,22 @@ def k_set_certificates(
     truncated = False
     for partition in _set_partitions(n):
         counted += 1
-        if counted > max_partitions:
+        if counted > MAX_PARTITIONS:
             truncated = True
             break
         l = partition.size
         if l in seen or l == n or l == 1:
             continue
-        lumped = check_lumpability(P, partition)
-        if not lumped:
+        try:
+            mu = construct_block_measure(P, partition)
+        except BlockConditionsFail:
             continue
-        if not is_doubly_stochastic(lumped):
-            continue
-        mu = construct_block_measure(P, partition)
         if is_block_measure(mu, partition):
             members.append(KMember(l, mu, "block-partition"))
             seen.add(l)
     if truncated:
         notes.append(
-            f"partition search stopped after {max_partitions} partitions"
+            f"partition search stopped after {MAX_PARTITIONS} partitions"
         )
     return KSetReport(
         n=n,

@@ -72,9 +72,6 @@ class MapFunction:
             return "".join(str(v + 1) for v in self.image)
         return ",".join(str(v + 1) for v in self.image)
 
-    def image_set(self) -> frozenset[int]:
-        return frozenset(self.image)
-
     def image_size(self) -> int:
         """Number of distinct values taken (the rank of the 0/1 matrix)."""
         return len(set(self.image))

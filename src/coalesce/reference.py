@@ -286,15 +286,19 @@ def example_ids() -> list[str]:
     return list(REGISTRY)
 
 
-def run_example(
-    example_id: str, override_matrix: StochasticMatrix | None = None
-) -> list[ExampleRow]:
+def _example(example_id: str, override: StochasticMatrix | None) -> Example:
     ex = REGISTRY.get(example_id)
     if ex is None:
         raise ValueError(f"unknown example id {example_id!r}; know {sorted(REGISTRY)}")
-    if override_matrix is not None and not ex.takes_matrix:
+    if override is not None and not ex.takes_matrix:
         raise ValueError(f"example {example_id!r} does not take a replacement matrix")
-    return ex.run(override_matrix)
+    return ex
+
+
+def run_example(
+    example_id: str, override_matrix: StochasticMatrix | None = None
+) -> list[ExampleRow]:
+    return _example(example_id, override_matrix).run(override_matrix)
 
 
 def run_all(
@@ -303,15 +307,18 @@ def run_all(
 ) -> list[ExampleRow]:
     """Run the given examples (all by default) in order and collect their rows.
 
-    overrides maps example ids to replacement matrices; an override for an
-    example that is not run is rejected before any example runs.
+    overrides maps example ids to replacement matrices. Every id and every
+    override is checked before any example runs: an unknown id, an override
+    for an example that is not run, or one for an example that takes no
+    matrix raises ValueError.
     """
     ids = list(only) if only is not None else example_ids()
     overrides = overrides or {}
     for example_id in overrides:
         if example_id not in ids:
             raise ValueError(f"--override for {example_id!r} which did not run")
+    examples = [_example(i, overrides.get(i)) for i in ids]
     rows: list[ExampleRow] = []
-    for example_id in ids:
-        rows.extend(run_example(example_id, overrides.get(example_id)))
+    for ex in examples:
+        rows.extend(ex.run(overrides.get(ex.example_id)))
     return rows

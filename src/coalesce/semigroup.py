@@ -16,15 +16,13 @@ compositions of support functions. Two walks answer every question here:
   the full state set I, while some pair of I has a merging word, apply it
   to I. Then |I| is the least rank, since a composite w of smaller rank
   would have |w(I)| < |I| and so merge a pair of I.
-* close walks maps (at most n^n); it keeps every element with a parent
-  pointer to rebuild shortest words, and limiting_partitions reads the
-  kernels of its least-image elements.
+* close walks maps (at most n^n) and returns them all; limiting_partitions
+  reads the kernels of the least-image ones.
 
 The pair cap is checked before the walk, the map cap as each map is added.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .coupling import GrandCoupling
@@ -35,62 +33,6 @@ DEFAULT_CLOSURE_CAP = 250_000
 
 # unordered state pairs, 0-based
 PairSet = frozenset[frozenset[int]]
-
-
-@dataclass(eq=False)
-class SemigroupClosure:
-    """All finite compositions of a generating set, with shortest words.
-
-    elements are listed in breadth-first order, so generators come first and
-    word lengths never decrease along the list. Element p was first reached
-    as generators[_last[p]] after elements[_parent[p]] (-1 for a generator),
-    which is enough to rebuild a shortest word for every element.
-    """
-
-    n: int
-    generators: tuple[MapFunction, ...]
-    elements: tuple[MapFunction, ...]
-    _last: tuple[int, ...] = field(repr=False)
-    _parent: tuple[int, ...] = field(repr=False)
-    _position: dict[MapFunction, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._position = {f: p for p, f in enumerate(self.elements)}
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, f: MapFunction) -> bool:
-        return f in self._position
-
-    def _word(self, p: int) -> tuple[MapFunction, ...]:
-        word = []
-        while p >= 0:
-            word.append(self.generators[self._last[p]])
-            p = self._parent[p]
-        return tuple(word)
-
-    def word_for(self, f: MapFunction) -> tuple[MapFunction, ...]:
-        """A shortest sequence of generators composing to f (leftmost last applied)."""
-        p = self._position.get(f)
-        if p is None:
-            raise KeyError(f"{f.to_notation()} is not in the closure")
-        return self._word(p)
-
-    @property
-    def max_word_length(self) -> int:
-        # breadth-first order: the last element has a longest shortest word
-        return len(self._word(len(self.elements) - 1))
-
-    def min_image_size(self) -> int:
-        return min(f.image_size() for f in self.elements)
-
-    def min_image_elements(self) -> tuple[MapFunction, ...]:
-        k = self.min_image_size()
-        return tuple(f for f in self.elements if f.image_size() == k)
 
 
 def _generators(support) -> tuple[MapFunction, ...]:
@@ -107,33 +49,27 @@ def _too_large(cap: int, what: str) -> ClosureTooLarge:
     return ClosureTooLarge(f"more than {cap} {what}; raise the cap to continue")
 
 
-def close(support, max_size: int = DEFAULT_CLOSURE_CAP) -> SemigroupClosure:
-    """Breadth-first closure under composition, recording shortest words.
+def close(support, max_size: int = DEFAULT_CLOSURE_CAP) -> tuple[MapFunction, ...]:
+    """All finite compositions of the support maps, in breadth-first order.
 
-    Element p is generator last[p] applied after element parent[p] (-1 for
-    a generator itself). ClosureTooLarge is raised as soon as an element
-    past max_size would be added, so exactly when the closure is larger.
+    The generators come first, sorted. ClosureTooLarge is raised as soon as
+    an element past max_size would be added, so exactly when the closure is
+    larger.
     """
-    gens = _generators(support)
-    images = [g.image for g in gens]
+    images = [g.image for g in _generators(support)]
     order = list(images)
     if len(order) > max_size:
         raise _too_large(max_size, "maps in the closure")
     seen = set(order)
-    last = list(range(len(images)))
-    parent = [-1] * len(images)
-    for p, t in enumerate(order):  # grows while it is read
-        for i, g in enumerate(images):
-            c = tuple([g[v] for v in t])  # generator i after element p
+    for t in order:  # grows while it is read
+        for g in images:
+            c = tuple([g[v] for v in t])
             if c not in seen:
                 if len(order) == max_size:
                     raise _too_large(max_size, "maps in the closure")
                 seen.add(c)
                 order.append(c)
-                last.append(i)
-                parent.append(p)
-    elements = tuple(MapFunction(t) for t in order)
-    return SemigroupClosure(gens[0].n, gens, elements, tuple(last), tuple(parent))
+    return tuple(MapFunction(t) for t in order)
 
 
 def _merge_steps(n: int, image_pairs) -> dict:
@@ -231,5 +167,6 @@ def limiting_partitions(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> froz
     the image size bottoms out the kernel can only be one of these. Reads
     the map closure from close, so max_closure counts maps here.
     """
-    closure = close(support, max_size=max_closure)
-    return frozenset(f.kernel() for f in closure.min_image_elements())
+    elements = close(support, max_size=max_closure)
+    k = min(f.image_size() for f in elements)
+    return frozenset(f.kernel() for f in elements if f.image_size() == k)

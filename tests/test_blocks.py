@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from coalesce import (
-    BlockConditionsFail,
     BlockCoupling,
     ExplicitPermLaw,
     NotLumpable,
@@ -64,18 +63,6 @@ def test_construct_block_coupling_on_cycle_walk(ex11):
     # block-measure test
     assert coalescence_number(sup) == 4
     assert not is_block_measure(mu)
-
-
-def test_construct_rejects_mismatched_law(ex11):
-    swap_only = ExplicitPermLaw(terms=(((1, 0), Fraction(1)),))
-    with pytest.raises(BlockConditionsFail):
-        construct_block_measure(ex11, Partition.parse("1,3|2,4"), law=swap_only)
-
-
-def test_construct_with_matching_law(ex11):
-    law = ExplicitPermLaw(terms=(((0, 1), H), ((1, 0), H)))
-    mu = construct_block_measure(ex11, Partition.parse("1,3|2,4"), law=law)
-    assert is_consistent(mu, ex11)
 
 
 def test_quarter_coupling_is_not_a_block_measure(quarter_coupling):

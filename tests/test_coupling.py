@@ -18,7 +18,6 @@ from coalesce import (
     UniformPermLaw,
     doeblin_coupling,
     expand_support,
-    induced_matrix,
     is_consistent,
     parse_coupling,
     permutation_coupling,
@@ -32,7 +31,7 @@ H = Fraction(1, 2)
 
 
 def test_quarter_coupling_induces_cycle_walk(quarter_coupling, ex11):
-    assert induced_matrix(quarter_coupling).entries == ex11.entries
+    assert quarter_coupling.induced.entries == ex11.entries
     assert is_consistent(quarter_coupling, ex11)
     assert not is_consistent(quarter_coupling, StochasticMatrix.identity(4))
     assert not is_consistent(quarter_coupling, StochasticMatrix.uniform(4))

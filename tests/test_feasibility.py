@@ -15,7 +15,6 @@ from coalesce import (
     SupportTester,
     allowed_functions,
     feasible_weights,
-    induced_matrix,
     is_consistent,
     is_feasible_support,
     is_weakly_feasible,
@@ -43,7 +42,7 @@ def test_full_allowed_support_feasible(ex10):
     assert len(res.weights) == 8
     assert all(w > 0 for _, w in res.weights)
     assert sum(w for _, w in res.weights) == 1
-    assert induced_matrix(res.as_coupling()).entries == ex10.entries
+    assert res.as_coupling().induced.entries == ex10.entries
 
 
 def test_pair_support_feasible(ex10):
@@ -241,7 +240,7 @@ def test_large_denominators_stay_exact():
     assert tester._scale == 7 * 9 * 97
     res = tester.witness(range(len(tester.functions)))
     assert isinstance(res, FeasibilityWitness)
-    assert induced_matrix(res.as_coupling()).entries == P.entries
+    assert res.as_coupling().induced.entries == P.entries
     assert sum(w for _, w in res.weights) == 1
 
 

@@ -36,3 +36,32 @@ def test_run_all_rejects_unused_override():
     rotated = parse_matrix("1/2 0 1/2\n1/2 1/2 0\n0 1/2 1/2\n")
     with pytest.raises(ValueError, match="did not run"):
         run_all(only=["ex7"], overrides={"ex10": rotated})
+
+
+
+@pytest.mark.parametrize(
+    "only, override_for, message",
+    [
+        (["first", "ex99"], None, "unknown example id"),
+        (["first", "second"], "second", "does not take a replacement matrix"),
+    ],
+)
+def test_run_all_checks_every_argument_before_running(monkeypatch, only, override_for, message):
+    from coalesce import reference
+
+    ran = []
+
+    def recorder(example_id):
+        def run(override):
+            ran.append(example_id)
+            return []
+
+        return run
+
+    for example_id in ("first", "second"):
+        example = reference.Example(example_id, "records its run", False, recorder(example_id))
+        monkeypatch.setitem(reference.REGISTRY, example_id, example)
+    overrides = {override_for: parse_matrix("0 1\n1 0\n")} if override_for else {}
+    with pytest.raises(ValueError, match=message):
+        run_all(only=only, overrides=overrides)
+    assert ran == []
