@@ -16,14 +16,16 @@ compositions of support functions. Two walks answer every question here:
   the full state set I, while some pair of I has a merging word, apply it
   to I. Then |I| is the least rank, since a composite w of smaller rank
   would have |w(I)| < |I| and so merge a pair of I.
-* close walks maps (at most n^n) and returns them all; limiting_partitions
-  reads the kernels of the least-image ones.
+* close walks maps (at most n^n) and returns them all, generators first,
+  then discovery order, over the generators not already generated;
+  limiting_partitions reads the kernels of the least-image ones.
 
 The pair cap is checked before the walk, the map cap as each map is added.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice
+from operator import itemgetter
 
 from .coupling import GrandCoupling
 from .errors import ClosureTooLarge
@@ -50,26 +52,50 @@ def _too_large(cap: int, what: str) -> ClosureTooLarge:
 
 
 def close(support, max_size: int = DEFAULT_CLOSURE_CAP) -> tuple[MapFunction, ...]:
-    """All finite compositions of the support maps, in breadth-first order.
+    """All finite compositions of the support maps: the generators first,
+    sorted, then discovery order, over the generators not already generated.
 
-    The generators come first, sorted. ClosureTooLarge is raised as soon as
-    an element past max_size would be added, so exactly when the closure is
-    larger.
+    The generators are walked by descending rank, since a composite has at
+    most the rank of each factor: high-rank maps can generate low-rank ones,
+    never the reverse. A generator that is a composite of the generators
+    kept before it is skipped. Keeping g adds g and g∘u for each u already
+    reached, then left-multiplies each new map by every kept generator until
+    nothing new appears. No word is missed: cut at its rightmost g, it reads
+    a∘(g∘u) with u a word in the earlier kept generators (Froidure & Pin
+    1997). ClosureTooLarge is raised as soon as a map past max_size would be
+    found, so exactly when the closure is larger.
     """
-    images = [g.image for g in _generators(support)]
-    order = list(images)
-    if len(order) > max_size:
+    gens = _generators(support)
+    if len(gens) > max_size:
         raise _too_large(max_size, "maps in the closure")
-    seen = set(order)
-    for t in order:  # grows while it is read
-        for g in images:
-            c = tuple([g[v] for v in t])
-            if c not in seen:
-                if len(order) == max_size:
-                    raise _too_large(max_size, "maps in the closure")
-                seen.add(c)
+    if gens[0].n == 1:  # itemgetter with one index returns a scalar
+        return gens
+    images = [g.image for g in gens]
+    is_gen = set(images)
+    count = len(images)  # distinct maps found so far
+    reached: set[tuple[int, ...]] = set()  # composites of the kept generators
+    order: list[tuple[int, ...]] = []  # reached, in discovery order
+    kept: list[tuple[int, ...]] = []
+    for g in sorted(images, key=lambda t: -len(set(t))):  # by descending rank
+        if g in reached:
+            continue
+        kept.append(g)
+        start = len(order)
+        found = chain(
+            (g,),
+            (itemgetter(*u)(g) for u in islice(order, start)),  # g∘u
+            # h∘t over the kept h, with order growing while it is read
+            chain.from_iterable(map(itemgetter(*t), kept) for t in islice(order, start, None)),
+        )
+        for c in found:
+            if c not in reached:
+                if c not in is_gen:
+                    if count == max_size:
+                        raise _too_large(max_size, "maps in the closure")
+                    count += 1
+                reached.add(c)
                 order.append(c)
-    return tuple(MapFunction(t) for t in order)
+    return gens + tuple(MapFunction(t) for t in order if t not in is_gen)
 
 
 def _merge_steps(n: int, image_pairs) -> dict:
@@ -167,6 +193,12 @@ def limiting_partitions(support, max_closure: int = DEFAULT_CLOSURE_CAP) -> froz
     the image size bottoms out the kernel can only be one of these. Reads
     the map closure from close, so max_closure counts maps here.
     """
-    elements = close(support, max_size=max_closure)
-    k = min(f.image_size() for f in elements)
-    return frozenset(f.kernel() for f in elements if f.image_size() == k)
+    least: list[MapFunction] = []
+    k = None
+    for f in close(support, max_size=max_closure):
+        r = f.image_size()
+        if k is None or r < k:
+            k, least = r, [f]
+        elif r == k:
+            least.append(f)
+    return frozenset(f.kernel() for f in least)

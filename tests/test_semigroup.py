@@ -56,6 +56,16 @@ def test_closure_contains_generators_and_is_closed(ex7_support):
             assert compose(f, g) in elements
 
 
+def _with_redundant_products(rng, images):
+    """images plus up to three composites of them, so that the closure
+    meets generators it has already generated."""
+    images = set(images)
+    for _ in range(rng.randint(1, 3)):
+        f, g = rng.choice(sorted(images)), rng.choice(sorted(images))
+        images.add(oracles.compose_images(f, g))
+    return images
+
+
 def test_closure_matches_oracle(ex7_support):
     rng = random.Random(77)
     supports = [ex7_support]
@@ -65,13 +75,33 @@ def test_closure_matches_oracle(ex7_support):
         supports.append(
             _support_of({tuple(rng.randrange(n) for _ in range(n)) for _ in range(count)})
         )
+    for i in range(150):
+        n = rng.randint(2, 5)
+        if i % 2:  # permutation-heavy
+            base = [oracles.random_permutation_image(rng, n) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                base.append(tuple(rng.randrange(n) for _ in range(n)))
+        else:
+            base = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        supports.append(_support_of(_with_redundant_products(rng, base)))
+    supports.append(_support_of([(0,)]))
     for sup in supports:
         elements = close(sup)
         gens = sup.sorted_functions()
-        # breadth-first: the generators come first, in sorted order
+        # the generators come first, in sorted order, then discovery order
         assert elements[: len(gens)] == gens
         assert len(set(elements)) == len(elements)
         assert {f.image for f in elements} == oracles.word_closure([g.image for g in gens])
+
+
+@pytest.mark.parametrize("n, l", [(4, 1), (4, 2), (4, 4), (5, 5), (6, 2), (6, 3), (6, 6)])
+def test_divisor_coupling_support_is_closed(n, l):
+    # a block coupling's support is every map that permutes the blocks, so
+    # it is its own closure, and the least-rank maps glue exactly the blocks
+    mu = uniform_divisor_coupling(n, l)
+    sup = expand_support(mu)
+    assert set(close(sup)) == set(sup)
+    assert limiting_partitions(sup) == frozenset({mu.partition})
 
 
 def test_single_permutation_closure():
@@ -103,10 +133,19 @@ def test_closure_cap_boundary():
     rng = random.Random(2)
     images = {tuple(rng.randrange(5) for _ in range(5)) for _ in range(3)}
     sup = _support_of(images)
-    size = len(close(sup))
-    assert len(close(sup, max_size=size)) == size
-    with pytest.raises(ClosureTooLarge):
-        close(sup, max_size=size - 1)
+    # the transposition (1 2) and the shift generate S_5, and with a rank-4
+    # map all 3,125 maps; their composite is a permutation sorting after
+    # both, so close has generated it before it comes to it, and skips it
+    swap, shift, merge = (1, 0, 2, 3, 4), (1, 2, 3, 4, 0), (0, 0, 2, 3, 4)
+    product = oracles.compose_images(shift, swap)
+    assert swap < shift < product
+    skipping = _support_of([swap, shift, product, merge])
+    assert len(close(skipping)) == 5**5
+    for s in (sup, skipping):
+        size = len(close(s))
+        assert len(close(s, max_size=size)) == size
+        with pytest.raises(ClosureTooLarge):
+            close(s, max_size=size - 1)
     # a coalescence number's cap counts the n(n-1)/2 = 10 state pairs
     assert coalescence_number(sup, max_closure=10) == coalescence_number(sup)
     with pytest.raises(ClosureTooLarge):
