@@ -1,13 +1,13 @@
 """Coupling from the past, exactly, plus coalescence-time diagnostics.
 
-The sampler composes random functions drawn from a grand coupling. Each
-sample owns one generator, seeded once from its stream's substream(0), and
-reads the draw F_t at depth t as the t-th image drawn from it. Depths are
-read once and in order, so every run sees the same past however far back it
-looks: the past is extended, never resampled. The backward composite
-G_t = F_1 o ... o F_t applies the newest draw first; the first time it is a
-constant map, its value has exactly the chain's invariant distribution, with
-no burn-in bias (Propp and Wilson's coupling from the past).
+The sampler composes random functions drawn from a grand coupling. A sample
+reads the draw F_t at depth t as the t-th image drawn from its generator.
+Depths are read once and in order, so every run sees the same past however
+far back it looks: the past is extended, never resampled. The backward
+composite G_t = F_1 o ... o F_t applies the newest draw first; the first
+time it is a constant map, its value has exactly the chain's invariant
+distribution, with no burn-in bias (Propp and Wilson's coupling from the
+past).
 
 Checking after every draw is exact: once G_s is the constant c, every
 deeper composite G_t = G_s o (F_{s+1} o ... o F_t) is c too, so the value at
@@ -21,10 +21,26 @@ Backward and forward one-step compositions become constant at the same time
 in distribution (the draws are exchangeable), which gives a sharp self-test:
 the empirical laws of the two times must agree.
 
+One generator serves a whole run of samples. Its draws F_1, F_2, ... are
+i.i.d., and a sample's coalescence time T (capped at t_max) is a stopping
+time of them: whether T = t is decided by F_1, ..., F_t alone. By the strong
+Markov property the draws F_{T+1}, F_{T+2}, ... are again i.i.d. with the
+same law and independent of F_1, ..., F_T. So the next sample, read from
+them, has the law of the first and is independent of it; by induction the
+samples of a run are i.i.d., and each is still exactly invariant. The same
+holds for the coalescence records of verify-equidist, whose backward and
+forward records alternate on one generator: each record's time is a
+stopping time of the draws it reads.
+
 The way draws are read from the seed is the RNG layout, recorded as
-rng_layout in the CLI run manifest. Layout 2 (RNG_LAYOUT, current) seeds
-one generator per sample as above. Layout 1 seeded a fresh generator for
-every depth t from substream(t); reseeding cost about ten times the draw.
+rng_layout in the CLI run manifest. Layout 3 (RNG_LAYOUT, current) seeds
+one generator per run, from the run stream's substream(0): sample_counts
+and equidistribution_report read all their samples and records from it in
+turn, and cftp_sample, the records and the diagram read one from the
+substream(0) of the stream they are given. Layout 2 seeded one generator
+per sample, from the run stream forked at the sample's index; seeding cost
+more than the draws of a sample. Layout 1 seeded a fresh generator for
+every depth t from substream(t).
 
 Some couplings can never coalesce: some pair of states is merged by no
 composition of support functions. provably_never_coalesces finds such a
@@ -47,7 +63,7 @@ from .semigroup import coalescing_pairs
 DEFAULT_T_MAX = 2**20
 
 # How seeded draws are laid out; see the module docstring.
-RNG_LAYOUT = 2
+RNG_LAYOUT = 3
 
 # Default false-fail rate of the verify-equidist verdict on a correct coupling.
 FALSE_FAIL_RATE = Fraction(1, 1000)
@@ -60,9 +76,9 @@ class RngStream:
     fork(i) descends to an independent child stream; substream(t) yields a
     fresh random.Random whose seed is a keyed hash of the full path, so the
     generator for a given position never depends on how much of the tree has
-    been visited. A sample is addressed by its fork path and, in layout 2,
-    draws everything from that path's substream(0); layout 1 took a
-    substream(t) for every depth t.
+    been visited. In layout 3 a run takes one generator, its stream's
+    substream(0), and reads every sample from it; layout 2 took the
+    substream(0) of a fork per sample, layout 1 a substream(t) per depth t.
     """
 
     seed: int
@@ -109,16 +125,15 @@ def _is_constant(images: tuple[int, ...]) -> bool:
     return images.count(images[0]) == len(images)
 
 
-def _walk(mu: GrandCoupling, stream: RngStream, t_max: int, backward: bool):
+def _walk(mu: GrandCoupling, rng: random.Random, t_max: int, backward: bool):
     """The composite after each draw t = 1..t_max, as an image tuple.
 
-    Layout 2: one generator, stream.substream(0), seeded once before the
-    first draw; draw t is the t-th mu.sample_image on it. (Layout 1 drew
-    depth t from its own stream.substream(t).) backward applies each new
-    draw first (F_1 o ... o F_t), forward applies it last (F_t o ... o F_1).
-    Callers stop reading once they have what they need.
+    Draw t is the next mu.sample_image on rng, which the caller seeded; a
+    walk reads exactly as many draws as its caller reads composites, so the
+    next walk on the same rng starts on fresh draws (see the module
+    docstring). backward applies each new draw first (F_1 o ... o F_t),
+    forward applies it last (F_t o ... o F_1).
     """
-    rng = stream.substream(0)
     composite = tuple(range(mu.n))
     for _ in range(t_max):
         img = mu.sample_image(rng)
@@ -144,6 +159,15 @@ def provably_never_coalesces(mu: GrandCoupling) -> bool:
     return len(coalescing_pairs(mu)) < mu.n * (mu.n - 1) // 2
 
 
+def _sample(mu: GrandCoupling, rng: random.Random, t_max: int) -> int | DidNotCoalesce:
+    """The value of the backward composite the first time it is constant,
+    reading draws from rng; DidNotCoalesce after t_max draws."""
+    for composite in _walk(mu, rng, t_max, backward=True):
+        if _is_constant(composite):
+            return composite[0]
+    return DidNotCoalesce(t_max)
+
+
 def cftp_sample(
     mu: GrandCoupling,
     stream: RngStream,
@@ -152,33 +176,32 @@ def cftp_sample(
 ) -> int | DidNotCoalesce:
     """One exact draw from the invariant distribution of the coupled chain.
 
-    Reads the backward composite one draw at a time and returns its value
-    the first time it is constant; by the argument in the module docstring
-    this is the value every longer horizon would give. Returns
-    DidNotCoalesce when t_max draws pass without coalescence. With
-    short_circuit, a coupling that provably never coalesces
-    (provably_never_coalesces) returns it up front without drawing; pass
-    short_circuit=False when that proof has already been run.
+    Reads the backward composite one draw at a time, from
+    stream.substream(0), and returns its value the first time it is
+    constant; by the argument in the module docstring this is the value
+    every longer horizon would give. Returns DidNotCoalesce when t_max
+    draws pass without coalescence. With short_circuit, a coupling that
+    provably never coalesces (provably_never_coalesces) returns it up front
+    without drawing; pass short_circuit=False when that proof has already
+    been run.
     """
     if short_circuit and provably_never_coalesces(mu):
         return DidNotCoalesce(t_max)
-    for composite in _walk(mu, stream, t_max, backward=True):
-        if _is_constant(composite):
-            return composite[0]
-    return DidNotCoalesce(t_max)
+    return _sample(mu, stream.substream(0), t_max)
 
 
 def _record(
     mu: GrandCoupling,
-    stream: RngStream,
+    rng: random.Random,
     t_max: int,
     collect_trace: bool,
     direction: str,
 ) -> CoalescenceRecord:
     """First constancy time of the one-step composition chain in the given
-    direction: "backward" applies each new draw first, "forward" last."""
+    direction, reading draws from rng: "backward" applies each new draw
+    first, "forward" last."""
     trace: list[int] | None = [] if collect_trace else None
-    walk = _walk(mu, stream, t_max, backward=direction == "backward")
+    walk = _walk(mu, rng, t_max, backward=direction == "backward")
     for t, composite in enumerate(walk, 1):
         if trace is not None:
             trace.append(len(set(composite)))
@@ -200,7 +223,7 @@ def backward_record(
     """Exact first constancy time of the backward composition, one step at a
     time, with the constant value. Reads the same draws as cftp_sample, so
     the value agrees with it run for run."""
-    return _record(mu, stream, t_max, collect_trace, "backward")
+    return _record(mu, stream.substream(0), t_max, collect_trace, "backward")
 
 
 def forward_record(
@@ -212,7 +235,7 @@ def forward_record(
     """First time the forward composition (new draw applied last) is
     constant. The time matches the backward one in distribution, though the
     constant value does not follow the invariant distribution."""
-    return _record(mu, stream, t_max, collect_trace, "forward")
+    return _record(mu, stream.substream(0), t_max, collect_trace, "forward")
 
 
 def sample_counts(
@@ -224,14 +247,17 @@ def sample_counts(
     """count independent exact samples; returns (state counts, failures).
 
     Runs provably_never_coalesces once, and reports every sample as a
-    failure without drawing when it holds.
+    failure without drawing when it holds. Otherwise the samples are read
+    in turn from one generator, stream.substream(0); the module docstring
+    says why they are independent.
     """
     states: Counter = Counter()
     if provably_never_coalesces(mu):
         return states, count
+    rng = stream.substream(0)
     failures = 0
-    for i in range(count):
-        out = cftp_sample(mu, stream.fork(i), t_max=t_max, short_circuit=False)
+    for _ in range(count):
+        out = _sample(mu, rng, t_max)
         if isinstance(out, DidNotCoalesce):
             failures += 1
         else:
@@ -290,9 +316,11 @@ def equidistribution_report(
 ) -> EquidistributionReport:
     """Compare backward and forward coalescence-time laws over many runs.
 
-    Backward runs fork the stream at even indices, forward at odd, so the
-    two samples are independent. The statistic is the largest absolute gap
-    between the two empirical CDFs, failures counting as never-finite.
+    Backward and forward records alternate on one generator,
+    stream.substream(0), each reading on from the draws the one before left
+    unread, so all 2 * runs records are independent (module docstring).
+    The statistic is the largest absolute gap between the two empirical
+    CDFs, failures counting as never-finite.
     A coupling that provably cannot coalesce is reported as all failures
     without walking the horizon, which is surely what each run would do.
     """
@@ -307,14 +335,15 @@ def equidistribution_report(
             forward_failures=runs,
             max_cdf_gap=Fraction(0),
         )
+    rng = stream.substream(0)
     bfail = ffail = 0
-    for i in range(runs):
-        rec = backward_record(mu, stream.fork(2 * i), t_max=t_max)
+    for _ in range(runs):
+        rec = _record(mu, rng, t_max, False, "backward")
         if rec.coalesced:
             back[rec.time] += 1
         else:
             bfail += 1
-        rec = forward_record(mu, stream.fork(2 * i + 1), t_max=t_max)
+        rec = _record(mu, rng, t_max, False, "forward")
         if rec.coalesced:
             fwd[rec.time] += 1
         else:
@@ -340,11 +369,36 @@ def total_variation(counts, dist) -> Fraction:
     return acc / 2
 
 
-def chi_square_pvalue(counts, dist) -> float:
-    """Goodness-of-fit p-value of empirical counts against an exact law."""
-    from scipy.stats import chisquare
+def chi_square_tail(x: float, nu: int) -> float:
+    """P(chi^2_nu > x) for integer degrees of freedom nu, in closed form.
 
+    With h = x/2 the tail is the regularized upper gamma function Q(nu/2, h),
+    and Q(a + 1, h) = Q(a, h) + h^a e^-h / Gamma(a + 1). From Q(1, h) = e^-h
+    that gives the Poisson sum e^-h (1 + h + ... + h^(m-1)/(m-1)!) for
+    nu = 2m; from Q(1/2, h) = erfc(sqrt h) it gives erfc(sqrt h) plus the
+    terms h^(i-1/2) e^-h / Gamma(i + 1/2), i = 1..m, for nu = 2m + 1.
+    """
+    h = x / 2
+    if nu % 2 == 0:
+        term = tail = math.exp(-h)
+        for i in range(1, nu // 2):
+            term *= h / i
+            tail += term
+        return tail
+    tail = math.erfc(math.sqrt(h))
+    term = 2 * math.sqrt(h / math.pi) * math.exp(-h)  # i = 1: Gamma(3/2) = sqrt(pi)/2
+    for i in range(1, nu // 2 + 1):
+        tail += term
+        term *= h / (i + 0.5)
+    return tail
+
+
+def chi_square_pvalue(counts, dist) -> float:
+    """Goodness-of-fit p-value of empirical counts against an exact law:
+    Pearson's statistic, computed exactly, on len(dist) - 1 degrees of
+    freedom."""
     total = sum(counts.values())
-    observed = [counts.get(j, 0) for j in range(len(dist))]
-    expected = [float(pj) * total for pj in dist]
-    return float(chisquare(observed, expected).pvalue)
+    stat = sum(
+        (counts.get(j, 0) - pj * total) ** 2 / (pj * total) for j, pj in enumerate(dist)
+    )
+    return chi_square_tail(float(stat), len(dist) - 1)

@@ -197,13 +197,6 @@ class ExplicitPermLaw:
         for perm, _ in self.terms:
             yield perm
 
-    @cached_property
-    def _table(self):
-        return _sampling_table(self.terms)
-
-    def sample(self, rng) -> tuple[int, ...]:
-        return _pick(rng, self._table)
-
 
 @dataclass(frozen=True)
 class UniformPermLaw:
@@ -374,24 +367,39 @@ class BlockCoupling:
                 yield MapFunction(img), w
 
     @cached_property
-    def _samplers(self):
+    def _state_tables(self):
+        # per state: its block, and the sampling table of its move into each
+        # target block
         block_of = self.partition.block_of()
-        tables = []
-        for i in range(self.n):
-            tables.append(
-                {
-                    s: _sampling_table([(j, w) for j, w in dist])
-                    for s, dist in self.within[i]
-                }
-            )
-        return block_of, tables
+        return tuple(
+            (block_of[i], {s: _sampling_table(dist) for s, dist in entry})
+            for i, entry in enumerate(self.within)
+        )
+
+    def _row(self, perm: tuple[int, ...]):
+        """Every state's sampling table once the block permutation is perm."""
+        return tuple([tables[perm[r]] for r, tables in self._state_tables])
+
+    @cached_property
+    def _law_rows(self):
+        """An explicit law's sampling table with each block permutation
+        replaced by its row, built once: one row per term, so memory stays
+        proportional to the input. None for the uniform law, whose l! rows
+        are built per draw instead."""
+        if isinstance(self.law, UniformPermLaw):
+            return None
+        return _sampling_table([(self._row(perm), w) for perm, w in self.law.terms])
 
     def sample_image(self, rng) -> tuple[int, ...]:
-        block_of, tables = self._samplers
-        perm = self.law.sample(rng)
-        return tuple(
-            _pick(rng, tables[i][perm[block_of[i]]]) for i in range(self.n)
-        )
+        """Draw a block permutation, then each state's image from its row,
+        consuming rng exactly as _pick on each table in turn would."""
+        law_rows = self._law_rows
+        row = self._row(self.law.sample(rng)) if law_rows is None else _pick(rng, law_rows)
+        randrange = rng.randrange
+        return tuple([
+            payloads[0] if den == 1 else payloads[bisect_right(cum, randrange(den))]
+            for den, cum, payloads in row
+        ])
 
 
 GrandCoupling = ExplicitCoupling | BlockCoupling

@@ -24,7 +24,7 @@ def _simulate(mu: GrandCoupling, stream: RngStream, t_max: int):
     """
     columns = [tuple(range(mu.n))]
     coalesced_at = None
-    for composite in _walk(mu, stream, t_max, backward=False):
+    for composite in _walk(mu, stream.substream(0), t_max, backward=False):
         columns.append(composite)
         if _is_constant(composite):
             coalesced_at = len(columns) - 1

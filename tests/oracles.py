@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 Image = tuple[int, ...]
 
@@ -453,3 +454,36 @@ def block_support_images(blocks, perms, within) -> list[Image]:
     for perm in perms:
         images.update(product(*(within[i][perm[block_of[i]]] for i in range(n))))
     return sorted(images)
+
+
+def _oracle_draw(rng: random.Random, dist):
+    """One outcome of dist, a list of (outcome, Fraction weight) pairs, by
+    exact inverse CDF: one randrange over the common denominator, and no
+    draw at all when that denominator is 1."""
+    den = 1
+    for _, w in dist:
+        den = den * w.denominator // gcd(den, w.denominator)
+    if den == 1:
+        return dist[0][0]
+    u = rng.randrange(den)
+    acc = 0
+    for outcome, w in dist:
+        acc += w * den
+        if u < acc:
+            return outcome
+    raise AssertionError("weights sum to less than 1")
+
+
+def oracle_block_image(rng: random.Random, block_of, law_terms, within) -> Image:
+    """One image of a block coupling, drawn state by state through a
+    lookup per state: a block permutation first (law_terms is a list of
+    (permutation, weight), or None for the uniform law, drawn by shuffling
+    the block indices), then each state i's image from within[i], a dict
+    from target block to a list of (state, weight), at the block the
+    permutation sends i's block to."""
+    if law_terms is None:
+        perm = list(range(max(block_of) + 1))
+        rng.shuffle(perm)
+    else:
+        perm = _oracle_draw(rng, law_terms)
+    return tuple(_oracle_draw(rng, within[i][perm[r]]) for i, r in enumerate(block_of))

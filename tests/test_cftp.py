@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import pytest
@@ -26,6 +26,7 @@ from coalesce import (
     total_variation,
     uniform_divisor_coupling,
 )
+from coalesce.cftp import DEFAULT_T_MAX, _record, _sample, chi_square_tail
 
 
 def test_reproducible_runs(ex10):
@@ -52,17 +53,19 @@ class CountingStream(RngStream):
         return super().substream(index)
 
 
-class CountingCoupling:
-    """A coupling that counts the images drawn from it."""
+def counting_coupling(mu):
+    """A copy of the coupling mu that counts the images drawn from it in
+    its images attribute. It is an instance of mu's own class, so the
+    samplers' never-coalesces proof reads its structure as usual."""
 
-    def __init__(self, mu):
-        self.mu = mu
-        self.n = mu.n
-        self.images = 0
+    class CountingCoupling(type(mu)):
+        images = 0
 
-    def sample_image(self, rng):
-        self.images += 1
-        return self.mu.sample_image(rng)
+        def sample_image(self, rng):
+            type(self).images += 1
+            return super().sample_image(rng)
+
+    return CountingCoupling(*(getattr(mu, f.name) for f in fields(mu)))
 
 
 def test_backward_record_agrees_with_sample(ex10):
@@ -71,7 +74,7 @@ def test_backward_record_agrees_with_sample(ex10):
         rec = backward_record(mu, RngStream(11).fork(i), collect_trace=True)
         assert rec.coalesced
         stream = CountingStream(11, (i,))  # the layout of RngStream(11).fork(i)
-        counting = CountingCoupling(mu)
+        counting = counting_coupling(mu)
         assert rec.state == cftp_sample(counting, stream, short_circuit=False)
         # one generator per sample, seeded once, and a sample costs exactly
         # its coalescence time in draws
@@ -81,6 +84,41 @@ def test_backward_record_agrees_with_sample(ex10):
         assert all(x >= y for x, y in zip(rec.trace, rec.trace[1:]))
         assert rec.trace[-1] == 1
         assert rec.time == len(rec.trace)
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_sample_counts_reads_one_generator_in_turn(ex10, lazy):
+    # one substream per run, seeded once; the samples are consecutive
+    # _sample calls on it, and the run draws exactly the sum of their
+    # coalescence times in images
+    mu = doeblin_coupling(ex10, lazy=lazy)
+    counting = counting_coupling(mu)
+    stream = CountingStream(31)
+    counts, failures = sample_counts(counting, stream, 200)
+    assert stream.drawn == [0]
+    rng = RngStream(31).substream(0)
+    assert (counts, failures) == (Counter(_sample(mu, rng, DEFAULT_T_MAX) for _ in range(200)), 0)
+    rng = RngStream(31).substream(0)
+    times = [_record(mu, rng, DEFAULT_T_MAX, False, "backward").time for _ in range(200)]
+    assert counting.images == sum(times)
+    # consecutive samples start on fresh draws, so their times vary
+    assert len(set(times)) > 1
+
+
+def test_equidistribution_report_reads_one_generator_in_turn(ex10):
+    mu = doeblin_coupling(ex10, lazy=True)
+    counting = counting_coupling(mu)
+    stream = CountingStream(32)
+    rep = equidistribution_report(counting, stream, runs=150)
+    assert stream.drawn == [0]
+    assert counting.images == sum(t * c for t, c in rep.backward + rep.forward)
+    # backward and forward records alternate on the run's one generator
+    rng = RngStream(32).substream(0)
+    back, fwd = Counter(), Counter()
+    for _ in range(150):
+        back[_record(mu, rng, DEFAULT_T_MAX, False, "backward").time] += 1
+        fwd[_record(mu, rng, DEFAULT_T_MAX, False, "forward").time] += 1
+    assert (rep.backward, rep.forward) == (tuple(sorted(back.items())), tuple(sorted(fwd.items())))
 
 
 def test_deeper_horizons_extend_the_past_never_resample_it(ex10):
@@ -194,6 +232,20 @@ def test_chi_square_sane(ex10):
     p = chi_square_pvalue(counts, invariant_distribution(ex10))
     assert 0 <= p <= 1
     assert p > 0.001
+
+
+def test_chi_square_tail_pinned_points():
+    # nu = 2: the tail is e^(-x/2), so 1/20 at x = 2 ln 20
+    assert chi_square_tail(2 * math.log(20), 2) == pytest.approx(1 / 20, rel=1e-14)
+    # nu = 4: e^(-x/2) (1 + x/2)
+    assert chi_square_tail(2.0, 4) == pytest.approx(2 / math.e, rel=1e-14)
+    # nu = 1: P(|Z| > 1) for a standard normal Z
+    assert chi_square_tail(1.0, 1) == pytest.approx(math.erfc(1 / math.sqrt(2)), rel=1e-14)
+    # nu = 3: P(|Z| > 1) + 2 phi(1)
+    three = math.erfc(1 / math.sqrt(2)) + 2 * math.exp(-0.5) / math.sqrt(2 * math.pi)
+    assert chi_square_tail(1.0, 3) == pytest.approx(three, rel=1e-14)
+    assert chi_square_tail(0.0, 1) == chi_square_tail(0.0, 6) == 1.0
+    assert chi_square_pvalue(Counter({0: 50, 1: 50}), (Fraction(1, 2), Fraction(1, 2))) == 1.0
 
 
 def test_equidistribution_tolerance_meets_its_false_fail_rate():

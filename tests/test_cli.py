@@ -2,11 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coalesce
 from coalesce import (
     EquidistributionReport,
     doeblin_coupling,
@@ -88,7 +93,7 @@ def test_manifest_records_run(ex10_file):
     m = manifest_of(err)
     assert m["command"][1] == "analyze"
     assert m["seed"] == 5
-    assert m["rng_layout"] == 2
+    assert m["rng_layout"] == 3
     assert m["exit_code"] == 0
     assert m["wall_clock_seconds"] >= 0
     with open(ex10_file, "rb") as fh:
@@ -434,3 +439,17 @@ def test_seed_autogenerated(ex10_file):
     m = manifest_of(err)
     assert isinstance(m["seed"], int)
     assert 0 <= m["seed"] < 2**32
+
+
+def test_python_m_coalesce_runs_the_cli():
+    src = str(Path(coalesce.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coalesce", "--help"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: coalesce" in proc.stdout

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from coalesce import (
     BlockCoupling,
     CouplingFormatError,
@@ -332,3 +333,34 @@ def test_one_outcome_draw_leaves_generator_untouched():
     # two outcomes do draw
     _pick(rng, _sampling_table([("a", H), ("b", H)]))
     assert rng.getstate() != before
+
+
+def _random_weights(rng, count):
+    raw = [rng.randint(1, 4) for _ in range(count)]
+    return [Fraction(w, sum(raw)) for w in raw]
+
+
+def test_block_draws_match_the_per_state_lookup_oracle():
+    # the compiled rows draw the same images as a lookup per state, and
+    # leave the generator in the same state, under both law kinds
+    rng = random.Random(83)
+    for c in range(300):
+        n = 1 + c % 6
+        uniform = c % 2 == 0
+        blocks, perms, within = oracles.random_block_structure(rng, n, uniform)
+        law_terms = None if perms is None else list(zip(perms, _random_weights(rng, len(perms))))
+        dists = [
+            {s: list(zip(js, _random_weights(rng, len(js)))) for s, js in entry.items()}
+            for entry in within
+        ]
+        mu = BlockCoupling(
+            Partition.from_blocks(blocks),
+            UniformPermLaw(len(blocks)) if uniform else ExplicitPermLaw(tuple(law_terms)),
+            tuple(tuple(sorted((s, tuple(d)) for s, d in entry.items())) for entry in dists),
+        )
+        block_of = mu.partition.block_of()
+        seed = rng.getrandbits(32)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert mu.sample_image(ours) == oracles.oracle_block_image(theirs, block_of, law_terms, dists)
+        assert ours.getstate() == theirs.getstate()
