@@ -33,14 +33,11 @@ forward records alternate on one generator: each record's time is a
 stopping time of the draws it reads.
 
 The way draws are read from the seed is the RNG layout, recorded as
-rng_layout in the CLI run manifest. Layout 3 (RNG_LAYOUT, current) seeds
-one generator per run, from the run stream's substream(0): sample_counts
-and equidistribution_report read all their samples and records from it in
+rng_layout in the CLI run manifest. Layout 3 (RNG_LAYOUT) seeds one
+generator per run, from the run stream's substream(0): sample_counts and
+equidistribution_report read all their samples and records from it in
 turn, and cftp_sample, the records and the diagram read one from the
-substream(0) of the stream they are given. Layout 2 seeded one generator
-per sample, from the run stream forked at the sample's index; seeding cost
-more than the draws of a sample. Layout 1 seeded a fresh generator for
-every depth t from substream(t).
+substream(0) of the stream they are given.
 
 Some couplings can never coalesce: some pair of states is merged by no
 composition of support functions. provably_never_coalesces finds such a
@@ -76,9 +73,7 @@ class RngStream:
     fork(i) descends to an independent child stream; substream(t) yields a
     fresh random.Random whose seed is a keyed hash of the full path, so the
     generator for a given position never depends on how much of the tree has
-    been visited. In layout 3 a run takes one generator, its stream's
-    substream(0), and reads every sample from it; layout 2 took the
-    substream(0) of a fork per sample, layout 1 a substream(t) per depth t.
+    been visited.
     """
 
     seed: int
@@ -374,23 +369,24 @@ def chi_square_tail(x: float, nu: int) -> float:
 
     With h = x/2 the tail is the regularized upper gamma function Q(nu/2, h),
     and Q(a + 1, h) = Q(a, h) + h^a e^-h / Gamma(a + 1). From Q(1, h) = e^-h
-    that gives the Poisson sum e^-h (1 + h + ... + h^(m-1)/(m-1)!) for
-    nu = 2m; from Q(1/2, h) = erfc(sqrt h) it gives erfc(sqrt h) plus the
-    terms h^(i-1/2) e^-h / Gamma(i + 1/2), i = 1..m, for nu = 2m + 1.
+    that gives the Poisson sum of h^k e^-h / k!, k = 0..m-1, for nu = 2m;
+    from Q(1/2, h) = erfc(sqrt h) it gives erfc(sqrt h) plus the terms
+    h^(i-1/2) e^-h / Gamma(i + 1/2), i = 1..m, for nu = 2m + 1. Each term is
+    taken in log space, so e^-h underflowing at large x does not zero the
+    sum when nu is large too.
     """
+    if x <= 0:
+        return 1.0
     h = x / 2
+    log_h = math.log(h)
     if nu % 2 == 0:
-        term = tail = math.exp(-h)
-        for i in range(1, nu // 2):
-            term *= h / i
-            tail += term
-        return tail
-    tail = math.erfc(math.sqrt(h))
-    term = 2 * math.sqrt(h / math.pi) * math.exp(-h)  # i = 1: Gamma(3/2) = sqrt(pi)/2
-    for i in range(1, nu // 2 + 1):
-        tail += term
-        term *= h / (i + 0.5)
-    return tail
+        return math.fsum(
+            math.exp(k * log_h - h - math.lgamma(k + 1)) for k in range(nu // 2)
+        )
+    return math.erfc(math.sqrt(h)) + math.fsum(
+        math.exp((i - 0.5) * log_h - h - math.lgamma(i + 0.5))
+        for i in range(1, nu // 2 + 1)
+    )
 
 
 def chi_square_pvalue(counts, dist) -> float:

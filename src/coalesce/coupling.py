@@ -391,15 +391,11 @@ class BlockCoupling:
         return _sampling_table([(self._row(perm), w) for perm, w in self.law.terms])
 
     def sample_image(self, rng) -> tuple[int, ...]:
-        """Draw a block permutation, then each state's image from its row,
-        consuming rng exactly as _pick on each table in turn would."""
+        """Draw a block permutation, then each state's image from its table
+        in that permutation's row."""
         law_rows = self._law_rows
         row = self._row(self.law.sample(rng)) if law_rows is None else _pick(rng, law_rows)
-        randrange = rng.randrange
-        return tuple([
-            payloads[0] if den == 1 else payloads[bisect_right(cum, randrange(den))]
-            for den, cum, payloads in row
-        ])
+        return tuple([_pick(rng, table) for table in row])
 
 
 GrandCoupling = ExplicitCoupling | BlockCoupling

@@ -245,6 +245,10 @@ def test_chi_square_tail_pinned_points():
     three = math.erfc(1 / math.sqrt(2)) + 2 * math.exp(-0.5) / math.sqrt(2 * math.pi)
     assert chi_square_tail(1.0, 3) == pytest.approx(three, rel=1e-14)
     assert chi_square_tail(0.0, 1) == chi_square_tail(0.0, 6) == 1.0
+    # large nu at a typical statistic, where e^(-x/2) alone underflows to 0;
+    # reference values from scipy.stats.chi2.sf
+    assert chi_square_tail(2000.0, 2000) == pytest.approx(0.4957947558197845, rel=1e-9)
+    assert chi_square_tail(2001.0, 2001) == pytest.approx(0.4957958067483724, rel=1e-9)
     assert chi_square_pvalue(Counter({0: 50, 1: 50}), (Fraction(1, 2), Fraction(1, 2))) == 1.0
 
 

@@ -341,8 +341,8 @@ def _random_weights(rng, count):
 
 
 def test_block_draws_match_the_per_state_lookup_oracle():
-    # the compiled rows draw the same images as a lookup per state, and
-    # leave the generator in the same state, under both law kinds
+    # sample_image draws the same images as the oracle's lookup per state,
+    # and leaves the generator in the same state, under both law kinds
     rng = random.Random(83)
     for c in range(300):
         n = 1 + c % 6
