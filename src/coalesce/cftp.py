@@ -37,7 +37,10 @@ rng_layout in the CLI run manifest. Layout 3 (RNG_LAYOUT) seeds one
 generator per run, from the run stream's substream(0): sample_counts and
 equidistribution_report read all their samples and records from it in
 turn, and cftp_sample, the records and the diagram read one from the
-substream(0) of the stream they are given.
+substream(0) of the stream they are given. Within an image, each draw from
+a finite law (coupling._pick) reads k-bit words from the generator,
+k = den.bit_length() for the law's common denominator den, until one is
+below den, as random.randrange(den) would.
 
 Some couplings can never coalesce: some pair of states is merged by no
 composition of support functions. provably_never_coalesces finds such a
@@ -116,27 +119,37 @@ class CoalescenceRecord:
         return not isinstance(self.time, DidNotCoalesce)
 
 
-def _is_constant(images: tuple[int, ...]) -> bool:
-    return images.count(images[0]) == len(images)
-
-
-def _walk(mu: GrandCoupling, rng: random.Random, t_max: int, backward: bool):
-    """The composite after each draw t = 1..t_max, as an image tuple.
+def _walk(
+    mu: GrandCoupling,
+    rng: random.Random,
+    t_max: int,
+    backward: bool,
+    seen: list | None = None,
+) -> tuple[int, int] | None:
+    """Compose draws t = 1..t_max until the composite is a constant map;
+    returns (t, value) at the first constant one, None if none is.
 
     Draw t is the next mu.sample_image on rng, which the caller seeded; a
-    walk reads exactly as many draws as its caller reads composites, so the
-    next walk on the same rng starts on fresh draws (see the module
-    docstring). backward applies each new draw first (F_1 o ... o F_t),
-    forward applies it last (F_t o ... o F_1).
+    walk reads exactly t draws, so the next walk on the same rng starts on
+    fresh draws (see the module docstring). backward applies each new draw
+    first (F_1 o ... o F_t), forward applies it last (F_t o ... o F_1).
+    A composite is a list whose entry x is the image of state x; given a
+    list seen, the walk appends every composite to it.
     """
-    composite = tuple(range(mu.n))
-    for _ in range(t_max):
+    n = mu.n
+    composite = list(range(n))
+    for t in range(1, t_max + 1):
         img = mu.sample_image(rng)
         if backward:
-            composite = tuple([composite[v] for v in img])
+            composite = [composite[v] for v in img]
         else:
-            composite = tuple([img[v] for v in composite])
-        yield composite
+            composite = [img[v] for v in composite]
+        if seen is not None:
+            seen.append(composite)
+        value = composite[0]
+        if composite.count(value) == n:
+            return t, value
+    return None
 
 
 def provably_never_coalesces(mu: GrandCoupling) -> bool:
@@ -157,10 +170,8 @@ def provably_never_coalesces(mu: GrandCoupling) -> bool:
 def _sample(mu: GrandCoupling, rng: random.Random, t_max: int) -> int | DidNotCoalesce:
     """The value of the backward composite the first time it is constant,
     reading draws from rng; DidNotCoalesce after t_max draws."""
-    for composite in _walk(mu, rng, t_max, backward=True):
-        if _is_constant(composite):
-            return composite[0]
-    return DidNotCoalesce(t_max)
+    hit = _walk(mu, rng, t_max, backward=True)
+    return DidNotCoalesce(t_max) if hit is None else hit[1]
 
 
 def cftp_sample(
@@ -195,18 +206,12 @@ def _record(
     """First constancy time of the one-step composition chain in the given
     direction, reading draws from rng: "backward" applies each new draw
     first, "forward" last."""
-    trace: list[int] | None = [] if collect_trace else None
-    walk = _walk(mu, rng, t_max, backward=direction == "backward")
-    for t, composite in enumerate(walk, 1):
-        if trace is not None:
-            trace.append(len(set(composite)))
-        if _is_constant(composite):
-            return CoalescenceRecord(
-                t, composite[0], direction, tuple(trace) if trace else None
-            )
-    return CoalescenceRecord(
-        DidNotCoalesce(t_max), None, direction, tuple(trace) if trace else None
-    )
+    seen: list | None = [] if collect_trace else None
+    hit = _walk(mu, rng, t_max, direction == "backward", seen)
+    trace = tuple(len(set(c)) for c in seen) if seen else None
+    if hit is None:
+        return CoalescenceRecord(DidNotCoalesce(t_max), None, direction, trace)
+    return CoalescenceRecord(hit[0], hit[1], direction, trace)
 
 
 def backward_record(

@@ -425,7 +425,7 @@ def _cmd_kset(args, run: _Run) -> int:
 
 def _cmd_sample(args, run: _Run) -> int:
     _require_format(args, "text", "json", "tsv")
-    P = _load_matrix(run, args.matrix)
+    P = _load_irreducible(run, args.matrix)
     if args.coupling is not None:
         mu = _load_coupling(run, args.coupling)
         if mu.n != P.n:

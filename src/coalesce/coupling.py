@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -56,26 +55,52 @@ DEFAULT_SUPPORT_CAP = 10**6
 
 
 def _sampling_table(pairs):
-    """Cumulative integer thresholds for exact inverse-CDF sampling.
+    """An exact inverse-CDF sampling table with a guide (Chen and Asau's
+    indexed search).
 
     pairs is a sequence of (payload, Fraction weight) with weights summing to
-    one; returns (denominator, cumulative thresholds, payloads).
+    one. Returns (den, k, shift, guide, cum, payloads): den is the common
+    denominator, k = den.bit_length(), cum the cumulative integer thresholds,
+    and guide[b] the index of the first threshold above b << shift, where
+    shift is the least for which the guide has at most 4 * len(payloads)
+    entries, whatever den is.
     """
     weights = [w for _, w in pairs]
     den = lcm(*(w.denominator for w in weights))
-    cum = []
-    acc = 0
-    for w in weights:
-        acc += int(w * den)
-        cum.append(acc)
-    return den, cum, [p for p, _ in pairs]
+    cum = list(itertools.accumulate(int(w * den) for w in weights))
+    shift = 0
+    while (den - 1) >> shift >= 4 * len(cum):
+        shift += 1
+    guide = []
+    i = 0
+    for b in range(((den - 1) >> shift) + 1):
+        while cum[i] <= b << shift:
+            i += 1
+        guide.append(i)
+    return den, den.bit_length(), shift, guide, cum, [p for p, _ in pairs]
 
 
 def _pick(rng, table):
-    den, cum, payloads = table
-    if den == 1:  # one outcome: draw nothing
+    """One payload of a _sampling_table, drawn exactly.
+
+    The draw rule: read k-bit words, k = den.bit_length(), from
+    rng.getrandbits until one, r, is below den; r is then uniform on
+    [0, den), and the payload is the first whose threshold exceeds r, found
+    by a short search from guide[r >> shift]. This reads the generator word
+    for word as random.randrange(den) does. A table with den == 1 has one
+    outcome and draws nothing.
+    """
+    den, k, shift, guide, cum, payloads = table
+    if den == 1:
         return payloads[0]
-    return payloads[bisect_right(cum, rng.randrange(den))]
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= den:
+        r = getrandbits(k)
+    i = guide[r >> shift]
+    while cum[i] <= r:
+        i += 1
+    return payloads[i]
 
 
 @dataclass(frozen=True)

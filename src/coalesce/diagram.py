@@ -7,7 +7,7 @@ visible as identical row suffixes (text) or shared nodes (DOT).
 """
 from __future__ import annotations
 
-from .cftp import RngStream, _is_constant, _walk
+from .cftp import RngStream, _walk
 from .coupling import GrandCoupling
 from .errors import TooManyStates
 
@@ -22,14 +22,9 @@ def _simulate(mu: GrandCoupling, stream: RngStream, t_max: int):
     once all trajectories occupy one state; returns (rows, coalesced_at or
     None).
     """
-    columns = [tuple(range(mu.n))]
-    coalesced_at = None
-    for composite in _walk(mu, stream.substream(0), t_max, backward=False):
-        columns.append(composite)
-        if _is_constant(composite):
-            coalesced_at = len(columns) - 1
-            break
-    return list(zip(*columns)), coalesced_at
+    columns = [list(range(mu.n))]
+    hit = _walk(mu, stream.substream(0), t_max, False, columns)
+    return list(zip(*columns)), None if hit is None else hit[0]
 
 
 def emit_trajectory_diagram(

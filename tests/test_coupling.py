@@ -335,6 +335,50 @@ def test_one_outcome_draw_leaves_generator_untouched():
     assert rng.getstate() != before
 
 
+def _law_over(rng, den, count):
+    """count weights (as i, weight pairs) whose common denominator is
+    exactly den: one weight is 1/den. Half the other thresholds crowd into
+    a sliver of [0, den), so that a guide bucket holds several of them."""
+    if den == 1:
+        return [(0, Fraction(1))]
+    cuts = {1}
+    lo = rng.randrange(1, den)
+    hi = min(den, lo + max(2, den // (64 * count)))
+    while len(cuts) < count - 1:
+        cuts.add(rng.randrange(lo, hi) if rng.randrange(2) else rng.randrange(1, den))
+    edges = [0] + sorted(cuts) + [den]
+    return [(i, Fraction(b - a, den)) for i, (a, b) in enumerate(zip(edges, edges[1:]))]
+
+
+def test_exact_draws_read_the_generator_as_randrange():
+    # _pick, bare and through ExplicitCoupling.sample_image, draws what one
+    # randrange(den) per draw gives and leaves the generator in the same
+    # state: at den = 1 (no draw), at powers of two (half of all words
+    # rejected) and at den up to 10^40 (several thresholds to a bucket)
+    rng = random.Random(97)
+    dens = [1, 2, 4, 8, 2**10, 2**64, 3, 6, 10**6 + 3, 10**40]
+    dens += [rng.randrange(2, 10**rng.randint(2, 40)) for _ in range(30)]
+    crowded = 0
+    for den in dens:
+        count = 1 if den == 1 else rng.randint(2, min(den, 81))
+        law = _law_over(rng, den, count)
+        table = _sampling_table(law)
+        den_, k, shift, guide, cum, payloads = table
+        assert (den_, k) == (den, den.bit_length())
+        assert len(guide) <= 4 * count
+        crowded += any(b - a >= 3 for a, b in zip(guide, guide[1:]))
+        images = [tuple((x // 3**i) % 3 for i in range(4)) for x in rng.sample(range(81), count)]
+        mu = ExplicitCoupling.from_pairs((MapFunction(img), w) for img, (_, w) in zip(images, law))
+        mu_law = [(f.image, w) for f, w in mu.terms]
+        seed = rng.getrandbits(32)
+        for ours_draw, oracle_law in ((lambda r: _pick(r, table), law), (mu.sample_image, mu_law)):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(100):
+                assert ours_draw(ours) == oracles._oracle_draw(theirs, oracle_law)
+            assert ours.getstate() == theirs.getstate()
+    assert crowded >= 10
+
+
 def _random_weights(rng, count):
     raw = [rng.randint(1, 4) for _ in range(count)]
     return [Fraction(w, sum(raw)) for w in raw]

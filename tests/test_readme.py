@@ -1,7 +1,12 @@
+import contextlib
+import io
 import re
 from pathlib import Path
 
 import coalesce
+from coalesce.cli import main
+
+from conftest import EX10_TEXT
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +28,32 @@ def test_readme_entry_points_are_exported():
     assert len(names) > 40
     missing = [name for name in names if name not in coalesce.__all__]
     assert missing == []
+
+
+def _session() -> list[tuple[list[str], str]]:
+    """README's example session as (argv, expected stdout) pairs."""
+    lines = README.read_text().splitlines()
+    start = lines.index("```", lines.index("A session:")) + 1
+    end = lines.index("```", start)
+    commands: list[tuple[list[str], str]] = []
+    for line in lines[start:end]:
+        if line.startswith("$ coalesce "):
+            commands.append((line.split()[2:], ""))
+        elif line and commands:
+            argv, out = commands[-1]
+            commands[-1] = (argv, out + line + "\n")
+    return commands
+
+
+def test_readme_session_matches(tmp_path, monkeypatch):
+    # the session's seeded outputs are pinned by the RNG layout: a change to
+    # how draws read the generator fails here, not only in the README
+    (tmp_path / "walk3.txt").write_text(EX10_TEXT)
+    monkeypatch.chdir(tmp_path)
+    session = _session()
+    assert [argv[0] for argv, _ in session] == ["kset", "sample"]
+    for argv, expected in session:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        assert out.getvalue() == expected, argv
