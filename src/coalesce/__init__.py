@@ -57,6 +57,7 @@ from .errors import (
     CouplingFormatError,
     DimensionMismatch,
     EntryOutOfRange,
+    InvalidOption,
     MalformedRational,
     NonSquare,
     NotADivisor,

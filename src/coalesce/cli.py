@@ -49,6 +49,7 @@ from .errors import (
     BudgetExceeded,
     ClosureTooLarge,
     CoalesceError,
+    InvalidOption,
     SupportTooLarge,
 )
 from .feasibility import feasible_weights, is_weakly_feasible
@@ -649,6 +650,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_options(args) -> None:
+    """Raise InvalidOption for a count, cap or tolerance out of its range."""
+    for option, least in (("n_samples", 1), ("runs", 1), ("t_max", 1), ("exact_cap", 0), ("max_closure", 1)):
+        value = getattr(args, option, None)
+        if value is not None and value < least:
+            raise InvalidOption(
+                f"--{option.replace('_', '-')} must be at least {least}, got {value}"
+            )
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and tolerance <= 0:
+        raise InvalidOption(f"--tolerance must be above 0, got {tolerance}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
@@ -657,15 +671,7 @@ def main(argv=None) -> int:
     run = _Run(seed=seed)
     started = time.perf_counter()
     try:
-        for option, least in (("n_samples", 1), ("runs", 1), ("t_max", 1), ("exact_cap", 0), ("max_closure", 1)):
-            value = getattr(args, option, None)
-            if value is not None and value < least:
-                raise ValueError(
-                    f"--{option.replace('_', '-')} must be at least {least}, got {value}"
-                )
-        tolerance = getattr(args, "tolerance", None)
-        if tolerance is not None and tolerance <= 0:
-            raise ValueError(f"--tolerance must be above 0, got {tolerance}")
+        check_options(args)
         code = args.handler(args, run)
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,3 +69,7 @@ class TooManyStates(CoalesceError):
 
 class BudgetExceeded(CoalesceError):
     """Exhaustive enumeration would exceed the configured subset cap."""
+
+
+class InvalidOption(CoalesceError):
+    """A command-line option value lies outside the range it accepts."""

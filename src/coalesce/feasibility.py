@@ -216,6 +216,9 @@ class SupportTester:
             [rows[r][c] for r in self._row_idx] for c in range(len(self.functions))
         ]
         self._b = [b[r] for r in self._row_idx]
+        # rank of the marginal system: no vertex of its polytope has more
+        # positive coordinates
+        self.rank = len(self._b)
 
     def cover_mask(self, idxs) -> int:
         mask = 0

@@ -6,6 +6,22 @@ live inside the finite set of row-compatible functions, K(P) is computable
 by exhaustive enumeration: test each candidate support for exact
 feasibility, and find the coalescence number of each feasible one.
 
+Most supports are decided without a linear program. Let Q be the polytope
+{w >= 0 : A w = b} of couplings of P over the allowed functions, with r the
+rank of A. The weightings carried inside a support S form a face of Q, and
+a point in the relative interior of a face is positive exactly on the union
+of the supports of the face's vertices. So S is exactly feasible iff S is
+the union of the supports of the vertices of Q that lie inside S. A vertex
+support covers every positive cell (each cell has positive mass) and has at
+most r functions (its columns are independent). Supports are searched by
+size, and the pruned up-set only grows, so every vertex support strictly
+inside a decided subset was itself decided earlier, and recorded when the
+simplex found it feasible. Hence:
+
+- if recorded vertex supports lie inside S, S is feasible iff they cover it;
+- if none does and S has more than r functions, S is infeasible;
+- otherwise the simplex decides, and a feasible S is a vertex support.
+
 Enumeration is exponential in the allowed-function count, so a second,
 certificate-based route covers larger instances with one-sided conclusions:
 aperiodicity settles membership of 1, double stochasticity settles n, a
@@ -62,6 +78,16 @@ class KExclusion:
 
 @dataclass(frozen=True)
 class KSetReport:
+    """The outcome of either route to K(P).
+
+    The four counters are filled by the exact route. subsets_enumerated
+    counts every subset considered; cover_skipped those failing the cell
+    cover, pruned those skipped by the prune antichain, and lp_decided the
+    rest, every subset whose feasibility was decided. Only those with no
+    recorded vertex support inside and at most r functions reach the
+    simplex (see the module docstring); the name is kept for the output.
+    """
+
     n: int
     members: tuple[KMember, ...]
     exclusions: tuple[KExclusion, ...]
@@ -171,6 +197,15 @@ def k_set_exact(
     first. Subsets failing the cell-cover precheck are discarded without
     solving; feasible ones contribute their coalescence number.
 
+    Feasibility follows from the vertex supports found so far: a subset is
+    feasible iff the recorded vertex supports inside it cover it. With none
+    inside, a subset with more functions than the rank r of the marginal
+    system is infeasible, and a smaller one goes to the simplex; when
+    feasible it is a vertex support and is recorded. This is exact because
+    subsets come by size, vertex supports always pass the cover check, and
+    the pruned up-set only grows, so no vertex support inside a decided
+    subset was skipped.
+
     With prune=True (safe for the resulting set), a subset is skipped when
     it contains an already-feasible subset T such that every value between
     k(allowed) and k(T) has been achieved: enlarging a support can only move
@@ -197,6 +232,7 @@ def k_set_exact(
     achieved: dict[int, FeasibilityWitness] = {}
     records: list[tuple[Support, int]] = []
     prune_list: list[int] = []  # antichain of subset masks
+    vertex_masks: list[int] = []  # supports of the vertices found so far
     enumerated = lp_decided = cover_skipped = pruned = 0
     bit = [1 << c for c in range(m)]
     stop = False
@@ -215,7 +251,18 @@ def k_set_exact(
                 pruned += 1
                 continue
             lp_decided += 1
-            if not tester.decide(idxs):
+            # feasible iff the vertex supports inside cover it
+            inside = 0
+            for vm in vertex_masks:
+                if vm & mask == vm:
+                    inside |= vm
+            if inside:
+                feasible = inside == mask
+            else:
+                feasible = size <= tester.rank and tester.decide(idxs)
+                if feasible:
+                    vertex_masks.append(mask)
+            if not feasible:
                 continue
             k_s = coalescence_number(
                 [functions[c] for c in idxs], max_closure=max_closure

@@ -20,7 +20,7 @@ from coalesce import (
     serialize_coupling,
     uniform_divisor_coupling,
 )
-from coalesce.cli import build_parser, main
+from coalesce.cli import build_parser, check_options, main
 
 from conftest import EX10_TEXT, EX11_TEXT
 
@@ -351,6 +351,20 @@ def test_exact_cap_below_zero_rejected(ex10_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["exact"] is False and doc["values"] == [1, 3]
+
+
+def test_bad_option_is_a_typed_error(ex10_file):
+    # a bad option is a CoalesceError, not a bare ValueError, with the same
+    # message and exit code as before
+    args = build_parser().parse_args(["kset", ex10_file, "--exact-cap", "-1"])
+    with pytest.raises(coalesce.InvalidOption) as info:
+        check_options(args)
+    assert isinstance(info.value, coalesce.CoalesceError)
+    assert not isinstance(info.value, ValueError)
+    code, out, err = run_cli("kset", ex10_file, "--exact-cap", "-1", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: --exact-cap must be at least 0, got -1"
+    assert manifest_of(err)["exit_code"] == 2
 
 
 def test_kset_budget_on_large_cycle_falls_back(tmp_path):

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from coalesce import kset
+import oracles
+from coalesce import feasibility, kset
 from coalesce import (
     BudgetExceeded,
     StochasticMatrix,
@@ -72,6 +75,61 @@ def test_four_state_pruning_stats(ex11_report):
     assert report.pruned == 58833
     assert report.lp_decided == 4942
     assert len(report.feasible) == 48
+
+
+def test_vertex_rule_matches_oracle():
+    # the supports k_set_exact decides feasible, mostly from the vertex
+    # supports found before them, are exactly the covering subsets the
+    # vertex-enumeration oracle accepts
+    rng = random.Random(81)
+    checked = 0
+    while checked < 60:
+        rows = oracles.random_stochastic_denominators(
+            rng, rng.randint(2, 3), (2, 3, 7, 9, 97)
+        )
+        images = oracles.allowed_images(rows)
+        # matrices with nine functions make the oracle ten times slower
+        if len(images) > 8:
+            continue
+        n = len(rows)
+        cells = {(i, j) for i in range(n) for j in range(n) if rows[i][j] > 0}
+        want = set()
+        for size in range(1, len(images) + 1):
+            for chosen in combinations(images, size):
+                covers = {(i, f[i]) for f in chosen for i in range(n)} == cells
+                if covers and oracles.oracle_exact_feasible(rows, list(chosen)):
+                    want.add(frozenset(chosen))
+        P = StochasticMatrix.from_rows(rows)
+        report = k_set_exact(P, prune=False, collect_feasible=True)
+        assert {frozenset(f.image for f in sup) for sup, _ in report.feasible} == want
+        assert k_set_exact(P).values == report.values
+        checked += 1
+
+
+@pytest.fixture
+def decide_calls(monkeypatch):
+    calls = []
+    decide = feasibility.SupportTester.decide
+
+    def counting(self, idxs):
+        calls.append(idxs)
+        return decide(self, idxs)
+
+    monkeypatch.setattr(feasibility.SupportTester, "decide", counting)
+    return calls
+
+
+def test_simplex_runs_only_on_vertex_candidates(ex10, ex11, decide_calls):
+    # decided subsets (lp_decided) against the ones that reach the simplex
+    for P, kwargs, decided, simplex in (
+        (ex10, {}, 46, 22),
+        (ex10, {"prune": False}, 193, 22),
+        (ex11, {}, 4942, 1840),
+    ):
+        decide_calls.clear()
+        report = k_set_exact(P, **kwargs)
+        assert report.lp_decided == decided
+        assert len(decide_calls) == simplex
 
 
 def test_two_state_walk():
