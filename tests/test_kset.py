@@ -106,8 +106,8 @@ def test_vertex_rule_matches_oracle():
         checked += 1
 
 
-@pytest.fixture
-def decide_calls(monkeypatch):
+def test_simplex_runs_only_on_vertex_candidates(ex10, ex11, monkeypatch):
+    # decided subsets (lp_decided) against the ones that reach the simplex
     calls = []
     decide = feasibility.SupportTester.decide
 
@@ -116,20 +116,15 @@ def decide_calls(monkeypatch):
         return decide(self, idxs)
 
     monkeypatch.setattr(feasibility.SupportTester, "decide", counting)
-    return calls
-
-
-def test_simplex_runs_only_on_vertex_candidates(ex10, ex11, decide_calls):
-    # decided subsets (lp_decided) against the ones that reach the simplex
     for P, kwargs, decided, simplex in (
         (ex10, {}, 46, 22),
         (ex10, {"prune": False}, 193, 22),
         (ex11, {}, 4942, 1840),
     ):
-        decide_calls.clear()
+        calls.clear()
         report = k_set_exact(P, **kwargs)
         assert report.lp_decided == decided
-        assert len(decide_calls) == simplex
+        assert len(calls) == simplex
 
 
 def test_two_state_walk():
