@@ -2,9 +2,19 @@
 
 Greedy peeling: repeatedly pick the lexicographically least perfect matching
 on the positive entries, subtract the smallest matched entry times that
-permutation, and stop when the residual is zero. A Caratheodory reduction
-pass then guarantees at most (n-1)^2 + 1 terms, the dimension bound for the
-polytope of doubly stochastic matrices.
+permutation, and stop when the residual is zero.
+
+Greedy peeling needs at most (n-1)^2 + 1 permutations, whatever matching it
+picks at each step (Johnson, Dulmage & Mendelsohn 1960), the dimension bound
+for the polytope of doubly stochastic matrices. Every residual has equal row
+and column sums, so it has total support: its positive pattern splits into
+strongly connected components. Let T = 1 + sum(p_i - 2 n_i + 1) over the
+components of size n_i >= 2, where p_i counts the positive entries of
+component i. A step that splits a component into m parts zeroes at least m
+of its entries, since those parts were strongly connected; a component of
+size 1 (whose term is 0) is zeroed only by the last step. So each step
+before the last lowers T by at least one while T stays at least 1, and at
+the start T <= 1 + sum (n_i - 1)^2 <= (n-1)^2 + 1.
 """
 from __future__ import annotations
 
@@ -12,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotDoublyStochastic
-from .matrix import StochasticMatrix, is_doubly_stochastic, row_reduce
+from .matrix import StochasticMatrix, is_doubly_stochastic
 from .mapfun import MapFunction
 
 _ZERO = Fraction(0)
@@ -128,52 +138,7 @@ def birkhoff_decomposition(P: StochasticMatrix) -> BirkhoffDecomposition:
         for i in range(n):
             residual[i][match[i]] -= theta
         remaining -= theta
-    terms = _caratheodory_reduce(terms, n)
+    assert len(terms) <= (n - 1) ** 2 + 1
     decomp = BirkhoffDecomposition(n, tuple(terms))
     assert decomp.resum().entries == P.entries
     return decomp
-
-
-def _caratheodory_reduce(
-    terms: list[tuple[MapFunction, Fraction]], n: int
-) -> list[tuple[MapFunction, Fraction]]:
-    """Shrink a decomposition to at most (n-1)^2 + 1 terms.
-
-    While too many terms remain, the permutation matrices are affinely
-    dependent, so a rational null direction can shift weight until one term
-    vanishes without changing the weighted sum.
-    """
-    bound = (n - 1) ** 2 + 1
-    while len(terms) > bound:
-        gamma = _affine_dependency([p for p, _ in terms], n)
-        # Move along -gamma until the first weight with positive gamma hits 0.
-        t = min(w / g for (_, w), g in zip(terms, gamma) if g > 0)
-        new_terms = []
-        for (p, w), g in zip(terms, gamma):
-            nw = w - t * g
-            if nw > 0:
-                new_terms.append((p, nw))
-        terms = new_terms
-    return terms
-
-
-def _affine_dependency(perms: list[MapFunction], n: int) -> list[Fraction]:
-    """A nonzero gamma with sum(gamma) = 0 and sum(gamma_i M_i) = 0."""
-    m = len(perms)
-    # Columns are the vectorised permutation matrices with a trailing 1.
-    rows = n * n + 1
-    A = [[_ZERO] * m for _ in range(rows)]
-    for c, p in enumerate(perms):
-        for i in range(n):
-            A[i * n + p(i)][c] = Fraction(1)
-        A[n * n][c] = Fraction(1)
-    # Row-reduce and read a kernel vector off the first free column.
-    pivots = row_reduce(A, m)
-    free = next(c for c in range(m) if c not in pivots)
-    gamma = [_ZERO] * m
-    gamma[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        gamma[c] = -A[r][free]
-    if any(g > 0 for g in gamma):
-        return gamma
-    return [-g for g in gamma]

@@ -159,11 +159,12 @@ def is_block_measure(mu: GrandCoupling, partition: Partition | None = None) -> b
 
     Two requirements: every support function induces a bijection of blocks,
     and the coalescence number equals the block count l. For a
-    BlockCoupling over the same partition the first is automatic and the
-    state pairs come from its structure, so enormous supports (for example
-    a uniform law over all block permutations) are never enumerated. Any
-    other coupling has its support expanded to check the first, which
-    raises SupportTooLarge past the default support cap.
+    BlockCoupling over the same partition the first is automatic, so
+    enormous supports (for example a uniform law over all block
+    permutations) are never enumerated. Any other coupling has its support
+    expanded to check the first, which raises SupportTooLarge past the
+    default support cap. The state pairs always come from the coupling's
+    one-step image pairs.
 
     The second is decided on state pairs: for a block-permuting support,
     k = l exactly when every pair of states in a common block coalesces.
@@ -178,13 +179,10 @@ def is_block_measure(mu: GrandCoupling, partition: Partition | None = None) -> b
         partition = mu.partition
     if partition.n != mu.n:
         raise DimensionMismatch(f"partition on n={partition.n}, coupling on n={mu.n}")
-    if isinstance(mu, BlockCoupling) and mu.partition == partition:
-        pairs = coalescing_pairs(mu)
-    else:
-        support = expand_support(mu)
-        if any(_block_perm_of(f, partition) is None for f in support):
-            return False
-        pairs = coalescing_pairs(support)
+    foreign = not (isinstance(mu, BlockCoupling) and mu.partition == partition)
+    if foreign and any(_block_perm_of(f, partition) is None for f in expand_support(mu)):
+        return False
+    pairs = coalescing_pairs(mu)
     return all(
         frozenset(p) in pairs
         for blk in partition.blocks

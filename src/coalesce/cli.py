@@ -49,7 +49,10 @@ from .errors import (
     BudgetExceeded,
     ClosureTooLarge,
     CoalesceError,
+    DimensionMismatch,
     InvalidOption,
+    NotationError,
+    NotIrreducible,
     SupportTooLarge,
 )
 from .feasibility import feasible_weights, is_weakly_feasible
@@ -96,7 +99,7 @@ def _load_matrix(run: _Run, path: str) -> StochasticMatrix:
 def _load_irreducible(run: _Run, path: str) -> StochasticMatrix:
     P = _load_matrix(run, path)
     if not is_irreducible(P):
-        raise ValueError("matrix is not irreducible")
+        raise NotIrreducible("matrix is not irreducible")
     return P
 
 
@@ -112,13 +115,13 @@ def _parse_support_arg(run: _Run, value: str) -> Support:
         text = value
     tokens = text.split()
     if not tokens:
-        raise ValueError("empty support")
+        raise NotationError("empty support")
     return Support.of(MapFunction.from_notation(tok) for tok in tokens)
 
 
 def _require_format(args, *allowed: str) -> None:
     if args.format not in allowed:
-        raise ValueError(
+        raise InvalidOption(
             f"format {args.format!r} not supported here; use one of {', '.join(allowed)}"
         )
 
@@ -223,7 +226,7 @@ def _cmd_coupling_check(args, run: _Run) -> int:
     mu = _load_coupling(run, args.coupling)
     P = _load_matrix(run, args.matrix)
     if mu.n != P.n:
-        raise ValueError(f"coupling is on {mu.n} states, matrix on {P.n}")
+        raise DimensionMismatch(f"coupling is on {mu.n} states, matrix on {P.n}")
     induced = mu.induced
     mismatches = [
         (i, j, induced.entries[i][j], P.entries[i][j])
@@ -332,7 +335,7 @@ def _cmd_blocks(args, run: _Run) -> int:
     P = _load_matrix(run, args.matrix)
     partition = Partition.parse(args.partition)
     if partition.n != P.n:
-        raise ValueError(f"partition covers {partition.n} states, matrix has {P.n}")
+        raise DimensionMismatch(f"partition covers {partition.n} states, matrix has {P.n}")
     lumped = check_lumpability(P, partition)
     if not lumped:
         if args.format == "json":
@@ -360,10 +363,7 @@ def _cmd_blocks(args, run: _Run) -> int:
             print(f"detail: {exc}")
         return 1
     verified = is_block_measure(mu, partition)
-    law_terms = [
-        (MapFunction(perm).to_notation(), mu.law.weight_of(perm))
-        for perm in mu.law.iter_support()
-    ]
+    law_terms = [(MapFunction(perm).to_notation(), w) for perm, w in mu.law.terms]
     if args.format == "json":
         payload = {
             "lumpable": True,
@@ -430,7 +430,7 @@ def _cmd_sample(args, run: _Run) -> int:
     if args.coupling is not None:
         mu = _load_coupling(run, args.coupling)
         if mu.n != P.n:
-            raise ValueError(f"coupling is on {mu.n} states, matrix on {P.n}")
+            raise DimensionMismatch(f"coupling is on {mu.n} states, matrix on {P.n}")
         if mu.induced.entries != P.entries:
             raise ValueError("the coupling does not resum to the matrix")
     else:
@@ -516,7 +516,7 @@ def _cmd_examples(args, run: _Run) -> int:
     for item in args.override or []:
         example_id, sep, path = item.partition("=")
         if not sep or not path:
-            raise ValueError(f"--override wants id=path, got {item!r}")
+            raise InvalidOption(f"--override wants id=path, got {item!r}")
         overrides[example_id] = _load_matrix(run, path)
     only = None
     if args.only:

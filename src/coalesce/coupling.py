@@ -13,6 +13,11 @@ a uniform law over all l! block permutations), while still allowing exact
 marginal computations, exact sampling, and the one-step image pairs
 (image_pairs) that decide which state pairs ever merge.
 
+Both forms hand over their support the same way: support() builds the set of
+support maps, support_size(cap) counts them (stopping early past cap) and
+iter_terms() yields (map, weight) pairs. Both block laws list their
+(permutation, weight) pairs as terms, lazily for the uniform law.
+
 JSON schema (states, blocks and map notation are 1-based):
 
     {"n": 4, "functions": [{"map": "3434", "weight": "1/4"}, ...]}
@@ -34,7 +39,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .birkhoff import birkhoff_decomposition
 from .errors import (
@@ -140,7 +145,8 @@ class ExplicitCoupling:
     def support(self) -> Support:
         return Support.of(f for f, _ in self.terms)
 
-    def support_size(self) -> int:
+    def support_size(self, cap: int | None = None) -> int:
+        """Number of support functions; exact whatever the cap."""
         return len(self.terms)
 
     def iter_terms(self):
@@ -205,22 +211,12 @@ class ExplicitPermLaw:
         """Probability that block r is sent to block s."""
         return sum((w for perm, w in self.terms if perm[r] == s), _ZERO)
 
-    def weight_of(self, perm: tuple[int, ...]) -> Fraction:
-        for p, w in self.terms:
-            if p == perm:
-                return w
-        return _ZERO
-
     def support_count(self) -> int:
         return len(self.terms)
 
     def block_pairs(self, r: int, q: int) -> list[tuple[int, int]]:
         """The pairs (perm[r], perm[q]) over the support, each once."""
         return sorted({(perm[r], perm[q]) for perm, _ in self.terms})
-
-    def iter_support(self):
-        for perm, _ in self.terms:
-            yield perm
 
 
 @dataclass(frozen=True)
@@ -240,10 +236,11 @@ class UniformPermLaw:
     def marginal(self, r: int, s: int) -> Fraction:
         return Fraction(1, self.l)
 
-    def weight_of(self, perm: tuple[int, ...]) -> Fraction:
-        if sorted(perm) != list(range(self.l)):
-            return _ZERO
-        return Fraction(1, factorial(self.l))
+    @property
+    def terms(self):
+        """(permutation, weight) over all l! permutations, generated lazily."""
+        w = Fraction(1, factorial(self.l))
+        return ((perm, w) for perm in itertools.permutations(range(self.l)))
 
     def support_count(self) -> int:
         return factorial(self.l)
@@ -252,9 +249,6 @@ class UniformPermLaw:
         """The pairs (perm[r], perm[q]) over all permutations: every pair
         of blocks, equal exactly when r = q."""
         return [(s, t) for s in range(self.l) for t in range(self.l) if (s == t) == (r == q)]
-
-    def iter_support(self):
-        return itertools.permutations(range(self.l))
 
     def sample(self, rng) -> tuple[int, ...]:
         perm = list(range(self.l))
@@ -324,6 +318,10 @@ class BlockCoupling:
         return self.partition.n
 
     @cached_property
+    def _block_of(self) -> tuple[int, ...]:
+        return self.partition.block_of()
+
+    @cached_property
     def _within_maps(self) -> tuple[dict[int, tuple[tuple[int, Fraction], ...]], ...]:
         return tuple({s: dist for s, dist in entry} for entry in self.within)
 
@@ -334,7 +332,7 @@ class BlockCoupling:
     def induced(self) -> StochasticMatrix:
         """mu(f(i) = j) from the block-permutation marginals, never the support."""
         n = self.n
-        block_of = self.partition.block_of()
+        block_of = self._block_of
         out = [[_ZERO] * n for _ in range(n)]
         for i in range(n):
             r = block_of[i]
@@ -344,22 +342,31 @@ class BlockCoupling:
                     out[i][j] += lam * w
         return StochasticMatrix(tuple(tuple(row) for row in out))
 
+    def _dists(self, perm: tuple[int, ...]):
+        """Every state's within-distribution once the block permutation is
+        perm. Distinct block permutations give disjoint sets of maps, since a
+        map's image fixes the block each state lands in."""
+        return [self._within_maps[i][perm[r]] for i, r in enumerate(self._block_of)]
+
     def support_size(self, cap: int | None = None) -> int:
         """Number of support functions; stops early past cap when given."""
         count_pi = self.law.support_count()
         if cap is not None and count_pi > cap:
             return count_pi  # already past cap, each permutation contributes
-        block_of = self.partition.block_of()
         total = 0
-        for perm in self.law.iter_support():
-            prod = 1
-            for i in range(self.n):
-                dist = self.within_dist(i, perm[block_of[i]])
-                prod *= len(dist)
-            total += prod
+        for perm, _ in self.law.terms:
+            total += prod(len(dist) for dist in self._dists(perm))
             if cap is not None and total > cap:
                 return total
         return total
+
+    def support(self) -> Support:
+        """The support functions, built from the structure's images alone."""
+        return Support.of(
+            MapFunction(image)
+            for perm, _ in self.law.terms
+            for image in itertools.product(*([j for j, _ in dist] for dist in self._dists(perm)))
+        )
 
     def image_pairs(self, x: int, y: int) -> list[tuple[int, int]]:
         """(f(x), f(y)) over the support functions f, each pair once, read
@@ -370,7 +377,7 @@ class BlockCoupling:
         and y's blocks to, every target of x in s meets every target of y
         in t.
         """
-        block_of = self.partition.block_of()
+        block_of = self._block_of
         return [
             (a, b)
             for s, t in self.law.block_pairs(block_of[x], block_of[y])
@@ -380,11 +387,8 @@ class BlockCoupling:
 
     def iter_terms(self):
         """Yield (function, weight) over the whole support. May be huge."""
-        block_of = self.partition.block_of()
-        for perm in self.law.iter_support():
-            pw = self.law.weight_of(perm)
-            choices = [self.within_dist(i, perm[block_of[i]]) for i in range(self.n)]
-            for combo in itertools.product(*choices):
+        for perm, pw in self.law.terms:
+            for combo in itertools.product(*self._dists(perm)):
                 img = tuple(j for j, _ in combo)
                 w = pw
                 for _, ww in combo:
@@ -395,9 +399,8 @@ class BlockCoupling:
     def _state_tables(self):
         # per state: its block, and the sampling table of its move into each
         # target block
-        block_of = self.partition.block_of()
         return tuple(
-            (block_of[i], {s: _sampling_table(dist) for s, dist in entry})
+            (self._block_of[i], {s: _sampling_table(dist) for s, dist in entry})
             for i, entry in enumerate(self.within)
         )
 
@@ -435,10 +438,6 @@ def is_consistent(mu: GrandCoupling, P: StochasticMatrix) -> bool:
 
 def _check_support_cap(mu: GrandCoupling, cap: int) -> None:
     """Raise SupportTooLarge when mu has more than cap support functions."""
-    if isinstance(mu, ExplicitCoupling):
-        if mu.support_size() > cap:
-            raise SupportTooLarge(f"{mu.support_size()} functions exceed cap {cap}")
-        return
     size = mu.support_size(cap=cap)
     if size > cap:
         raise SupportTooLarge(f"support of at least {size} functions exceeds cap {cap}")
@@ -450,9 +449,7 @@ def expand_support(mu: GrandCoupling, cap: int = DEFAULT_SUPPORT_CAP) -> Support
     Raises SupportTooLarge when more than cap functions would be produced.
     """
     _check_support_cap(mu, cap)
-    if isinstance(mu, ExplicitCoupling):
-        return mu.support()
-    return Support.of(f for f, _ in mu.iter_terms())
+    return mu.support()
 
 
 def to_explicit(mu: GrandCoupling, cap: int = DEFAULT_SUPPORT_CAP) -> ExplicitCoupling:
@@ -468,34 +465,20 @@ def doeblin_coupling(
 ) -> GrandCoupling:
     """The independent product coupling: each state draws from its own row.
 
-    With lazy=True the result is a BlockCoupling over the single-block
-    partition (identity block permutation, rows as within-distributions),
-    which samples in O(n) regardless of how many functions the product
-    support would contain.
+    Built as a BlockCoupling over the single-block partition (identity
+    block permutation, rows as within-distributions), which samples in O(n)
+    regardless of how many functions the product support would contain.
+    With lazy=True that form is returned; otherwise its terms, subject to
+    cap.
     """
     n = P.n
-    if lazy:
-        law = ExplicitPermLaw((((0,), _ONE),))
-        within = tuple(
-            ((0, tuple((j, P.entries[i][j]) for j in P.row_supports[i])),)
-            for i in range(n)
-        )
-        return BlockCoupling(Partition.single_block(n), law, within)
-    size = 1
-    for sup in P.row_supports:
-        size *= len(sup)
-        if size > cap:
-            raise SupportTooLarge(
-                f"product support of {size}+ functions exceeds cap {cap}; "
-                "pass lazy=True to sample without enumeration"
-            )
-    pairs = []
-    for combo in itertools.product(*P.row_supports):
-        w = _ONE
-        for i, j in enumerate(combo):
-            w *= P.entries[i][j]
-        pairs.append((MapFunction(tuple(combo)), w))
-    return ExplicitCoupling.from_pairs(pairs)
+    law = ExplicitPermLaw((((0,), _ONE),))
+    within = tuple(
+        ((0, tuple((j, P.entries[i][j]) for j in P.row_supports[i])),)
+        for i in range(n)
+    )
+    mu = BlockCoupling(Partition.single_block(n), law, within)
+    return mu if lazy else to_explicit(mu, cap)
 
 
 def permutation_coupling(P: StochasticMatrix) -> ExplicitCoupling:

@@ -115,8 +115,9 @@ def _block_coupling(blocks, perms, within) -> BlockCoupling:
 
 
 def test_structural_pairs_match_expanded_support():
-    # the pair graph a block coupling hands over from its structure, against
-    # its expanded support and, where the closure is small, the brute force
+    # the support and the pair graph a block coupling builds from its
+    # structure, against the brute-force support images, its expanded
+    # support and, where the closure is small, the brute-force pairs
     rng = random.Random(82)
     seen = Counter()
     for c in range(1000):
@@ -127,8 +128,11 @@ def test_structural_pairs_match_expanded_support():
         images = oracles.block_support_images(blocks, perms, within)
         explicit = to_explicit(mu)
         assert [f.image for f, _ in explicit.terms] == images
+        support = expand_support(mu)
+        assert sorted(f.image for f in support) == images
+        assert mu.support_size() == len(images)
         pairs = coalescing_pairs(mu)
-        assert pairs == coalescing_pairs(expand_support(mu))
+        assert pairs == coalescing_pairs(support)
         never = provably_never_coalesces(mu)
         assert never == provably_never_coalesces(explicit)
         block = is_block_measure(mu)

@@ -20,7 +20,7 @@ from coalesce import (
     serialize_coupling,
     uniform_divisor_coupling,
 )
-from coalesce.cli import build_parser, check_options, main
+from coalesce.cli import _Run, build_parser, check_options, main
 
 from conftest import EX10_TEXT, EX11_TEXT
 
@@ -365,6 +365,55 @@ def test_bad_option_is_a_typed_error(ex10_file):
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == "error: --exact-cap must be at least 0, got -1"
     assert manifest_of(err)["exit_code"] == 2
+
+
+# (argv, error class, message): input faults that the command handlers find
+HANDLER_FAULTS = [
+    (["kset", "{reducible}"], "NotIrreducible", "matrix is not irreducible"),
+    (
+        ["coupling-check", "{quarter}", "{ex10}"],
+        "DimensionMismatch",
+        "coupling is on 4 states, matrix on 3",
+    ),
+    (
+        ["sample", "{ex10}", "--coupling", "{quarter}", "--n-samples", "5"],
+        "DimensionMismatch",
+        "coupling is on 4 states, matrix on 3",
+    ),
+    (
+        ["blocks", "{ex10}", "--partition", "1,2|3,4"],
+        "DimensionMismatch",
+        "partition covers 4 states, matrix has 3",
+    ),
+    (
+        ["kset", "{ex10}", "--format", "tsv"],
+        "InvalidOption",
+        "format 'tsv' not supported here; use one of text, json",
+    ),
+    (["examples", "--override", "ex10"], "InvalidOption", "--override wants id=path, got 'ex10'"),
+    (["feasible", "{ex10}", "--support", ""], "NotationError", "empty support"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error, message", HANDLER_FAULTS, ids=[f"{a[0]}-{e}" for a, e, _ in HANDLER_FAULTS]
+)
+def test_handler_faults_are_typed_errors(tmp_path, ex10_file, quarter_file, argv, error, message):
+    # each is a CoalesceError, not a bare ValueError, with the same message
+    # and exit code as before
+    reducible = tmp_path / "red.txt"
+    reducible.write_text("1 0\n1/2 1/2\n")
+    files = {"ex10": ex10_file, "quarter": quarter_file, "reducible": str(reducible)}
+    argv = [a.format(**files) for a in argv] + ["--seed", "1"]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(getattr(coalesce, error)) as info:
+        args.handler(args, _Run(seed=1))
+    assert str(info.value) == message
+    assert isinstance(info.value, coalesce.CoalesceError)
+    assert not isinstance(info.value, ValueError)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: {message}"
 
 
 def test_kset_budget_on_large_cycle_falls_back(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -68,10 +69,46 @@ def test_doeblin_lazy_form(ex10):
     assert isinstance(mu, BlockCoupling)
     assert mu.partition == Partition.single_block(3)
     assert is_consistent(mu, ex10)
-    # same law as the product coupling, reached through one uniform block
-    assert sorted(
-        (f.to_notation(), w) for f, w in to_explicit(mu).iter_terms()
-    ) == sorted((f.to_notation(), w) for f, w in doeblin_coupling(ex10).iter_terms())
+    # both forms carry the product law: weight prod_i P[i][f(i)] on every
+    # allowed map f, computed here from the rows alone
+    rng = random.Random(14)
+    matrices = [ex10.entries] + [oracles.random_stochastic(rng, n) for n in (2, 3, 4, 4)]
+    for rows in matrices:
+        P = StochasticMatrix(tuple(tuple(row) for row in rows))
+        expected = sorted(
+            (image, prod(rows[i][j] for i, j in enumerate(image)))
+            for image in oracles.allowed_images(rows)
+        )
+        lazy = doeblin_coupling(P, lazy=True)
+        for form in (lazy, doeblin_coupling(P)):
+            assert sorted((f.image, w) for f, w in form.iter_terms()) == expected
+            assert form.support_size() == len(expected)
+        assert sorted(f.image for f in expand_support(lazy)) == [i for i, _ in expected]
+
+
+def test_support_cap_boundary(ex10, quarter_coupling):
+    # the cap admits exactly cap support functions, for both forms
+    with pytest.raises(SupportTooLarge):
+        doeblin_coupling(ex10, cap=7)
+    assert doeblin_coupling(ex10, cap=8).support_size() == 8
+    with pytest.raises(SupportTooLarge):
+        expand_support(quarter_coupling, cap=3)
+    assert len(expand_support(quarter_coupling, cap=4)) == 4
+
+
+def test_expand_support_cap_checks_the_permutation_count_first(monkeypatch):
+    # 6! = 720 block permutations, one map each: past cap 719 on the count
+    # of permutations alone, before the law is read or a map is built
+    mu = uniform_divisor_coupling(6, 6)
+
+    def unread(law):
+        raise AssertionError("the law's terms were read past the cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(UniformPermLaw, "terms", property(unread))
+        with pytest.raises(SupportTooLarge, match="720"):
+            expand_support(mu, cap=719)
+    assert len(expand_support(mu, cap=720)) == 720
 
 
 def test_permutation_coupling_of_doubly_stochastic(ex10):
