@@ -73,9 +73,7 @@ from .feasibility import (
     Infeasible,
     SupportTester,
     feasible_weights,
-    is_feasible_support,
     is_weakly_feasible,
-    necessary_support_filter,
 )
 from .kset import (
     KExclusion,
@@ -83,7 +81,6 @@ from .kset import (
     KSetReport,
     allowed_functions,
     can_exclude_second_largest,
-    divisor_members,
     k_set_certificates,
     k_set_exact,
     k_set_report,
@@ -100,7 +97,7 @@ from .matrix import (
     relabel,
 )
 from .rational import format_rational, parse_rational
-from .reference import ExampleRow, ex7_support, example_ids, path_walk, run_all, run_example
+from .reference import ExampleRow, ex7_support, example_ids, path_walk, run_all
 from .semigroup import (
     close,
     coalescence_number,

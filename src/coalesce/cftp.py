@@ -35,18 +35,18 @@ stopping time of the draws it reads.
 The way draws are read from the seed is the RNG layout, recorded as
 rng_layout in the CLI run manifest. Layout 3 (RNG_LAYOUT) seeds one
 generator per run, from the run stream's substream(0): sample_counts and
-equidistribution_report read all their samples and records from it in
-turn, and cftp_sample, the records and the diagram read one from the
-substream(0) of the stream they are given. Within an image, each draw from
-a finite law (coupling._pick) reads k-bit words from the generator,
-k = den.bit_length() for the law's common denominator den, until one is
-below den, as random.randrange(den) would.
+equidistribution_report read all their walks from it in turn, tallying
+each walk's value or time, and cftp_sample, the records and the diagram
+read one walk from the substream(0) of the stream they are given. Within
+an image, each draw from a finite law (coupling._pick) reads k-bit words
+from the generator, k = den.bit_length() for the law's common denominator
+den, until one is below den, as random.randrange(den) would.
 
 Some couplings can never coalesce: some pair of states is merged by no
 composition of support functions. provably_never_coalesces finds such a
 pair on the state-pair graph, which every coupling hands over from its
-structure, and the samplers then report every run as DidNotCoalesce
-without drawing.
+structure, and the samplers then report every run as a failure
+(DidNotCoalesce) without drawing.
 """
 from __future__ import annotations
 
@@ -167,13 +167,6 @@ def provably_never_coalesces(mu: GrandCoupling) -> bool:
     return len(coalescing_pairs(mu)) < mu.n * (mu.n - 1) // 2
 
 
-def _sample(mu: GrandCoupling, rng: random.Random, t_max: int) -> int | DidNotCoalesce:
-    """The value of the backward composite the first time it is constant,
-    reading draws from rng; DidNotCoalesce after t_max draws."""
-    hit = _walk(mu, rng, t_max, backward=True)
-    return DidNotCoalesce(t_max) if hit is None else hit[1]
-
-
 def cftp_sample(
     mu: GrandCoupling,
     stream: RngStream,
@@ -193,7 +186,8 @@ def cftp_sample(
     """
     if short_circuit and provably_never_coalesces(mu):
         return DidNotCoalesce(t_max)
-    return _sample(mu, stream.substream(0), t_max)
+    hit = _walk(mu, stream.substream(0), t_max, backward=True)
+    return DidNotCoalesce(t_max) if hit is None else hit[1]
 
 
 def _record(
@@ -247,22 +241,19 @@ def sample_counts(
     """count independent exact samples; returns (state counts, failures).
 
     Runs provably_never_coalesces once, and reports every sample as a
-    failure without drawing when it holds. Otherwise the samples are read
-    in turn from one generator, stream.substream(0); the module docstring
-    says why they are independent.
+    failure without drawing when it holds. Otherwise each sample is one
+    backward walk, read in turn from one generator, stream.substream(0)
+    (the module docstring says why they are independent), and a walk that
+    does not coalesce within t_max draws is a failure.
     """
     states: Counter = Counter()
     if provably_never_coalesces(mu):
         return states, count
     rng = stream.substream(0)
-    failures = 0
     for _ in range(count):
-        out = _sample(mu, rng, t_max)
-        if isinstance(out, DidNotCoalesce):
-            failures += 1
-        else:
-            states[out] += 1
-    return states, failures
+        hit = _walk(mu, rng, t_max, backward=True)
+        states[None if hit is None else hit[1]] += 1
+    return states, states.pop(None, 0)
 
 
 @dataclass(frozen=True)
@@ -316,38 +307,25 @@ def equidistribution_report(
 ) -> EquidistributionReport:
     """Compare backward and forward coalescence-time laws over many runs.
 
-    Backward and forward records alternate on one generator,
+    Backward and forward walks alternate on one generator,
     stream.substream(0), each reading on from the draws the one before left
-    unread, so all 2 * runs records are independent (module docstring).
+    unread, so all 2 * runs times are independent (module docstring).
     The statistic is the largest absolute gap between the two empirical
     CDFs, failures counting as never-finite.
     A coupling that provably cannot coalesce is reported as all failures
     without walking the horizon, which is surely what each run would do.
     """
-    back: Counter = Counter()
-    fwd: Counter = Counter()
     if provably_never_coalesces(mu):
-        return EquidistributionReport(
-            runs=runs,
-            backward=(),
-            forward=(),
-            backward_failures=runs,
-            forward_failures=runs,
-            max_cdf_gap=Fraction(0),
-        )
-    rng = stream.substream(0)
-    bfail = ffail = 0
-    for _ in range(runs):
-        rec = _record(mu, rng, t_max, False, "backward")
-        if rec.coalesced:
-            back[rec.time] += 1
-        else:
-            bfail += 1
-        rec = _record(mu, rng, t_max, False, "forward")
-        if rec.coalesced:
-            fwd[rec.time] += 1
-        else:
-            ffail += 1
+        back, fwd = Counter({None: runs}), Counter({None: runs})
+    else:
+        back, fwd = Counter(), Counter()
+        rng = stream.substream(0)
+        for _ in range(runs):
+            hit = _walk(mu, rng, t_max, backward=True)
+            back[None if hit is None else hit[0]] += 1
+            hit = _walk(mu, rng, t_max, backward=False)
+            fwd[None if hit is None else hit[0]] += 1
+    bfail, ffail = back.pop(None, 0), fwd.pop(None, 0)
     return EquidistributionReport(
         runs=runs,
         backward=tuple(sorted(back.items())),

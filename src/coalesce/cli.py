@@ -432,7 +432,7 @@ def _cmd_sample(args, run: _Run) -> int:
         if mu.n != P.n:
             raise DimensionMismatch(f"coupling is on {mu.n} states, matrix on {P.n}")
         if mu.induced.entries != P.entries:
-            raise ValueError("the coupling does not resum to the matrix")
+            raise InvalidOption("the coupling does not resum to the matrix")
     else:
         mu = doeblin_coupling(P, lazy=True)
     t_max = args.t_max if args.t_max is not None else DEFAULT_T_MAX
@@ -676,7 +676,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
-    except (CoalesceError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CoalesceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     manifest = {

@@ -307,18 +307,12 @@ def _split_unsupported(P: StochasticMatrix, support: Support):
     return good, bad
 
 
-def necessary_support_filter(P: StochasticMatrix, support: Support) -> Support:
-    """Drop functions that hit a zero cell of P; no coupling can use them."""
-    if support.n != P.n:
-        raise DimensionMismatch(f"support on n={support.n}, matrix on n={P.n}")
-    good, _ = _split_unsupported(P, support)
-    if not good:
-        raise ValueError("no function in the support is compatible with the matrix")
-    return Support.of(f for f, _ in good)
-
-
 def feasible_weights(P: StochasticMatrix, support: Support) -> FeasibilityWitness | Infeasible:
-    """Weights making the support exactly achievable, or the obstruction."""
+    """Weights making the support exactly achievable, or the obstruction.
+
+    The result is truthy exactly when the support is feasible, so
+    bool(feasible_weights(P, S)) is the yes/no question.
+    """
     if support.n != P.n:
         raise DimensionMismatch(f"support on n={support.n}, matrix on n={P.n}")
     good, bad = _split_unsupported(P, support)
@@ -331,17 +325,6 @@ def feasible_weights(P: StochasticMatrix, support: Support) -> FeasibilityWitnes
         )
     tester = SupportTester(P, support)
     return tester.witness(range(len(tester.functions)))
-
-
-def is_feasible_support(P: StochasticMatrix, support: Support) -> bool:
-    """Decision form of feasible_weights, with early exits."""
-    if support.n != P.n:
-        raise DimensionMismatch(f"support on n={support.n}, matrix on n={P.n}")
-    good, bad = _split_unsupported(P, support)
-    if bad:
-        return False
-    tester = SupportTester(P, support)
-    return tester.decide(range(len(tester.functions)))
 
 
 def is_weakly_feasible(P: StochasticMatrix, support: Support) -> bool:

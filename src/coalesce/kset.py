@@ -32,20 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .blocks import (
-    construct_block_measure,
-    is_block_measure,
-    uniform_divisor_coupling,
-)
-from .coupling import (
-    GrandCoupling,
-    doeblin_coupling,
-    is_consistent,
-    permutation_coupling,
-)
+from .blocks import construct_block_measure, is_block_measure
+from .coupling import GrandCoupling, doeblin_coupling, permutation_coupling
 from .errors import BlockConditionsFail, BudgetExceeded
 from .feasibility import FeasibilityWitness, SupportTester
 from .mapfun import MapFunction, Partition, Support
@@ -64,7 +55,7 @@ class KMember:
 
     k: int
     coupling: GrandCoupling
-    how: str  # 'exhaustive' | 'aperiodicity' | 'double-stochasticity' | 'block-partition' | 'divisor'
+    how: str  # 'exhaustive' | 'aperiodicity' | 'double-stochasticity' | 'block-partition'
 
 
 @dataclass(frozen=True)
@@ -153,19 +144,6 @@ def can_exclude_second_largest(P: StochasticMatrix) -> bool:
     )
 
 
-def _single_pair_exclusions(P: StochasticMatrix) -> list[KExclusion]:
-    """The exclusion of k = n-1 when can_exclude_second_largest holds."""
-    if not can_exclude_second_largest(P):
-        return []
-    return [
-        KExclusion(
-            P.n - 1,
-            "single-pair-criterion",
-            "every pair fails the balance required of a lone coalescing pair",
-        )
-    ]
-
-
 def _set_partitions(n: int):
     """All partitions of range(n), by restricted growth strings."""
     codes = [0] * n
@@ -209,9 +187,12 @@ def k_set_exact(
     With prune=True (safe for the resulting set), a subset is skipped when
     it contains an already-feasible subset T such that every value between
     k(allowed) and k(T) has been achieved: enlarging a support can only move
-    k within that interval. Witnesses are kept for the first support
-    achieving each value. With collect_feasible=True every feasible support
-    actually tested is recorded with its k, and no early stop is taken.
+    k within that interval. Those T form an antichain with no filtering: a
+    new one was not pruned, so it contains no earlier one, and subsets come
+    by non-decreasing size, each once, so no earlier one contains it.
+    Witnesses are kept for the first support achieving each value. With
+    collect_feasible=True every feasible support actually tested is
+    recorded with its k, and no early stop is taken.
 
     Raises BudgetExceeded when there are more than cap non-empty subsets,
     before any function is built.
@@ -224,8 +205,8 @@ def k_set_exact(
             "use the certificate route instead"
         )
     allowed = allowed_functions(P)
-    functions = allowed.sorted_functions()
     tester = SupportTester(P, allowed)
+    functions = tester.functions
     n = P.n
     k_floor = coalescence_number(allowed, max_closure=max_closure)
     full_range = set(range(k_floor, n + 1))
@@ -274,8 +255,6 @@ def k_set_exact(
                 assert isinstance(witness, FeasibilityWitness)
                 achieved[k_s] = witness
             if prune and all(v in achieved for v in range(k_floor, k_s + 1)):
-                # no member is inside mask, or it would have been pruned
-                prune_list = [pm for pm in prune_list if pm & mask != mask]
                 prune_list.append(mask)
             if not collect_feasible and set(achieved) == full_range:
                 stop = True
@@ -336,7 +315,14 @@ def k_set_certificates(P: StochasticMatrix) -> KSetReport:
                 "a coupling with no coalescing pair must ride on permutations",
             )
         )
-    exclusions += _single_pair_exclusions(P)
+    if can_exclude_second_largest(P):
+        exclusions.append(
+            KExclusion(
+                n - 1,
+                "single-pair-criterion",
+                "every pair fails the balance required of a lone coalescing pair",
+            )
+        )
     counted = 0
     truncated = False
     for partition in _set_partitions(n):
@@ -377,37 +363,5 @@ def k_set_report(
         return k_set_exact(P, cap=cap, max_closure=max_closure)
     except BudgetExceeded as exc:
         report = k_set_certificates(P)
-        return KSetReport(
-            n=report.n,
-            members=report.members,
-            exclusions=report.exclusions,
-            exact=False,
-            notes=report.notes + (str(exc),),
-        )
+        return replace(report, notes=report.notes + (str(exc),))
 
-
-def divisor_members(n: int) -> KSetReport:
-    """Verified members of K for the uniform chain: every divisor of n.
-
-    Each divisor l gets the consecutive-blocks coupling, rechecked for
-    consistency and for being a block measure (so its coalescence number is
-    the block count). The report is inexact: it asserts nothing about
-    non-divisors except what the balance criterion rules out.
-    """
-    P = StochasticMatrix.uniform(n)
-    members = []
-    for l in range(1, n + 1):
-        if n % l:
-            continue
-        mu = uniform_divisor_coupling(n, l)
-        if not is_consistent(mu, P):
-            raise AssertionError(f"divisor coupling for l={l} lost consistency")
-        if not is_block_measure(mu):
-            raise AssertionError(f"divisor coupling for l={l} is not a block measure")
-        members.append(KMember(l, mu, "divisor"))
-    return KSetReport(
-        n=n,
-        members=tuple(members),
-        exclusions=tuple(_single_pair_exclusions(P)),
-        exact=False,
-    )

@@ -155,12 +155,6 @@ class Partition:
     def size(self) -> int:
         return len(self.blocks)
 
-    def block_index(self, state: int) -> int:
-        for r, b in enumerate(self.blocks):
-            if state in b:
-                return r
-        raise KeyError(state)
-
     def block_of(self) -> tuple[int, ...]:
         """block_of()[i] is the index of the block containing state i."""
         out = [0] * self.n

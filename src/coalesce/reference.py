@@ -295,12 +295,6 @@ def _example(example_id: str, override: StochasticMatrix | None) -> Example:
     return ex
 
 
-def run_example(
-    example_id: str, override_matrix: StochasticMatrix | None = None
-) -> list[ExampleRow]:
-    return _example(example_id, override_matrix).run(override_matrix)
-
-
 def run_all(
     only: Iterable[str] | None = None,
     overrides: dict[str, StochasticMatrix] | None = None,

@@ -26,7 +26,7 @@ from coalesce import (
     total_variation,
     uniform_divisor_coupling,
 )
-from coalesce.cftp import DEFAULT_T_MAX, _record, _sample, chi_square_tail
+from coalesce.cftp import DEFAULT_T_MAX, _record, _walk, chi_square_tail
 
 
 def test_reproducible_runs(ex10):
@@ -89,7 +89,7 @@ def test_backward_record_agrees_with_sample(ex10):
 @pytest.mark.parametrize("lazy", [False, True])
 def test_sample_counts_reads_one_generator_in_turn(ex10, lazy):
     # one substream per run, seeded once; the samples are consecutive
-    # _sample calls on it, and the run draws exactly the sum of their
+    # backward walks on it, and the run draws exactly the sum of their
     # coalescence times in images
     mu = doeblin_coupling(ex10, lazy=lazy)
     counting = counting_coupling(mu)
@@ -97,7 +97,7 @@ def test_sample_counts_reads_one_generator_in_turn(ex10, lazy):
     counts, failures = sample_counts(counting, stream, 200)
     assert stream.drawn == [0]
     rng = RngStream(31).substream(0)
-    assert (counts, failures) == (Counter(_sample(mu, rng, DEFAULT_T_MAX) for _ in range(200)), 0)
+    assert (counts, failures) == (Counter(_walk(mu, rng, DEFAULT_T_MAX, True)[1] for _ in range(200)), 0)
     rng = RngStream(31).substream(0)
     times = [_record(mu, rng, DEFAULT_T_MAX, False, "backward").time for _ in range(200)]
     assert counting.images == sum(times)
@@ -119,6 +119,31 @@ def test_equidistribution_report_reads_one_generator_in_turn(ex10):
         back[_record(mu, rng, DEFAULT_T_MAX, False, "backward").time] += 1
         fwd[_record(mu, rng, DEFAULT_T_MAX, False, "forward").time] += 1
     assert (rep.backward, rep.forward) == (tuple(sorted(back.items())), tuple(sorted(fwd.items())))
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_batch_failures_inside_the_loop(ex10, lazy):
+    # at t_max = 4 about half the walks on the product coupling coalesce:
+    # the batch tallies equal consecutive walks on the run's generator, with
+    # each walk that does not coalesce counted as a failure, never a state
+    # or a time
+    mu = doeblin_coupling(ex10, lazy=lazy)
+    counts, failures = sample_counts(mu, RngStream(41), 200, t_max=4)
+    rng = RngStream(41).substream(0)
+    hits = [_walk(mu, rng, 4, True) for _ in range(200)]
+    assert 0 < failures < 200
+    assert None not in counts
+    assert (counts, failures) == (Counter(h[1] for h in hits if h), hits.count(None))
+    rep = equidistribution_report(mu, RngStream(42), runs=200, t_max=4)
+    rng = RngStream(42).substream(0)
+    walks = [_walk(mu, rng, 4, backward) for _ in range(200) for backward in (True, False)]
+    for got, got_failures, hits in (
+        (rep.backward, rep.backward_failures, walks[::2]),
+        (rep.forward, rep.forward_failures, walks[1::2]),
+    ):
+        assert 0 < got_failures < 200
+        assert got_failures == hits.count(None)
+        assert got == tuple(sorted(Counter(h[0] for h in hits if h).items()))
 
 
 def test_deeper_horizons_extend_the_past_never_resample_it(ex10):

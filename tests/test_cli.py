@@ -381,6 +381,11 @@ HANDLER_FAULTS = [
         "coupling is on 4 states, matrix on 3",
     ),
     (
+        ["sample", "{rotated}", "--coupling", "{doeblin}", "--n-samples", "5"],
+        "InvalidOption",
+        "the coupling does not resum to the matrix",
+    ),
+    (
         ["blocks", "{ex10}", "--partition", "1,2|3,4"],
         "DimensionMismatch",
         "partition covers 4 states, matrix has 3",
@@ -398,12 +403,22 @@ HANDLER_FAULTS = [
 @pytest.mark.parametrize(
     "argv, error, message", HANDLER_FAULTS, ids=[f"{a[0]}-{e}" for a, e, _ in HANDLER_FAULTS]
 )
-def test_handler_faults_are_typed_errors(tmp_path, ex10_file, quarter_file, argv, error, message):
+def test_handler_faults_are_typed_errors(
+    tmp_path, ex10_file, quarter_file, doeblin_file, argv, error, message
+):
     # each is a CoalesceError, not a bare ValueError, with the same message
     # and exit code as before
     reducible = tmp_path / "red.txt"
     reducible.write_text("1 0\n1/2 1/2\n")
-    files = {"ex10": ex10_file, "quarter": quarter_file, "reducible": str(reducible)}
+    rotated = tmp_path / "rotated.txt"
+    rotated.write_text(ROTATED_TEXT)
+    files = {
+        "ex10": ex10_file,
+        "quarter": quarter_file,
+        "doeblin": doeblin_file,
+        "reducible": str(reducible),
+        "rotated": str(rotated),
+    }
     argv = [a.format(**files) for a in argv] + ["--seed", "1"]
     args = build_parser().parse_args(argv)
     with pytest.raises(getattr(coalesce, error)) as info:

@@ -16,10 +16,8 @@ from coalesce import (
     allowed_functions,
     feasible_weights,
     is_consistent,
-    is_feasible_support,
     is_weakly_feasible,
     k_set_exact,
-    necessary_support_filter,
 )
 
 Q = Fraction(1, 4)
@@ -27,6 +25,11 @@ Q = Fraction(1, 4)
 
 def sup(*notations):
     return Support.of(MapFunction.from_notation(s) for s in notations)
+
+
+def decides(P, support):
+    """The exact-support decision that the K(P) loop runs."""
+    return SupportTester(P, support).decide(range(len(support)))
 
 
 def test_quarter_support_weights(ex11, quarter_coupling):
@@ -105,7 +108,7 @@ def test_all_subsets_of_cycle_walk_match_oracle(ex10):
 def test_weak_feasibility(ex10):
     # zero-forced supports still admit a coupling inside the support
     assert is_weakly_feasible(ex10, sup("123", "231", "133"))
-    assert not is_feasible_support(ex10, sup("123", "231", "133"))
+    assert not decides(ex10, sup("123", "231", "133"))
     # contradictory cell equations do not
     assert not is_weakly_feasible(ex10, sup("121", "133", "223"))
     # unsupported functions are dropped before deciding
@@ -137,7 +140,7 @@ def test_random_matrices_match_oracle():
         fs = list(allowed_functions(P))
         for _ in range(8):
             chosen = rng.sample(fs, rng.randint(1, min(5, len(fs))))
-            got = is_feasible_support(P, Support.of(chosen))
+            got = decides(P, Support.of(chosen))
             want = oracles.oracle_exact_feasible(rows, [f.image for f in chosen])
             assert got == want
             weak_got = is_weakly_feasible(P, Support.of(chosen))
@@ -153,16 +156,9 @@ def test_random_four_state_spot_checks(ex11):
     fs = list(allowed_functions(ex11))
     for _ in range(40):
         chosen = rng.sample(fs, rng.randint(1, 5))
-        got = is_feasible_support(ex11, Support.of(chosen))
+        got = decides(ex11, Support.of(chosen))
         want = oracles.oracle_exact_feasible(rows, [f.image for f in chosen])
         assert got == want
-
-
-def test_necessary_support_filter(ex10):
-    filtered = necessary_support_filter(ex10, sup("132", "123", "231"))
-    assert {f.to_notation() for f in filtered} == {"123", "231"}
-    with pytest.raises(ValueError):
-        necessary_support_filter(ex10, sup("132"))
 
 
 def test_witness_support_matches_input(ex11, quarter_coupling):

@@ -12,10 +12,9 @@ from coalesce import (
     allowed_functions,
     can_exclude_second_largest,
     coalescence_number,
-    divisor_members,
     expand_support,
+    feasible_weights,
     is_consistent,
-    is_feasible_support,
     k_set_certificates,
     k_set_exact,
     k_set_report,
@@ -55,7 +54,7 @@ def test_cycle_walk_without_pruning(ex10):
     assert len(report.feasible) == 45
     # every collected support is genuinely feasible and carries its k
     for sup, k in report.feasible:
-        assert is_feasible_support(ex10, sup)
+        assert feasible_weights(ex10, sup)
         assert coalescence_number(sup) == k
 
 
@@ -173,12 +172,14 @@ def test_exclude_second_largest_on_reflecting_walks():
 
 
 def test_divisor_members():
-    report = divisor_members(6)
-    assert sorted(report.values) == [1, 2, 3, 6]
-    assert not report.exact
+    # on the uniform chain the certificates find every divisor of 6 and
+    # rule out 5, the second largest
     U6 = StochasticMatrix.uniform(6)
+    report = k_set_certificates(U6)
+    assert sorted(report.values) == [1, 2, 3, 6]
+    assert [(e.k, e.reason) for e in report.exclusions] == [(5, "single-pair-criterion")]
+    assert not report.exact
     for m in report.members:
-        assert m.how == "divisor"
         assert is_consistent(m.coupling, U6)
 
 

@@ -86,7 +86,6 @@ def test_partition_rejects_repeated_state():
 def test_partition_block_of():
     p = Partition.parse("1,4|2|3")
     assert p.block_of() == (0, 1, 2, 0)
-    assert p.block_index(3) == 0
 
 
 def test_support_dedup_and_order():

@@ -1,6 +1,6 @@
 import pytest
 
-from coalesce import example_ids, parse_matrix, run_all, run_example
+from coalesce import example_ids, parse_matrix, run_all
 
 
 def test_example_ids():
@@ -17,19 +17,19 @@ def test_fast_examples_all_pass():
 def test_override_detects_mismatch():
     # a rotated 3-state walk still has K = {1, 3} but different mixture parts
     rotated = parse_matrix("1/2 0 1/2\n1/2 1/2 0\n0 1/2 1/2\n")
-    rows = run_example("ex10", override_matrix=rotated)
+    rows = run_all(["ex10"], {"ex10": rotated})
     assert any(not r.passed for r in rows)
 
 
 def test_unknown_example_rejected():
-    with pytest.raises(ValueError):
-        run_example("ex99")
+    with pytest.raises(ValueError, match="unknown example id 'ex99'"):
+        run_all(["ex99"])
 
 
 def test_override_on_derived_example_rejected():
     rotated = parse_matrix("0 1\n1 0\n")
-    with pytest.raises(ValueError):
-        run_example("divisors", override_matrix=rotated)
+    with pytest.raises(ValueError, match="does not take a replacement matrix"):
+        run_all(["divisors"], {"divisors": rotated})
 
 
 def test_run_all_rejects_unused_override():
