@@ -63,6 +63,7 @@ from .errors import (
     NotADivisor,
     NotDoublyStochastic,
     NotIrreducible,
+    NotText,
     NotationError,
     RowSumNotOne,
     SupportTooLarge,

@@ -118,18 +118,19 @@ def construct_block_measure(P: StochasticMatrix, partition: Partition) -> BlockC
     block-level matrix; its Birkhoff decomposition is the law on block
     permutations.
 
-    Raises BlockConditionsFail when either requirement fails. Note that the
-    result is always a consistent coupling, but not automatically a block
-    measure: the coalescence number can exceed the block count. Use
-    is_block_measure to check.
+    Raises BlockConditionsFail, carrying the lump result, when either
+    requirement fails. Note that the result is always a consistent coupling,
+    but not automatically a block measure: the coalescence number can exceed
+    the block count. Use is_block_measure to check.
     """
     lumped = check_lumpability(P, partition)
     if not lumped:
-        raise BlockConditionsFail(f"not lumpable: {lumped.describe()}")
+        raise BlockConditionsFail(f"not lumpable: {lumped.describe()}", lumped)
     if not is_doubly_stochastic(lumped):
         raise BlockConditionsFail(
             "the block-level matrix is not doubly stochastic, so no law on "
-            "block permutations has these marginals"
+            "block permutations has these marginals",
+            lumped,
         )
     decomp = birkhoff_decomposition(lumped)
     law = ExplicitPermLaw(tuple((f.image, w) for f, w in decomp.terms))

@@ -7,7 +7,8 @@ and wall-clock time. Stdout carries only the results, in
 the format selected by --format.
 
 Exit codes: 0 success, 1 a check or reproduction failed, 2 bad input,
-3 a configured budget was exceeded.
+3 a configured budget was exceeded, 4 an internal error (a program fault,
+not bad input; stderr gets its traceback, then the manifest).
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import math
 import secrets
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .birkhoff import birkhoff_decomposition
-from .blocks import check_lumpability, construct_block_measure, is_block_measure
+from .blocks import construct_block_measure, is_block_measure
 from .cftp import (
     DEFAULT_T_MAX,
     FALSE_FAIL_RATE,
@@ -46,6 +48,7 @@ from .coupling import (
 )
 from .diagram import emit_trajectory_diagram
 from .errors import (
+    BlockConditionsFail,
     BudgetExceeded,
     ClosureTooLarge,
     CoalesceError,
@@ -53,6 +56,7 @@ from .errors import (
     InvalidOption,
     NotationError,
     NotIrreducible,
+    NotText,
     SupportTooLarge,
 )
 from .feasibility import feasible_weights, is_weakly_feasible
@@ -89,7 +93,10 @@ class _Run:
         self.inputs.append(
             {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
         )
-        return data.decode()
+        try:
+            return data.decode()
+        except UnicodeDecodeError as exc:
+            raise NotText(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_matrix(run: _Run, path: str) -> StochasticMatrix:
@@ -133,6 +140,16 @@ def _float6(x) -> str:
 def _pairs_text(pairs) -> str:
     parts = sorted(tuple(sorted(v + 1 for v in p)) for p in pairs)
     return " ".join("{" + ",".join(map(str, p)) + "}" for p in parts)
+
+
+def _law_matrix(law) -> StochasticMatrix:
+    """The block-level matrix a block-permutation law carries: entry (r, s)
+    is the chance that block r is sent to block s."""
+    rows = [[Fraction(0)] * law.l for _ in range(law.l)]
+    for r, row in enumerate(rows):
+        for w, (s,) in law.image_law((r,)):
+            row[s] += w
+    return StochasticMatrix(tuple(map(tuple, rows)))
 
 
 def _coupling_summary(mu) -> str:
@@ -336,56 +353,35 @@ def _cmd_blocks(args, run: _Run) -> int:
     partition = Partition.parse(args.partition)
     if partition.n != P.n:
         raise DimensionMismatch(f"partition covers {partition.n} states, matrix has {P.n}")
-    lumped = check_lumpability(P, partition)
-    if not lumped:
-        if args.format == "json":
-            print(json.dumps({"lumpable": False, "detail": lumped.describe()}, indent=2))
-        else:
-            print("lumpable: no")
-            print(f"detail: {lumped.describe()}")
-        return 1
     try:
         mu = construct_block_measure(P, partition)
-    except CoalesceError as exc:
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {"lumpable": True, "lumped": [[str(v) for v in r] for r in lumped.entries],
-                     "constructed": False, "detail": str(exc)},
-                    indent=2,
-                )
-            )
-        else:
-            print("lumpable: yes")
-            print("lumped matrix:")
-            print(lumped.to_text(), end="")
-            print("coupling constructed: no")
-            print(f"detail: {exc}")
-        return 1
-    verified = is_block_measure(mu, partition)
-    law_terms = [(MapFunction(perm).to_notation(), w) for perm, w in mu.law.terms]
-    if args.format == "json":
-        payload = {
-            "lumpable": True,
-            "lumped": [[str(v) for v in r] for r in lumped.entries],
-            "law": [[p, str(w)] for p, w in law_terms],
-            "constructed": True,
-            "block_measure": verified,
-            "coupling": json.loads(serialize_coupling(mu)),
-        }
-        print(json.dumps(payload, indent=2))
+    except BlockConditionsFail as exc:
+        mu, lumped, detail = None, exc.lumped, str(exc)
     else:
-        print("lumpable: yes")
-        print("lumped matrix:")
-        print(lumped.to_text(), end="")
-        print(
-            "block permutation law:",
-            ", ".join(f"{p}: {format_rational(w)}" for p, w in law_terms),
-        )
-        print("coupling constructed: yes")
-        print(f"verified block measure: {'yes' if verified else 'no'}")
-        print("coupling:")
-        print(serialize_coupling(mu))
+        lumped = _law_matrix(mu.law)
+    if not lumped:
+        payload = {"lumpable": False, "detail": lumped.describe()}
+        lines = ["lumpable: no", f"detail: {lumped.describe()}"]
+    else:
+        payload = {"lumpable": True, "lumped": [[str(v) for v in r] for r in lumped.entries]}
+        lines = ["lumpable: yes", "lumped matrix:", lumped.to_text().rstrip("\n")]
+    verified = mu is not None and is_block_measure(mu, partition)
+    if mu is not None:
+        law_terms = [(MapFunction(perm).to_notation(), w) for perm, w in mu.law.terms]
+        payload.update(law=[[p, str(w)] for p, w in law_terms], constructed=True,
+                       block_measure=verified, coupling=json.loads(serialize_coupling(mu)))
+        lines += [
+            "block permutation law: "
+            + ", ".join(f"{p}: {format_rational(w)}" for p, w in law_terms),
+            "coupling constructed: yes",
+            f"verified block measure: {'yes' if verified else 'no'}",
+            "coupling:",
+            serialize_coupling(mu),
+        ]
+    elif lumped:
+        payload.update(constructed=False, detail=detail)
+        lines += ["coupling constructed: no", f"detail: {detail}"]
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
     return 0 if verified else 1
 
 
@@ -676,9 +672,13 @@ def main(argv=None) -> int:
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
-    except (CoalesceError, ValueError, OSError) as exc:
+    except (CoalesceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        code = 4
     manifest = {
         "command": ["coalesce"] + argv,
         "inputs": run.inputs,

@@ -10,8 +10,17 @@ P's rows. Two storage forms are supported:
 
 The block form can describe supports far too large to enumerate (for example
 a uniform law over all l! block permutations), while still allowing exact
-marginal computations, exact sampling, and the one-step image pairs
-(image_pairs) that decide which state pairs ever merge.
+marginal computations and exact sampling.
+
+Both forms hand over their structure through one primitive,
+image_law(states): the law of (f(x) for x in states), for distinct states,
+as a finite mixture of product laws, an iterable of (weight, dists) with
+dists[c] the (target, weight) distribution of states[c]. The explicit form
+yields one point mass per term; the block form one component per outcome of
+its law's image_law(blocks), with the states' within-distributions (given
+the block permutation, states move independently). coalescing_pairs reads
+its pairs from the components' supports and induced sums row i from
+image_law((i,)), so neither expands the support.
 
 Both forms hand over their support the same way: support() builds the set of
 support maps, support_size(cap) counts them (stopping early past cap) and
@@ -40,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm, prod
+from operator import itemgetter
 
 from .birkhoff import birkhoff_decomposition
 from .errors import (
@@ -108,8 +118,22 @@ def _pick(rng, table):
     return payloads[i]
 
 
+class _Coupling:
+    """What both coupling forms read from their image_law."""
+
+    @cached_property
+    def induced(self) -> StochasticMatrix:
+        """mu(f(i) = j), row i summed from image_law((i,))."""
+        rows = [[_ZERO] * self.n for _ in range(self.n)]
+        for i, row in enumerate(rows):
+            for w, (dist,) in self.image_law((i,)):
+                for j, v in dist:
+                    row[j] += w * v
+        return StochasticMatrix(tuple(map(tuple, rows)))
+
+
 @dataclass(frozen=True)
-class ExplicitCoupling:
+class ExplicitCoupling(_Coupling):
     """A grand coupling given by explicit (function, weight) terms."""
 
     terms: tuple[tuple[MapFunction, Fraction], ...]
@@ -152,24 +176,10 @@ class ExplicitCoupling:
     def iter_terms(self):
         return iter(self.terms)
 
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        # _columns[x] lists f(x) over the terms
-        return tuple(zip(*(f.image for f, _ in self.terms)))
-
-    def image_pairs(self, x: int, y: int):
-        """(f(x), f(y)) for each support function f, in support order; lazy,
-        so a pair search stops reading at the first map that merges them."""
-        return zip(self._columns[x], self._columns[y])
-
-    @cached_property
-    def induced(self) -> StochasticMatrix:
-        n = self.n
-        out = [[_ZERO] * n for _ in range(n)]
-        for f, w in self.terms:
-            for i in range(n):
-                out[i][f(i)] += w
-        return StochasticMatrix(tuple(tuple(r) for r in out))
+    def image_law(self, states):
+        """One point-mass component per term, in support order; lazy, so a
+        pair search stops reading at the first map that merges a pair."""
+        return ((w, [((f.image[x], _ONE),) for x in states]) for f, w in self.terms)
 
     @cached_property
     def _table(self):
@@ -207,16 +217,13 @@ class ExplicitPermLaw:
     def l(self) -> int:
         return len(self.terms[0][0])
 
-    def marginal(self, r: int, s: int) -> Fraction:
-        """Probability that block r is sent to block s."""
-        return sum((w for perm, w in self.terms if perm[r] == s), _ZERO)
-
     def support_count(self) -> int:
         return len(self.terms)
 
-    def block_pairs(self, r: int, q: int) -> list[tuple[int, int]]:
-        """The pairs (perm[r], perm[q]) over the support, each once."""
-        return sorted({(perm[r], perm[q]) for perm, _ in self.terms})
+    def image_law(self, blocks):
+        """The law of (perm[b] for b in blocks): (weight, targets), one per
+        term."""
+        return ((w, [perm[b] for b in blocks]) for perm, w in self.terms)
 
 
 @dataclass(frozen=True)
@@ -233,9 +240,6 @@ class UniformPermLaw:
         if self.l < 1:
             raise CouplingFormatError("need at least one block")
 
-    def marginal(self, r: int, s: int) -> Fraction:
-        return Fraction(1, self.l)
-
     @property
     def terms(self):
         """(permutation, weight) over all l! permutations, generated lazily."""
@@ -245,10 +249,17 @@ class UniformPermLaw:
     def support_count(self) -> int:
         return factorial(self.l)
 
-    def block_pairs(self, r: int, q: int) -> list[tuple[int, int]]:
-        """The pairs (perm[r], perm[q]) over all permutations: every pair
-        of blocks, equal exactly when r = q."""
-        return [(s, t) for s in range(self.l) for t in range(self.l) if (s == t) == (r == q)]
+    def image_law(self, blocks):
+        """The law of (perm[b] for b in blocks): (weight, targets), one per
+        injection of the d distinct blocks into the l blocks, each of weight
+        (l - d)!/l!, never the l! permutations."""
+        slot = {b: c for c, b in enumerate(dict.fromkeys(blocks))}
+        at = [slot[b] for b in blocks]
+        w = Fraction(factorial(self.l - len(slot)), factorial(self.l))
+        injections = itertools.permutations(range(self.l), len(slot))
+        if len(slot) < len(at):  # a repeated block: read each block's slot
+            injections = map(itemgetter(*at), injections)
+        return zip(itertools.repeat(w), injections)
 
     def sample(self, rng) -> tuple[int, ...]:
         perm = list(range(self.l))
@@ -257,7 +268,7 @@ class UniformPermLaw:
 
 
 @dataclass(frozen=True)
-class BlockCoupling:
+class BlockCoupling(_Coupling):
     """A grand coupling with block structure.
 
     A block permutation Pi is drawn from `law`; conditionally on Pi each
@@ -282,18 +293,16 @@ class BlockCoupling:
         if len(self.within) != n:
             raise CouplingFormatError("within must list one entry per state")
         block_of = self.partition.block_of()
+        reachable = [{t for _, (t,) in self.law.image_law((r,))} for r in range(l)]
         for i, entry in enumerate(self.within):
-            r = block_of[i]
             blocks_here = [s for s, _ in entry]
             if blocks_here != sorted(blocks_here) or len(set(blocks_here)) != len(blocks_here):
                 raise CouplingFormatError("within entries must be sorted by target block")
-            reachable = {
-                s for s in range(l) if self.law.marginal(r, s) > 0
-            }
-            if set(blocks_here) != reachable:
+            allowed = reachable[block_of[i]]
+            if set(blocks_here) != allowed:
                 raise CouplingFormatError(
                     f"state {i + 1}: within blocks {sorted(b + 1 for b in blocks_here)} "
-                    f"do not match reachable blocks {sorted(b + 1 for b in reachable)}"
+                    f"do not match reachable blocks {sorted(b + 1 for b in allowed)}"
                 )
             for s, dist in entry:
                 if not dist:
@@ -325,22 +334,12 @@ class BlockCoupling:
     def _within_maps(self) -> tuple[dict[int, tuple[tuple[int, Fraction], ...]], ...]:
         return tuple({s: dist for s, dist in entry} for entry in self.within)
 
-    def within_dist(self, state: int, target_block: int):
-        return self._within_maps[state].get(target_block)
-
-    @cached_property
-    def induced(self) -> StochasticMatrix:
-        """mu(f(i) = j) from the block-permutation marginals, never the support."""
-        n = self.n
-        block_of = self._block_of
-        out = [[_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            r = block_of[i]
-            for s, dist in self.within[i]:
-                lam = self.law.marginal(r, s)
-                for j, w in dist:
-                    out[i][j] += lam * w
-        return StochasticMatrix(tuple(tuple(row) for row in out))
+    def image_law(self, states):
+        """One component per outcome of the law on the states' blocks, with
+        each state's within-distribution in its target block."""
+        maps = [self._within_maps[x] for x in states]
+        targets_law = self.law.image_law([self._block_of[x] for x in states])
+        return ((w, list(map(dict.__getitem__, maps, targets))) for w, targets in targets_law)
 
     def _dists(self, perm: tuple[int, ...]):
         """Every state's within-distribution once the block permutation is
@@ -367,23 +366,6 @@ class BlockCoupling:
             for perm, _ in self.law.terms
             for image in itertools.product(*([j for j, _ in dist] for dist in self._dists(perm)))
         )
-
-    def image_pairs(self, x: int, y: int) -> list[tuple[int, int]]:
-        """(f(x), f(y)) over the support functions f, each pair once, read
-        from the structure without expanding the support.
-
-        Once the block permutation is fixed, x and y pick their images
-        independently, so for each block pair (s, t) the law can send x's
-        and y's blocks to, every target of x in s meets every target of y
-        in t.
-        """
-        block_of = self._block_of
-        return [
-            (a, b)
-            for s, t in self.law.block_pairs(block_of[x], block_of[y])
-            for a, _ in self.within_dist(x, s)
-            for b, _ in self.within_dist(y, t)
-        ]
 
     def iter_terms(self):
         """Yield (function, weight) over the whole support. May be huge."""

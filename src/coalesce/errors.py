@@ -60,7 +60,12 @@ class NotADivisor(CoalesceError):
 
 
 class BlockConditionsFail(CoalesceError):
-    """Partition is not lumpable or its block matrix is not doubly stochastic."""
+    """Partition is not lumpable or its block matrix is not doubly stochastic;
+    lumped is the NotLumpable certificate or that matrix."""
+
+    def __init__(self, message: str, lumped):
+        self.lumped = lumped
+        super().__init__(message)
 
 
 class TooManyStates(CoalesceError):
@@ -73,3 +78,7 @@ class BudgetExceeded(CoalesceError):
 
 class InvalidOption(CoalesceError):
     """A command-line option value lies outside the range it accepts."""
+
+
+class NotText(CoalesceError):
+    """An input file is not UTF-8 text."""

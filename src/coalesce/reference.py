@@ -28,6 +28,7 @@ from .coupling import (
     is_consistent,
     permutation_coupling,
 )
+from .errors import InvalidOption
 from .feasibility import feasible_weights
 from .kset import can_exclude_second_largest, k_set_exact
 from .mapfun import MapFunction, Partition, Support
@@ -289,9 +290,9 @@ def example_ids() -> list[str]:
 def _example(example_id: str, override: StochasticMatrix | None) -> Example:
     ex = REGISTRY.get(example_id)
     if ex is None:
-        raise ValueError(f"unknown example id {example_id!r}; know {sorted(REGISTRY)}")
+        raise InvalidOption(f"unknown example id {example_id!r}; know {sorted(REGISTRY)}")
     if override is not None and not ex.takes_matrix:
-        raise ValueError(f"example {example_id!r} does not take a replacement matrix")
+        raise InvalidOption(f"example {example_id!r} does not take a replacement matrix")
     return ex
 
 
@@ -304,13 +305,13 @@ def run_all(
     overrides maps example ids to replacement matrices. Every id and every
     override is checked before any example runs: an unknown id, an override
     for an example that is not run, or one for an example that takes no
-    matrix raises ValueError.
+    matrix raises InvalidOption.
     """
     ids = list(only) if only is not None else example_ids()
     overrides = overrides or {}
     for example_id in overrides:
         if example_id not in ids:
-            raise ValueError(f"--override for {example_id!r} which did not run")
+            raise InvalidOption(f"--override for {example_id!r} which did not run")
     examples = [_example(i, overrides.get(i)) for i in ids]
     rows: list[ExampleRow] = []
     for ex in examples:

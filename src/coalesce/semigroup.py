@@ -7,7 +7,7 @@ compositions of support functions. Two walks answer every question here:
 * _merge_steps walks the graph of state pairs (at most n(n-1)/2 nodes),
   recording for each pair that some composition merges the first move of
   a shortest merging word. It reads only the one-step image pairs
-  (f(x), f(y)), so a grand coupling can hand them over from its structure
+  (f(x), f(y)), so a coupling hands them over from image_law((x, y))
   without expanding its support. coalescing_pairs is the set of pairs it
   records. When all pairs merge, merging an image's pairs one at a time
   shrinks it to a point (block by block for a block-permuting support), so
@@ -174,11 +174,16 @@ def coalescing_pairs(support) -> PairSet:
     f of support functions has f(x) = f(y): either a single function merges
     it outright, or one sends it to a pair already known to coalesce.
     support is a set of maps or a grand coupling; a coupling hands over its
-    one-step image pairs from its structure, so a block coupling is never
+    one-step image pairs through image_law, so a block coupling is never
     expanded.
     """
     if isinstance(support, GrandCoupling):
-        step = _merge_steps(support.n, support.image_pairs)
+        # within a component of image_law((x, y)), x and y move independently
+        law = support.image_law
+        step = _merge_steps(
+            support.n,
+            lambda x, y: ((a, b) for _, (dx, dy) in law((x, y)) for a, _ in dx for b, _ in dy),
+        )
     else:
         gens = _generators(support)
         step = _merge_steps(gens[0].n, _map_pairs([g.image for g in gens]))

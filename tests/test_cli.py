@@ -224,6 +224,39 @@ def test_blocks_not_lumpable(ex11_file):
     assert "lumpable: no" in out
 
 
+@pytest.mark.parametrize(
+    "rows, partition, lines",
+    [
+        (
+            EX11_TEXT,
+            "1,3|2,4",
+            ["lumped matrix:", "1/2 1/2", "1/2 1/2", "block permutation law: 12: 1/2, 21: 1/2"],
+        ),
+        (EX11_TEXT, "1,2|3,4", ["lumpable: no"]),
+        ("1/2 1/4 1/4\n1 0 0\n1 0 0\n", "1|2,3", ["1/2 1/2", "1 0", "coupling constructed: no"]),
+    ],
+    ids=["constructed", "not-lumpable", "not-doubly-stochastic"],
+)
+def test_blocks_lumps_once(tmp_path, monkeypatch, rows, partition, lines):
+    # one check_lumpability call per run, whichever way the run ends; on
+    # success the lumped matrix printed is the one the law carries
+    from coalesce import blocks
+
+    calls = []
+    lump = blocks.check_lumpability
+    monkeypatch.setattr(blocks, "check_lumpability", lambda *a: calls.append(a) or lump(*a))
+    p = tmp_path / "P.txt"
+    p.write_text(rows)
+    code, out, _ = run_cli("blocks", str(p), "--partition", partition, "--seed", "1")
+    assert code == 1
+    assert len(calls) == 1
+    start = out.splitlines().index(lines[0])
+    assert out.splitlines()[start:start + len(lines)] == lines
+    code, out, _ = run_cli("blocks", str(p), "--partition", partition, "--format", "json")
+    assert len(calls) == 2
+    assert json.loads(out)["lumpable"] is (partition != "1,2|3,4")
+
+
 def test_birkhoff(ex10_file, tmp_path):
     code, out, _ = run_cli("birkhoff", ex10_file, "--format", "json", "--seed", "1")
     assert code == 0
@@ -429,6 +462,59 @@ def test_handler_faults_are_typed_errors(
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == f"error: {message}"
+
+
+# (argv, message): bad input that the library, not a handler check, finds
+LIBRARY_FAULTS = [
+    (
+        ["examples", "--only", "bogus"],
+        "unknown example id 'bogus'; know ['dichotomy', 'divisors', 'ex10', 'ex11', 'ex7', 'exclusion']",
+    ),
+    (["examples", "--override", "ex7={ex10}"], "example 'ex7' does not take a replacement matrix"),
+    (
+        ["examples", "--only", "ex7", "--override", "ex10={ex10}"],
+        "--override for 'ex10' which did not run",
+    ),
+    (["analyze", "{latin1}"], "{latin1} is not UTF-8 text: invalid start byte at byte 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    LIBRARY_FAULTS,
+    ids=["unknown-example", "override-no-matrix", "override-not-run", "not-utf8"],
+)
+def test_library_faults_are_typed_errors(tmp_path, ex10_file, argv, message):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"\xff 1\n")
+    files = {"ex10": ex10_file, "latin1": str(latin1)}
+    argv = [a.format(**files) for a in argv] + ["--seed", "1"]
+    message = message.format(**files)
+    args = build_parser().parse_args(argv)
+    with pytest.raises(coalesce.CoalesceError) as info:
+        args.handler(args, _Run(seed=1))
+    assert str(info.value) == message
+    assert not isinstance(info.value, ValueError)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: {message}"
+    assert manifest_of(err)["exit_code"] == 2
+
+
+def test_internal_error_exits_4(monkeypatch, ex10_file):
+    # a ValueError is a fault of the program, not bad input: exit 4, and the
+    # manifest is still written
+    from coalesce import cli
+
+    def broken(args, run):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(cli, "_cmd_birkhoff", broken)
+    code, out, err = run_cli("birkhoff", ex10_file, "--seed", "1")
+    assert (code, out) == (4, "")
+    assert err.splitlines()[0] == "error: internal error: ValueError: injected fault"
+    assert "Traceback" in err.splitlines()[1]
+    assert manifest_of(err)["exit_code"] == 4
 
 
 def test_kset_budget_on_large_cycle_falls_back(tmp_path):

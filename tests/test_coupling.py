@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from coalesce import (
     StochasticMatrix,
     SupportTooLarge,
     UniformPermLaw,
+    coalescing_pairs,
     doeblin_coupling,
     expand_support,
     is_consistent,
@@ -154,8 +156,10 @@ def test_block_coupling_explicit_law(ex11):
     # not necessarily consistent with ex11; this just exercises the container
     mu = BlockCoupling(partition=partition, law=law, within=within)
     assert mu.n == 4
-    assert mu.law.support_count() == 2
-    assert mu.within_dist(2, 1) == point[1]
+    # the law's two permutations, read on both blocks, and state 3 (in the
+    # first block) following each of them into the other block's minimum
+    assert [(w, list(t)) for w, t in mu.law.image_law((0, 1))] == [(H, [0, 1]), (H, [1, 0])]
+    assert [(w, list(d)) for w, d in mu.image_law((2,))] == [(H, [point[0]]), (H, [point[1]])]
 
 
 def test_serialize_roundtrip_explicit(quarter_coupling):
@@ -445,3 +449,56 @@ def test_block_draws_match_the_per_state_lookup_oracle():
         for _ in range(20):
             assert mu.sample_image(ours) == oracles.oracle_block_image(theirs, block_of, law_terms, dists)
         assert ours.getstate() == theirs.getstate()
+
+
+def _pushforward(mixture):
+    """The summed law of a (weight, dists) mixture of product laws."""
+    law = {}
+    for w, dists in mixture:
+        for combo in itertools.product(*dists):
+            key = tuple(j for j, _ in combo)
+            law[key] = law.get(key, 0) + w * prod(v for _, v in combo)
+    return law
+
+
+def test_image_law_matches_brute_force():
+    # image_law on random block couplings, in block and explicit form, against
+    # the pushforward of their terms; the pairs and induced it feeds against
+    # the brute-force pairs of the support images and a resum of the terms
+    rng = random.Random(16)
+    oracle_checked = 0
+    for c in range(240):
+        n = 1 + c % 6
+        uniform = c % 2 == 0
+        blocks, perms, within = oracles.random_block_structure(rng, n, uniform)
+        if uniform:
+            law = UniformPermLaw(len(blocks))
+        else:
+            law = ExplicitPermLaw(tuple(zip(perms, _random_weights(rng, len(perms)))))
+        dists = tuple(
+            tuple((s, tuple(zip(js, _random_weights(rng, len(js))))) for s, js in sorted(e.items()))
+            for e in within
+        )
+        block = BlockCoupling(Partition.from_blocks(blocks), law, dists)
+        images = oracles.block_support_images(blocks, perms, within)
+        pairs = None
+        if len(images) <= 64:
+            pairs = oracles.oracle_coalescing_pairs(images)
+            oracle_checked += 1
+        for mu in (block, to_explicit(block)):
+            terms = list(mu.iter_terms())
+            for _ in range(3):
+                states = rng.sample(range(n), rng.randint(1, min(3, n)))
+                expected = {}
+                for f, w in terms:
+                    key = tuple(f.image[x] for x in states)
+                    expected[key] = expected.get(key, 0) + w
+                assert _pushforward(mu.image_law(states)) == expected
+            resum = [[Fraction(0)] * n for _ in range(n)]
+            for f, w in terms:
+                for i in range(n):
+                    resum[i][f.image[i]] += w
+            assert [list(row) for row in mu.induced.entries] == resum
+            if pairs is not None:
+                assert coalescing_pairs(mu) == pairs
+    assert oracle_checked >= 150

@@ -1,6 +1,6 @@
 import pytest
 
-from coalesce import example_ids, parse_matrix, run_all
+from coalesce import InvalidOption, example_ids, parse_matrix, run_all
 
 
 def test_example_ids():
@@ -22,19 +22,19 @@ def test_override_detects_mismatch():
 
 
 def test_unknown_example_rejected():
-    with pytest.raises(ValueError, match="unknown example id 'ex99'"):
+    with pytest.raises(InvalidOption, match="unknown example id 'ex99'"):
         run_all(["ex99"])
 
 
 def test_override_on_derived_example_rejected():
     rotated = parse_matrix("0 1\n1 0\n")
-    with pytest.raises(ValueError, match="does not take a replacement matrix"):
+    with pytest.raises(InvalidOption, match="does not take a replacement matrix"):
         run_all(["divisors"], {"divisors": rotated})
 
 
 def test_run_all_rejects_unused_override():
     rotated = parse_matrix("1/2 0 1/2\n1/2 1/2 0\n0 1/2 1/2\n")
-    with pytest.raises(ValueError, match="did not run"):
+    with pytest.raises(InvalidOption, match="did not run"):
         run_all(only=["ex7"], overrides={"ex10": rotated})
 
 
@@ -62,6 +62,6 @@ def test_run_all_checks_every_argument_before_running(monkeypatch, only, overrid
         example = reference.Example(example_id, "records its run", False, recorder(example_id))
         monkeypatch.setitem(reference.REGISTRY, example_id, example)
     overrides = {override_for: parse_matrix("0 1\n1 0\n")} if override_for else {}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(InvalidOption, match=message):
         run_all(only=only, overrides=overrides)
     assert ran == []
