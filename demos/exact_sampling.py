@@ -14,6 +14,7 @@ from coalesce import (
     permutation_coupling,
     provably_never_coalesces,
     sample_counts,
+    to_explicit,
     total_variation,
 )
 
@@ -25,7 +26,7 @@ P = parse_matrix("""
 
 # The product coupling draws each state's move independently. All 8
 # function combinations appear, so trajectories can actually merge.
-mu = doeblin_coupling(P)
+mu = to_explicit(doeblin_coupling(P))
 print("doeblin coupling has", len(list(mu.iter_terms())), "terms")
 
 rng = RngStream(12345)

@@ -42,7 +42,6 @@ from .coupling import (
     DEFAULT_SUPPORT_CAP,
     BlockCoupling,
     doeblin_coupling,
-    expand_support,
     parse_coupling,
     serialize_coupling,
 )
@@ -72,11 +71,7 @@ from .matrix import (
 )
 from .rational import format_rational
 from .reference import run_all
-from .semigroup import (
-    DEFAULT_CLOSURE_CAP,
-    coalescence_number_and_pairs,
-    limiting_partitions,
-)
+from .semigroup import DEFAULT_CLOSURE_CAP, close, coalescence_number_and_pairs
 
 DEFAULT_DIAGRAM_STEPS = 30
 
@@ -275,17 +270,14 @@ def _cmd_coupling_check(args, run: _Run) -> int:
 def _cmd_k_number(args, run: _Run) -> int:
     _require_format(args, "text", "json")
     mu = _load_coupling(run, args.coupling)
-    support = expand_support(mu)
-    k, pairs = coalescence_number_and_pairs(support, max_closure=args.max_closure)
-    parts = sorted(
-        p.format_onebased()
-        for p in limiting_partitions(support, max_closure=args.max_closure)
-    )
+    k, pairs, e0 = coalescence_number_and_pairs(mu, max_closure=args.max_closure)
+    parts = sorted(p.format_onebased() for p in close(mu, e0.kernel(), args.max_closure))
+    size = mu.support_size()
     if args.format == "json":
         print(
             json.dumps(
                 {
-                    "support_size": len(support.functions),
+                    "support_size": size,
                     "coalescence_number": k,
                     "coalescing_pairs": [
                         sorted(v + 1 for v in p) for p in sorted(pairs, key=sorted)
@@ -296,7 +288,7 @@ def _cmd_k_number(args, run: _Run) -> int:
             )
         )
         return 0
-    print(f"support: {len(support.functions)} functions")
+    print(f"support: {size} functions")
     print(f"coalescence number: {k}")
     print(f"coalescing pairs: {_pairs_text(pairs) or 'none'}")
     print("limiting partitions:")
@@ -430,7 +422,7 @@ def _cmd_sample(args, run: _Run) -> int:
         if mu.induced.entries != P.entries:
             raise InvalidOption("the coupling does not resum to the matrix")
     else:
-        mu = doeblin_coupling(P, lazy=True)
+        mu = doeblin_coupling(P)
     t_max = args.t_max if args.t_max is not None else DEFAULT_T_MAX
     stream = RngStream(run.seed)
     counts, failures = sample_counts(mu, stream, args.n_samples, t_max=t_max)
@@ -570,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: fresh random, recorded in the manifest)")
     common.add_argument("--exact-cap", type=int, default=DEFAULT_SUBSET_BUDGET, help="max support subsets to enumerate before falling back to certificates (0: certificates only)")
-    common.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP, help="max state pairs searched for a coalescence number, and max maps in the closure for limiting partitions")
+    common.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP, help="max state pairs searched for a coalescence number, and max partition pullbacks formed for limiting partitions")
     common.add_argument("--t-max", type=int, default=None, help="time horizon for sampling runs")
     common.add_argument("--format", choices=("text", "json", "tsv", "dot"), default="text", help="output format")
 

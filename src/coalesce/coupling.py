@@ -442,25 +442,20 @@ def to_explicit(mu: GrandCoupling, cap: int = DEFAULT_SUPPORT_CAP) -> ExplicitCo
     return ExplicitCoupling.from_pairs(mu.iter_terms())
 
 
-def doeblin_coupling(
-    P: StochasticMatrix, cap: int = DEFAULT_SUPPORT_CAP, lazy: bool = False
-) -> GrandCoupling:
+def doeblin_coupling(P: StochasticMatrix) -> BlockCoupling:
     """The independent product coupling: each state draws from its own row.
 
-    Built as a BlockCoupling over the single-block partition (identity
-    block permutation, rows as within-distributions), which samples in O(n)
-    regardless of how many functions the product support would contain.
-    With lazy=True that form is returned; otherwise its terms, subject to
-    cap.
+    A BlockCoupling over the single-block partition (identity block
+    permutation, rows as within-distributions), which samples in O(n)
+    regardless of how many functions the product support would contain;
+    to_explicit lists its terms.
     """
-    n = P.n
     law = ExplicitPermLaw((((0,), _ONE),))
     within = tuple(
         ((0, tuple((j, P.entries[i][j]) for j in P.row_supports[i])),)
-        for i in range(n)
+        for i in range(P.n)
     )
-    mu = BlockCoupling(Partition.single_block(n), law, within)
-    return mu if lazy else to_explicit(mu, cap)
+    return BlockCoupling(Partition.single_block(P.n), law, within)
 
 
 def permutation_coupling(P: StochasticMatrix) -> ExplicitCoupling:

@@ -297,7 +297,7 @@ def k_set_certificates(P: StochasticMatrix) -> KSetReport:
     notes: list[str] = []
     seen: set[int] = set()
     if period(P) == 1:
-        members.append(KMember(1, doeblin_coupling(P, lazy=True), "aperiodicity"))
+        members.append(KMember(1, doeblin_coupling(P), "aperiodicity"))
         seen.add(1)
     else:
         exclusions.append(

@@ -22,12 +22,7 @@ from .blocks import (
     uniform_divisor_coupling,
 )
 from .cftp import DidNotCoalesce, RngStream, cftp_sample
-from .coupling import (
-    doeblin_coupling,
-    expand_support,
-    is_consistent,
-    permutation_coupling,
-)
+from .coupling import doeblin_coupling, is_consistent, permutation_coupling, to_explicit
 from .errors import InvalidOption
 from .feasibility import feasible_weights
 from .kset import can_exclude_second_largest, k_set_exact
@@ -140,7 +135,7 @@ def _run_ex11(override: StochasticMatrix | None) -> list[ExampleRow]:
     if witness:
         computed = tuple((f.to_notation(), str(w)) for f, w in witness.weights)
         mu = witness.as_coupling()
-        k = coalescence_number(mu.support())
+        k = coalescence_number(mu)
         # 1331 breaks the block structure of both two-block candidates, so
         # this coupling achieves k=2 without being a block measure.
         block_a = is_block_measure(mu, Partition.parse("1,2|3,4"))
@@ -178,7 +173,7 @@ def _run_ex11(override: StochasticMatrix | None) -> list[ExampleRow]:
                 "ex11",
                 "canonical 1,3|2,4 coupling classes",
                 4,
-                coalescence_number(expand_support(canonical)),
+                coalescence_number(canonical),
             )
         )
     return rows
@@ -213,7 +208,7 @@ def _run_dichotomy(override: StochasticMatrix | None) -> list[ExampleRow]:
     runs, t_max = 20, 10_000
     P = path_walk(5)
     perm = permutation_coupling(P)
-    iid = doeblin_coupling(P)
+    iid = to_explicit(doeblin_coupling(P))
     rows = [
         _row("dichotomy", "permutation coupling consistent", True, is_consistent(perm, P)),
         _row("dichotomy", "independent coupling consistent", True, is_consistent(iid, P)),
@@ -235,7 +230,6 @@ def _run_dichotomy(override: StochasticMatrix | None) -> list[ExampleRow]:
 @dataclass(frozen=True)
 class Example:
     example_id: str
-    description: str
     takes_matrix: bool
     run: Callable[[StochasticMatrix | None], list[ExampleRow]]
 
@@ -243,42 +237,12 @@ class Example:
 REGISTRY: dict[str, Example] = {
     e.example_id: e
     for e in (
-        Example(
-            "ex7",
-            "four functions on four states: classes, pairs, limiting partitions",
-            False,
-            _run_ex7,
-        ),
-        Example(
-            "ex10",
-            "three-state cycle with holding: achievable set by full enumeration",
-            True,
-            _run_ex10,
-        ),
-        Example(
-            "ex11",
-            "four-state cycle with holding: achievable set and block structure",
-            True,
-            _run_ex11,
-        ),
-        Example(
-            "divisors",
-            "uniform chain on six states: one block measure per divisor",
-            False,
-            _run_divisors,
-        ),
-        Example(
-            "exclusion",
-            "reflecting lazy walks: second-largest class count ruled out",
-            False,
-            _run_exclusion,
-        ),
-        Example(
-            "dichotomy",
-            "five-state walk: permutation coupling never meets, independent always does",
-            False,
-            _run_dichotomy,
-        ),
+        Example("ex7", False, _run_ex7),
+        Example("ex10", True, _run_ex10),
+        Example("ex11", True, _run_ex11),
+        Example("divisors", False, _run_divisors),
+        Example("exclusion", False, _run_exclusion),
+        Example("dichotomy", False, _run_dichotomy),
     )
 }
 

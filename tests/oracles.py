@@ -92,6 +92,17 @@ def oracle_limiting_kernels(images: list[Image]) -> set[frozenset[frozenset[int]
     return {kernel_of(t) for t in closure if image_size(t) == k}
 
 
+def oracle_pullback_orbit(closure: set[Image], blocks) -> set[frozenset[frozenset[int]]]:
+    """The partition with the given blocks and its pullbacks by every map w
+    of closure (word_closure's result): x and y share a block when w(x)
+    and w(y) do."""
+    label = {x: b for b, blk in enumerate(blocks) for x in blk}
+    orbit = {frozenset(frozenset(b) for b in blocks)}
+    for w in closure:
+        orbit.add(kernel_of(tuple(label[v] for v in w)))
+    return orbit
+
+
 # --- exact linear algebra ---------------------------------------------------
 
 

@@ -39,6 +39,7 @@ from coalesce import (
     permutation_coupling,
     sample_counts,
     single_pair_balance,
+    to_explicit,
     total_variation,
     uniform_divisor_coupling,
 )
@@ -133,7 +134,7 @@ def test_c05_second_largest_excluded():
 def test_c06_exact_sampler_distribution():
     with criterion("c6", "100000 exact samples on the 3-state walk: TV to uniform < 0.02, < 2min"):
         t0 = time.monotonic()
-        mu = doeblin_coupling(EX10)
+        mu = to_explicit(doeblin_coupling(EX10))
         counts, failures = sample_counts(mu, RngStream(20260818), 100_000)
         assert failures == 0
         assert sum(counts.values()) == 100_000
@@ -145,7 +146,7 @@ def test_c06_exact_sampler_distribution():
 def test_c07_backward_forward_equidistribution():
     with criterion("c7", "50000 backward and forward runs on the 2-state walk: CDF gap < 0.02, < 1min"):
         t0 = time.monotonic()
-        mu = doeblin_coupling(path_walk(2))
+        mu = to_explicit(doeblin_coupling(path_walk(2)))
         report = equidistribution_report(mu, RngStream(7), runs=50_000)
         assert report.backward_failures == 0
         assert report.forward_failures == 0
@@ -191,7 +192,7 @@ def test_c11_coupling_dichotomy_on_path_walk():
         t0 = time.monotonic()
         P5 = path_walk(5)
         perm = permutation_coupling(P5)
-        iid = doeblin_coupling(P5)
+        iid = to_explicit(doeblin_coupling(P5))
         for i in range(100):
             out = cftp_sample(perm, RngStream(99).fork(i), t_max=10_000)
             assert isinstance(out, DidNotCoalesce)

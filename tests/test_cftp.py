@@ -30,7 +30,7 @@ from coalesce.cftp import DEFAULT_T_MAX, _record, _walk, chi_square_tail
 
 
 def test_reproducible_runs(ex10):
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     a = [cftp_sample(mu, RngStream(9).fork(i)) for i in range(50)]
     b = [cftp_sample(mu, RngStream(9).fork(i)) for i in range(50)]
     assert a == b
@@ -69,7 +69,7 @@ def counting_coupling(mu):
 
 
 def test_backward_record_agrees_with_sample(ex10):
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     for i in range(40):
         rec = backward_record(mu, RngStream(11).fork(i), collect_trace=True)
         assert rec.coalesced
@@ -91,7 +91,7 @@ def test_sample_counts_reads_one_generator_in_turn(ex10, lazy):
     # one substream per run, seeded once; the samples are consecutive
     # backward walks on it, and the run draws exactly the sum of their
     # coalescence times in images
-    mu = doeblin_coupling(ex10, lazy=lazy)
+    mu = doeblin_coupling(ex10) if lazy else to_explicit(doeblin_coupling(ex10))
     counting = counting_coupling(mu)
     stream = CountingStream(31)
     counts, failures = sample_counts(counting, stream, 200)
@@ -106,7 +106,7 @@ def test_sample_counts_reads_one_generator_in_turn(ex10, lazy):
 
 
 def test_equidistribution_report_reads_one_generator_in_turn(ex10):
-    mu = doeblin_coupling(ex10, lazy=True)
+    mu = doeblin_coupling(ex10)
     counting = counting_coupling(mu)
     stream = CountingStream(32)
     rep = equidistribution_report(counting, stream, runs=150)
@@ -127,7 +127,7 @@ def test_batch_failures_inside_the_loop(ex10, lazy):
     # the batch tallies equal consecutive walks on the run's generator, with
     # each walk that does not coalesce counted as a failure, never a state
     # or a time
-    mu = doeblin_coupling(ex10, lazy=lazy)
+    mu = doeblin_coupling(ex10) if lazy else to_explicit(doeblin_coupling(ex10))
     counts, failures = sample_counts(mu, RngStream(41), 200, t_max=4)
     rng = RngStream(41).substream(0)
     hits = [_walk(mu, rng, 4, True) for _ in range(200)]
@@ -150,7 +150,7 @@ def test_deeper_horizons_extend_the_past_never_resample_it(ex10):
     # depth t is the t-th draw of the sample's one generator whatever the
     # horizon, so the sample is the same at any t_max from the coalescence
     # time on, and one draw short of it the composite is not yet constant
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     for i in range(40):
         stream = RngStream(21).fork(i)
         rec = backward_record(mu, stream)
@@ -161,7 +161,7 @@ def test_deeper_horizons_extend_the_past_never_resample_it(ex10):
 
 
 def test_forward_record_coalesces(ex10):
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     rec = forward_record(mu, RngStream(12).fork(0), collect_trace=True)
     assert rec.coalesced
     assert rec.direction == "forward"
@@ -184,12 +184,12 @@ def test_quarter_coupling_never_coalesces(quarter_coupling):
 
 
 def test_provable_shortcut_negative(ex10):
-    assert not provably_never_coalesces(doeblin_coupling(ex10))
+    assert not provably_never_coalesces(to_explicit(doeblin_coupling(ex10)))
     assert not provably_never_coalesces(uniform_divisor_coupling(2, 1))
     assert provably_never_coalesces(uniform_divisor_coupling(4, 2))
     # on one state the only map is constant as well as bijective
     for one in (
-        doeblin_coupling(StochasticMatrix.identity(1)),
+        to_explicit(doeblin_coupling(StochasticMatrix.identity(1))),
         ExplicitCoupling.from_pairs([(MapFunction((0,)), Fraction(1))]),
     ):
         assert not provably_never_coalesces(one)
@@ -222,7 +222,7 @@ def test_sample_counts_all_failures(quarter_coupling):
 
 
 def test_sample_counts_distribution(ex10):
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     counts, failures = sample_counts(mu, RngStream(16), 3000)
     assert failures == 0
     assert sum(counts.values()) == 3000
@@ -231,7 +231,7 @@ def test_sample_counts_distribution(ex10):
 
 
 def test_equidistribution_report(ex10):
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     rep = equidistribution_report(mu, RngStream(17), runs=600)
     assert rep.backward_failures == 0 and rep.forward_failures == 0
     assert rep.passed(Fraction(1, 10))
@@ -252,7 +252,7 @@ def test_total_variation_exact():
 
 
 def test_chi_square_sane(ex10):
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     counts, _ = sample_counts(mu, RngStream(19), 900)
     p = chi_square_pvalue(counts, invariant_distribution(ex10))
     assert 0 <= p <= 1

@@ -13,11 +13,17 @@ import pytest
 
 import coalesce
 from coalesce import (
+    BlockCoupling,
     EquidistributionReport,
+    ExplicitCoupling,
+    Partition,
+    StochasticMatrix,
+    construct_block_measure,
     doeblin_coupling,
     equidistribution_tolerance,
     parse_matrix,
     serialize_coupling,
+    to_explicit,
     uniform_divisor_coupling,
 )
 from coalesce.cli import _Run, build_parser, check_options, main
@@ -65,7 +71,7 @@ def quarter_file(tmp_path, quarter_coupling):
 @pytest.fixture
 def doeblin_file(tmp_path):
     p = tmp_path / "doeblin.json"
-    p.write_text(serialize_coupling(doeblin_coupling(parse_matrix(EX10_TEXT))))
+    p.write_text(serialize_coupling(to_explicit(doeblin_coupling(parse_matrix(EX10_TEXT)))))
     return str(p)
 
 
@@ -143,6 +149,78 @@ def test_k_number(quarter_file):
     assert "coalescence number: 2" in out
     assert "{1,2} {1,4} {2,3} {3,4}" in out
     assert "1,2|3,4" in out and "1,4|2,3" in out
+
+
+def _three_neighbour_coupling():
+    """The 3-neighbour walk on the 12-cycle, coupled over odd | even."""
+    rows = [["1/3" if (j - i) % 12 in (0, 1, 11) else "0" for j in range(12)] for i in range(12)]
+    return construct_block_measure(
+        StochasticMatrix.from_rows(rows), Partition.parse("1,3,5,7,9,11|2,4,6,8,10,12")
+    )
+
+
+def _coupling_file(tmp_path, mu):
+    p = tmp_path / "coupling.json"
+    p.write_text(serialize_coupling(mu))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "make, k, partition, support",
+    [
+        (lambda: uniform_divisor_coupling(12, 6), 6, "1,2|3,4|5,6|7,8|9,10|11,12", 2_949_120),
+        (lambda: uniform_divisor_coupling(12, 3), 3, "1,2,3,4|5,6,7,8|9,10,11,12", 100_663_296),
+        (_three_neighbour_coupling, 2, "1,3,5,7,9,11|2,4,6,8,10,12", 4_097),
+    ],
+    ids=["12-6", "12-3", "three-neighbour"],
+)
+def test_k_number_past_the_support_cap(tmp_path, make, k, partition, support):
+    # supports past the 10^6 expansion cap, answered from the structure
+    code, out, _ = run_cli("k-number", _coupling_file(tmp_path, make()), "--format", "json", "--seed", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["support_size"] == support
+    assert doc["coalescence_number"] == k
+    assert doc["limiting_partitions"] == [partition]
+    blocks = [[int(v) for v in b.split(",")] for b in partition.split("|")]
+    assert doc["coalescing_pairs"] == sorted([x, y] for b in blocks for x in b for y in b if x < y)
+
+
+def test_k_number_pullback_budget(tmp_path):
+    # the (20,10) divisor coupling's orbit reads one component per block
+    # permutation, 10! of them, and stops past the default cap
+    code, _, err = run_cli("k-number", _coupling_file(tmp_path, uniform_divisor_coupling(20, 10)), "--seed", "1")
+    assert code == 3
+    assert "more than 250000 pullbacks" in err
+
+
+@pytest.mark.parametrize("name", ["quarter", "divisor-6-2"])
+def test_k_number_runs_one_pair_search_and_expands_nothing(tmp_path, monkeypatch, quarter_coupling, name):
+    from coalesce import semigroup
+
+    calls = dict.fromkeys(("expand_support", "support", "_merge_steps", "close"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name_ in ((coalesce.coupling, "expand_support"), (semigroup, "_merge_steps"), (semigroup, "close")):
+        original = getattr(module, name_)
+        wrapper = counted(name_, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("coalesce"):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+    for cls in (ExplicitCoupling, BlockCoupling):
+        monkeypatch.setattr(cls, "support", counted("support", cls.support))
+    mu = quarter_coupling if name == "quarter" else uniform_divisor_coupling(6, 2)
+    code, _, _ = run_cli("k-number", _coupling_file(tmp_path, mu), "--seed", "1")
+    assert code == 0
+    assert calls == {"expand_support": 0, "support": 0, "_merge_steps": 1, "close": 1}
 
 
 def test_coupling_file_faults_are_named(tmp_path):

@@ -59,7 +59,7 @@ def test_duplicate_functions_rejected():
 
 
 def test_doeblin_product_coupling(ex10):
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     assert isinstance(mu, ExplicitCoupling)
     assert mu.support_size() == 8
     assert all(w == Fraction(1, 8) for _, w in mu.iter_terms())
@@ -67,7 +67,7 @@ def test_doeblin_product_coupling(ex10):
 
 
 def test_doeblin_lazy_form(ex10):
-    mu = doeblin_coupling(ex10, lazy=True)
+    mu = doeblin_coupling(ex10)
     assert isinstance(mu, BlockCoupling)
     assert mu.partition == Partition.single_block(3)
     assert is_consistent(mu, ex10)
@@ -81,8 +81,8 @@ def test_doeblin_lazy_form(ex10):
             (image, prod(rows[i][j] for i, j in enumerate(image)))
             for image in oracles.allowed_images(rows)
         )
-        lazy = doeblin_coupling(P, lazy=True)
-        for form in (lazy, doeblin_coupling(P)):
+        lazy = doeblin_coupling(P)
+        for form in (lazy, to_explicit(lazy)):
             assert sorted((f.image, w) for f, w in form.iter_terms()) == expected
             assert form.support_size() == len(expected)
         assert sorted(f.image for f in expand_support(lazy)) == [i for i, _ in expected]
@@ -91,8 +91,8 @@ def test_doeblin_lazy_form(ex10):
 def test_support_cap_boundary(ex10, quarter_coupling):
     # the cap admits exactly cap support functions, for both forms
     with pytest.raises(SupportTooLarge):
-        doeblin_coupling(ex10, cap=7)
-    assert doeblin_coupling(ex10, cap=8).support_size() == 8
+        to_explicit(doeblin_coupling(ex10), cap=7)
+    assert to_explicit(doeblin_coupling(ex10), cap=8).support_size() == 8
     with pytest.raises(SupportTooLarge):
         expand_support(quarter_coupling, cap=3)
     assert len(expand_support(quarter_coupling, cap=4)) == 4
@@ -251,8 +251,8 @@ _VALID = [
     json.loads(serialize_coupling(mu))
     for mu in (
         uniform_divisor_coupling(4, 2),
-        doeblin_coupling(StochasticMatrix.uniform(2), lazy=True),
         doeblin_coupling(StochasticMatrix.uniform(2)),
+        to_explicit(doeblin_coupling(StochasticMatrix.uniform(2))),
         permutation_coupling(StochasticMatrix.uniform(3)),
     )
 ]
@@ -369,7 +369,7 @@ def test_one_outcome_draw_leaves_generator_untouched():
     assert _pick(rng, _sampling_table([("only", Fraction(1))])) == "only"
     assert rng.getstate() == before
     # the identity chain's product coupling has one outcome at every level
-    assert doeblin_coupling(StochasticMatrix.identity(3)).sample_image(rng) == (0, 1, 2)
+    assert to_explicit(doeblin_coupling(StochasticMatrix.identity(3))).sample_image(rng) == (0, 1, 2)
     assert rng.getstate() == before
     # two outcomes do draw
     _pick(rng, _sampling_table([("a", H), ("b", H)]))

@@ -5,13 +5,14 @@ from coalesce import (
     doeblin_coupling,
     emit_trajectory_diagram,
     permutation_coupling,
+    to_explicit,
     uniform_divisor_coupling,
 )
 from coalesce.errors import TooManyStates
 
 
 def test_text_diagram_coalesces(ex10):
-    mu = doeblin_coupling(ex10)
+    mu = to_explicit(doeblin_coupling(ex10))
     txt = emit_trajectory_diagram(mu, RngStream(3), t_max=30)
     assert "from  1" in txt and "from  3" in txt
     assert "coalesced at t=" in txt
@@ -27,7 +28,7 @@ def test_text_diagram_failure(ex10):
 
 
 def test_dot_diagram(ex10):
-    dot = emit_trajectory_diagram(doeblin_coupling(ex10), RngStream(3), t_max=30, fmt="dot")
+    dot = emit_trajectory_diagram(to_explicit(doeblin_coupling(ex10)), RngStream(3), t_max=30, fmt="dot")
     assert dot.startswith("digraph")
     assert "rankdir=LR" in dot
 

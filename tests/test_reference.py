@@ -59,7 +59,7 @@ def test_run_all_checks_every_argument_before_running(monkeypatch, only, overrid
         return run
 
     for example_id in ("first", "second"):
-        example = reference.Example(example_id, "records its run", False, recorder(example_id))
+        example = reference.Example(example_id, False, recorder(example_id))
         monkeypatch.setitem(reference.REGISTRY, example_id, example)
     overrides = {override_for: parse_matrix("0 1\n1 0\n")} if override_for else {}
     with pytest.raises(InvalidOption, match=message):
