@@ -42,11 +42,11 @@ def _law(support):
     masses in sorted order."""
     if isinstance(support, GrandCoupling):
         return support.n, support.image_law
-    gens = support.sorted_functions() if isinstance(support, Support) else sorted(set(support))
-    if not gens:
+    maps = support.functions if isinstance(support, Support) else support
+    masses = [[((v, 1),) for v in t] for t in sorted({g.image for g in maps})]
+    if not masses:
         raise ValueError("cannot read an empty set of functions")
-    images = [g.image for g in gens]
-    return len(images[0]), lambda states: ((1, [((t[x], 1),) for x in states]) for t in images)
+    return len(masses[0]), lambda states: ((1, list(map(m.__getitem__, states))) for m in masses)
 
 
 def _too_large(cap: int, what: str) -> ClosureTooLarge:
@@ -92,12 +92,12 @@ def _move(law, image: list[int], pair: tuple[int, int], to) -> dict[int, int]:
     law(image) that allows it."""
     i, j = image.index(pair[0]), image.index(pair[1])
     for _, dists in law(image):
-        hit = next((ab for ab in product([a for a, _ in dists[i]], [b for b, _ in dists[j]])
-                    if _pair(*ab) == to), None)
-        if hit is not None:
-            targets = [dist[0][0] for dist in dists]
-            targets[i], targets[j] = hit
-            return dict(zip(image, targets))
+        for a, _ in dists[i]:
+            for b, _ in dists[j]:
+                if _pair(a, b) == to:
+                    targets = [dist[0][0] for dist in dists]
+                    targets[i], targets[j] = a, b
+                    return dict(zip(image, targets))
     raise AssertionError(f"no component moves {pair} to {to}")
 
 
