@@ -21,36 +21,19 @@ from itertools import combinations
 
 from .birkhoff import birkhoff_decomposition
 from .coupling import (
+    DEFAULT_SUPPORT_CAP,
     BlockCoupling,
     ExplicitPermLaw,
     GrandCoupling,
     UniformPermLaw,
-    expand_support,
+    _check_support_cap,
 )
 from .errors import BlockConditionsFail, DimensionMismatch, NotADivisor
-from .mapfun import MapFunction, Partition
+from .mapfun import Partition
 from .matrix import StochasticMatrix, is_doubly_stochastic
 from .semigroup import coalescing_pairs
 
 _ZERO = Fraction(0)
-
-
-def _block_perm_of(f: MapFunction, partition: Partition) -> tuple[int, ...] | None:
-    """The permutation of blocks f induces, or None.
-
-    None means f sends some block into more than one block, or the induced
-    block map is not a bijection. Injectivity inside a block is not required.
-    """
-    block_of = partition.block_of()
-    out = []
-    for blk in partition.blocks:
-        targets = {block_of[f(i)] for i in blk}
-        if len(targets) != 1:
-            return None
-        out.append(targets.pop())
-    if sorted(out) != list(range(partition.size)):
-        return None
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -160,12 +143,15 @@ def is_block_measure(mu: GrandCoupling, partition: Partition | None = None) -> b
 
     Two requirements: every support function induces a bijection of blocks,
     and the coalescence number equals the block count l. For a
-    BlockCoupling over the same partition the first is automatic, so
-    enormous supports (for example a uniform law over all block
-    permutations) are never enumerated. Any other coupling has its support
-    expanded to check the first, which raises SupportTooLarge past the
-    default support cap. The state pairs always come from the coupling's
-    one-step image pairs.
+    BlockCoupling over the same partition the first is automatic. Any
+    other coupling is read per component of image_law on all states: all
+    its maps permute the blocks exactly when each block's states have all
+    their targets in one block, and those blocks are distinct (if a block
+    has targets in two blocks, fix the other blocks' choices; by pigeonhole
+    one of the two breaks the bijection). No support is expanded, but a
+    coupling with more components than the default support cap raises
+    SupportTooLarge before any is read. The state pairs always come from
+    the coupling's one-step image pairs.
 
     The second is decided on state pairs: for a block-permuting support,
     k = l exactly when every pair of states in a common block coalesces.
@@ -181,8 +167,13 @@ def is_block_measure(mu: GrandCoupling, partition: Partition | None = None) -> b
     if partition.n != mu.n:
         raise DimensionMismatch(f"partition on n={partition.n}, coupling on n={mu.n}")
     foreign = not (isinstance(mu, BlockCoupling) and mu.partition == partition)
-    if foreign and any(_block_perm_of(f, partition) is None for f in expand_support(mu)):
-        return False
+    if foreign:
+        _check_support_cap(mu.component_count(), DEFAULT_SUPPORT_CAP)
+        block_of = partition.block_of()
+        for _, dists in mu.image_law(range(mu.n)):
+            lands = [{block_of[t] for x in blk for t, _ in dists[x]} for blk in partition.blocks]
+            if any(len(s) > 1 for s in lands) or len(set().union(*lands)) < partition.size:
+                return False
     pairs = coalescing_pairs(mu)
     return all(
         frozenset(p) in pairs

@@ -22,10 +22,12 @@ the block permutation, states move independently). coalescing_pairs reads
 its pairs from the components' supports and induced sums row i from
 image_law((i,)), so neither expands the support.
 
-Both forms hand over their support the same way: support() builds the set of
-support maps, support_size(cap) counts them (stopping early past cap) and
-iter_terms() yields (map, weight) pairs. Both block laws list their
-(permutation, weight) pairs as terms, lazily for the uniform law.
+The support is read from image_law(range(n)) too. On all states the
+components carry disjoint sets of maps (a term each, or a block permutation
+each), and a component's maps are the product of its states' supports. So
+support(), support_size(cap) and iter_terms() have one body each, and each
+form reports only component_count(), which support_size(cap) checks before
+it reads anything: every component carries at least one map.
 
 JSON schema (states, blocks and map notation are 1-based):
 
@@ -121,6 +123,34 @@ def _pick(rng, table):
 class _Coupling:
     """What both coupling forms read from their image_law."""
 
+    def support(self) -> Support:
+        """The support maps: per component of image_law on all states, the
+        product of the states' targets."""
+        return Support.of(
+            MapFunction(image)
+            for _, dists in self.image_law(range(self.n))
+            for image in itertools.product(*([j for j, _ in dist] for dist in dists))
+        )
+
+    def support_size(self, cap: int | None = None) -> int:
+        """Number of support maps; stops early past cap when given, on the
+        component count before any component is read."""
+        count = self.component_count()
+        if cap is not None and count > cap:
+            return count  # already past cap, each component carries a map
+        total = 0
+        for _, dists in self.image_law(range(self.n)):
+            total += prod(map(len, dists))
+            if cap is not None and total > cap:
+                break
+        return total
+
+    def iter_terms(self):
+        """Yield (map, weight) over the whole support. May be huge."""
+        for w, dists in self.image_law(range(self.n)):
+            for combo in itertools.product(*dists):
+                yield MapFunction(tuple(j for j, _ in combo)), w * prod(v for _, v in combo)
+
     @cached_property
     def induced(self) -> StochasticMatrix:
         """mu(f(i) = j), row i summed from image_law((i,))."""
@@ -166,15 +196,8 @@ class ExplicitCoupling(_Coupling):
     def n(self) -> int:
         return self.terms[0][0].n
 
-    def support(self) -> Support:
-        return Support.of(f for f, _ in self.terms)
-
-    def support_size(self, cap: int | None = None) -> int:
-        """Number of support functions; exact whatever the cap."""
+    def component_count(self) -> int:
         return len(self.terms)
-
-    def iter_terms(self):
-        return iter(self.terms)
 
     def image_law(self, states):
         """One point-mass component per term, in support order; lazy, so a
@@ -239,12 +262,6 @@ class UniformPermLaw:
     def __post_init__(self):
         if self.l < 1:
             raise CouplingFormatError("need at least one block")
-
-    @property
-    def terms(self):
-        """(permutation, weight) over all l! permutations, generated lazily."""
-        w = Fraction(1, factorial(self.l))
-        return ((perm, w) for perm in itertools.permutations(range(self.l)))
 
     def support_count(self) -> int:
         return factorial(self.l)
@@ -341,41 +358,8 @@ class BlockCoupling(_Coupling):
         targets_law = self.law.image_law([self._block_of[x] for x in states])
         return ((w, list(map(dict.__getitem__, maps, targets))) for w, targets in targets_law)
 
-    def _dists(self, perm: tuple[int, ...]):
-        """Every state's within-distribution once the block permutation is
-        perm. Distinct block permutations give disjoint sets of maps, since a
-        map's image fixes the block each state lands in."""
-        return [self._within_maps[i][perm[r]] for i, r in enumerate(self._block_of)]
-
-    def support_size(self, cap: int | None = None) -> int:
-        """Number of support functions; stops early past cap when given."""
-        count_pi = self.law.support_count()
-        if cap is not None and count_pi > cap:
-            return count_pi  # already past cap, each permutation contributes
-        total = 0
-        for perm, _ in self.law.terms:
-            total += prod(len(dist) for dist in self._dists(perm))
-            if cap is not None and total > cap:
-                return total
-        return total
-
-    def support(self) -> Support:
-        """The support functions, built from the structure's images alone."""
-        return Support.of(
-            MapFunction(image)
-            for perm, _ in self.law.terms
-            for image in itertools.product(*([j for j, _ in dist] for dist in self._dists(perm)))
-        )
-
-    def iter_terms(self):
-        """Yield (function, weight) over the whole support. May be huge."""
-        for perm, pw in self.law.terms:
-            for combo in itertools.product(*self._dists(perm)):
-                img = tuple(j for j, _ in combo)
-                w = pw
-                for _, ww in combo:
-                    w *= ww
-                yield MapFunction(img), w
+    def component_count(self) -> int:
+        return self.law.support_count()
 
     @cached_property
     def _state_tables(self):
@@ -418,9 +402,9 @@ def is_consistent(mu: GrandCoupling, P: StochasticMatrix) -> bool:
     return mu.induced.entries == P.entries
 
 
-def _check_support_cap(mu: GrandCoupling, cap: int) -> None:
-    """Raise SupportTooLarge when mu has more than cap support functions."""
-    size = mu.support_size(cap=cap)
+def _check_support_cap(size: int, cap: int) -> None:
+    """Raise SupportTooLarge when a support of at least size functions is
+    past cap."""
     if size > cap:
         raise SupportTooLarge(f"support of at least {size} functions exceeds cap {cap}")
 
@@ -430,13 +414,13 @@ def expand_support(mu: GrandCoupling, cap: int = DEFAULT_SUPPORT_CAP) -> Support
 
     Raises SupportTooLarge when more than cap functions would be produced.
     """
-    _check_support_cap(mu, cap)
+    _check_support_cap(mu.support_size(cap=cap), cap)
     return mu.support()
 
 
 def to_explicit(mu: GrandCoupling, cap: int = DEFAULT_SUPPORT_CAP) -> ExplicitCoupling:
     """Materialise any coupling as an ExplicitCoupling (subject to cap)."""
-    _check_support_cap(mu, cap)
+    _check_support_cap(mu.support_size(cap=cap), cap)
     if isinstance(mu, ExplicitCoupling):
         return mu
     return ExplicitCoupling.from_pairs(mu.iter_terms())

@@ -51,8 +51,8 @@ class SupportTooLarge(CoalesceError):
 
 
 class ClosureTooLarge(CoalesceError):
-    """A closure walk exceeded its cap: maps for the semigroup closure, state
-    pairs for the coalescence number."""
+    """A closure walk exceeded its cap: partition pullbacks for the orbit of
+    close (and limiting_partitions), state pairs for the coalescence number."""
 
 
 class NotADivisor(CoalesceError):

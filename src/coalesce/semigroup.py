@@ -19,8 +19,9 @@ component is a support map on those states: a realized move.
   limiting_partitions is the orbit of ker(e0): for a least-rank e,
   ker(e) = ker(e0 o e), and ker(e0 o g) = g^-1 ker(e0).
 
-The pair cap is checked before the pair search; the pullback cap charges
-each component's pullbacks before it forms them.
+The pair cap is checked before the pair search; the pullback cap is
+checked on the component count before the orbit reads anything, then
+charges each component's pullbacks before it forms them.
 """
 from __future__ import annotations
 
@@ -38,15 +39,19 @@ PairSet = frozenset[frozenset[int]]
 
 
 def _law(support):
-    """(n, image_law) of a coupling, or of a set of maps read as point
-    masses in sorted order."""
+    """(n, image_law, component count) of a coupling, or of a set of maps
+    read as point masses in sorted order."""
     if isinstance(support, GrandCoupling):
-        return support.n, support.image_law
+        return support.n, support.image_law, support.component_count()
     maps = support.functions if isinstance(support, Support) else support
     masses = [[((v, 1),) for v in t] for t in sorted({g.image for g in maps})]
     if not masses:
         raise ValueError("cannot read an empty set of functions")
-    return len(masses[0]), lambda states: ((1, list(map(m.__getitem__, states))) for m in masses)
+
+    def law(states):
+        return ((1, list(map(m.__getitem__, states))) for m in masses)
+
+    return len(masses[0]), law, len(masses)
 
 
 def _too_large(cap: int, what: str) -> ClosureTooLarge:
@@ -113,7 +118,7 @@ def coalescence_number_and_pairs(
     none is). max_closure caps the n(n-1)/2 state pairs of the search,
     checked before it starts.
     """
-    n, law = _law(support)
+    n, law, _ = _law(support)
     if n * (n - 1) // 2 > max_closure:
         raise _too_large(max_closure, "state pairs")
     step = _merge_steps(n, law)
@@ -149,7 +154,8 @@ def coalescing_pairs(support) -> PairSet:
     it outright, or one sends it to a pair already known to coalesce.
     support is a set of maps or a grand coupling, which is never expanded.
     """
-    return frozenset(frozenset(p) for p in _merge_steps(*_law(support)))
+    n, law, _ = _law(support)
+    return frozenset(frozenset(p) for p in _merge_steps(n, law))
 
 
 def _canonical(labels) -> tuple[int, ...]:
@@ -167,9 +173,13 @@ def close(support, seed: Partition, max_size: int = DEFAULT_CLOSURE_CAP) -> tupl
     component gives the kernels of the product of its states' label sets.
     max_size caps the pullbacks formed, each component's charged before it
     forms them, so ClosureTooLarge is raised exactly when more than
-    max_size would be formed.
+    max_size would be formed. Each component forms at least one pullback of
+    the seed, so a component count past max_size raises before any
+    component is read.
     """
-    n, law = _law(support)
+    n, law, components = _law(support)
+    if components > max_size:
+        raise _too_large(max_size, "pullbacks in the orbit")
     orbit = [seed.block_of()]  # block labels, numbered by first appearance
     seen = set(orbit)
     count = 0

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import coalesce
+import coalesce.blocks
+import coalesce.coupling
 import oracles
 from coalesce import (
     BlockCoupling,
@@ -11,6 +14,7 @@ from coalesce import (
     NotLumpable,
     Partition,
     StochasticMatrix,
+    SupportTooLarge,
     UniformPermLaw,
     check_block_conditions,
     check_lumpability,
@@ -114,10 +118,28 @@ def _block_coupling(blocks, perms, within) -> BlockCoupling:
     )
 
 
+def _random_partition(rng: random.Random, n: int) -> Partition:
+    top = rng.randint(1, n)
+    labels = [rng.randrange(top) for _ in range(n)]
+    return Partition.from_blocks([i for i in range(n) if labels[i] == b] for b in set(labels))
+
+
+def _permutes_blocks(images, partition: Partition) -> bool:
+    """Every image sends each block into one block, bijectively, map by map."""
+    block_of = partition.block_of()
+    for t in images:
+        lands = [{block_of[t[i]] for i in blk} for blk in partition.blocks]
+        if any(len(s) != 1 for s in lands) or sorted(s.pop() for s in lands) != list(range(partition.size)):
+            return False
+    return True
+
+
 def test_structural_pairs_match_expanded_support():
     # the support and the pair graph a block coupling builds from its
     # structure, against the brute-force support images, its expanded
-    # support and, where the closure is small, the brute-force pairs
+    # support and, where the closure is small, the brute-force pairs; and
+    # the block-measure check against foreign partitions (random ones, the
+    # single block and the singletons), in both forms, against the images
     rng = random.Random(82)
     seen = Counter()
     for c in range(1000):
@@ -137,16 +159,55 @@ def test_structural_pairs_match_expanded_support():
         assert never == provably_never_coalesces(explicit)
         block = is_block_measure(mu)
         assert block == is_block_measure(explicit, mu.partition)
-        if n <= 4 and len(images) <= 16:
+        oracle = n <= 4 and len(images) <= 16
+        if oracle:
             k = oracles.oracle_min_image(images)
             assert pairs == oracles.oracle_coalescing_pairs(images)
             assert never == (k > 1)
             assert block == (k == len(blocks))
             seen["oracle"] += 1
         seen[uniform, n == 7, block, never] += 1
+        trivial = Partition.single_block(n) if c % 4 < 2 else Partition.singletons(n)
+        for partition in (_random_partition(rng, n), _random_partition(rng, n), trivial):
+            foreign = is_block_measure(mu, partition)
+            assert foreign == is_block_measure(explicit, partition)
+            permutes = _permutes_blocks(images, partition)
+            if oracle:
+                assert foreign == (permutes and k == partition.size)
+            else:
+                assert foreign <= permutes
+            seen["foreign", partition != mu.partition, permutes, foreign] += 1
     assert seen["oracle"] >= 300
+    # against a partition other than its own, a block coupling is found to
+    # permute or not to permute the blocks, and a block measure or not
+    for permutes, foreign in ((False, False), (True, False), (True, True)):
+        assert seen["foreign", True, permutes, foreign] >= 100, (permutes, foreign)
     # k = l > 1, k > l and k = l = 1 all occur at n = 7 under both laws
     # (k = 1 forces one block, since every composite permutes the blocks)
     for uniform in (True, False):
         for block, never in ((True, True), (False, True), (True, False)):
             assert seen[uniform, True, block, never], (uniform, block, never)
+
+
+def _unread(*args, **kwargs):
+    raise AssertionError("a support was expanded or a component read")
+
+
+def test_foreign_partition_is_read_from_components(monkeypatch):
+    # (12,6) carries 720 * 2^12 support maps, past the support cap, in 720
+    # components; against four blocks of four the identity component already
+    # sends 1,2,3,4 into the two blocks 1,2 and 3,4
+    mu = uniform_divisor_coupling(12, 6)
+    for module in (coalesce.coupling, coalesce.blocks, coalesce):
+        monkeypatch.setattr(module, "expand_support", _unread, raising=False)
+    monkeypatch.setattr(BlockCoupling, "support", _unread)
+    assert not is_block_measure(mu, Partition.parse("1,2,3,4|5,6,7,8|9,10,11,12"))
+
+
+def test_foreign_partition_charges_the_cap_on_components(monkeypatch):
+    # (20,10) has 10! components, past the 10^6 support cap: refused on the
+    # count, before any component is read
+    mu = uniform_divisor_coupling(20, 10)
+    monkeypatch.setattr(BlockCoupling, "image_law", _unread)
+    with pytest.raises(SupportTooLarge, match="3628800"):
+        is_block_measure(mu, Partition.parse("1,2,3,4|5,6,7,8|9,10,11,12|13,14,15,16|17,18,19,20"))

@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coalesce
 from coalesce import (
@@ -21,7 +24,9 @@ from coalesce import (
     construct_block_measure,
     doeblin_coupling,
     equidistribution_tolerance,
+    is_doubly_stochastic,
     parse_matrix,
+    permutation_coupling,
     serialize_coupling,
     to_explicit,
     uniform_divisor_coupling,
@@ -186,9 +191,21 @@ def test_k_number_past_the_support_cap(tmp_path, make, k, partition, support):
     assert doc["coalescing_pairs"] == sorted([x, y] for b in blocks for x in b for y in b if x < y)
 
 
-def test_k_number_pullback_budget(tmp_path):
-    # the (20,10) divisor coupling's orbit reads one component per block
-    # permutation, 10! of them, and stops past the default cap
+def test_k_number_pullback_budget(tmp_path, monkeypatch):
+    # the (20,10) divisor coupling's orbit would read one component per
+    # block permutation, 10! of them: refused on that count before any is
+    # read. The orbit reads image_law(range(n)); the pair search and the
+    # greedy read pairs and lists of states, so only that call fails.
+    image_law = BlockCoupling.image_law
+
+    def unread(states):
+        raise AssertionError("a component on all states was read")
+        yield
+
+    def guarded(self, states):
+        return unread(states) if states == range(self.n) else image_law(self, states)
+
+    monkeypatch.setattr(BlockCoupling, "image_law", guarded)
     code, _, err = run_cli("k-number", _coupling_file(tmp_path, uniform_divisor_coupling(20, 10)), "--seed", "1")
     assert code == 3
     assert "more than 250000 pullbacks" in err
@@ -742,3 +759,83 @@ def test_python_m_coalesce_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: coalesce" in proc.stdout
+
+
+_GARBLE = "0123456789/|,. -x\n{}[]\":"
+
+
+def _maybe_garbled(draw, text: str) -> str:
+    """text, or text with one slice replaced by a few characters, or short
+    arbitrary text."""
+    how = draw(st.integers(0, 7))
+    if how == 7:
+        return draw(st.text(max_size=12))
+    if how == 6:
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        return text[:i] + draw(st.text(_GARBLE, max_size=4)) + text[j:]
+    return text
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv, files): one subcommand on a matrix of at most four states, a
+    coupling, a partition and a support made from it, any of them garbled,
+    with small sample counts and caps that may be out of range."""
+    n = draw(st.integers(1, 4))
+    raw = [draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)) for _ in range(n)]
+    P = StochasticMatrix.from_rows([[Fraction(v, sum(r)) for v in r] for r in raw])
+    couplings = [doeblin_coupling(P), to_explicit(doeblin_coupling(P))]
+    couplings += [uniform_divisor_coupling(n, l) for l in range(1, n + 1) if n % l == 0]
+    if is_doubly_stochastic(P):
+        couplings.append(permutation_coupling(P))
+    labels = [draw(st.integers(0, n - 1)) for _ in range(n)]
+    partition = "|".join(
+        ",".join(str(i + 1) for i in range(n) if labels[i] == b) for b in sorted(set(labels))
+    )
+    maps = draw(st.lists(st.lists(st.integers(1, n), min_size=n, max_size=n), min_size=1, max_size=4))
+    files = {
+        "M": _maybe_garbled(draw, P.to_text()),
+        "C": _maybe_garbled(draw, serialize_coupling(draw(st.sampled_from(couplings)))),
+    }
+    Q = _maybe_garbled(draw, partition)
+    S = _maybe_garbled(draw, " ".join("".join(map(str, m)) for m in maps))
+    example = draw(st.sampled_from(["ex7", "ex10", "ex11", "bogus"]))
+    argv = draw(st.sampled_from([
+        ["analyze", "M"],
+        ["coupling-check", "C", "M"],
+        ["k-number", "C"],
+        ["feasible", "M", "--support", S],
+        ["blocks", "M", "--partition", Q],
+        ["birkhoff", "M"],
+        ["kset", "M"],
+        ["sample", "M", "--n-samples", str(draw(st.integers(-1, 20)))],
+        ["sample", "M", "--coupling", "C", "--n-samples", str(draw(st.integers(1, 20)))],
+        ["verify-equidist", "C", "--runs", str(draw(st.integers(-1, 20)))]
+        + draw(st.sampled_from([[], ["--tolerance", "1/2"], ["--tolerance", "0"], ["--tolerance", "x"]])),
+        ["examples", "--only", example],
+        ["examples", "--only", example, "--override", "ex10=M"],
+        ["diagram", "C"],
+    ]))
+    argv += ["--seed", str(draw(st.integers(0, 3)))]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "text", "json", "tsv", "dot"]))]
+    option = draw(st.integers(0, 9))  # none, a small cap, or one out of range
+    options = [["--max-closure", "2"], ["--exact-cap", "0"], ["--t-max", "2"],
+               ["--max-closure", "0"], ["--exact-cap", "-1"], ["--t-max", "0"]]
+    argv += options[option - 4] if option >= 4 else []
+    return argv, files
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_cli_runs())
+def test_any_input_exits_with_a_reported_code(run):
+    # whatever the matrix, coupling, partition or support text, every
+    # subcommand exits 0-3 with a message, never with an internal error
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (Path(tmp) / name).write_text(text)
+        argv = [str(Path(tmp) / a) if a in files else a.replace("=M", f"={tmp}/M") for a in argv]
+        code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err and "internal error" not in err, err

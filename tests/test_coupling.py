@@ -103,11 +103,11 @@ def test_expand_support_cap_checks_the_permutation_count_first(monkeypatch):
     # of permutations alone, before the law is read or a map is built
     mu = uniform_divisor_coupling(6, 6)
 
-    def unread(law):
-        raise AssertionError("the law's terms were read past the cap")
+    def unread(law, blocks):
+        raise AssertionError("the law was read past the cap")
 
     with monkeypatch.context() as patch:
-        patch.setattr(UniformPermLaw, "terms", property(unread))
+        patch.setattr(UniformPermLaw, "image_law", unread)
         with pytest.raises(SupportTooLarge, match="720"):
             expand_support(mu, cap=719)
     assert len(expand_support(mu, cap=720)) == 720
