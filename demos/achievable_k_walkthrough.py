@@ -11,7 +11,6 @@ from coalesce import (
     Support,
     allowed_functions,
     coalescence_number,
-    expand_support,
     feasible_weights,
     is_consistent,
     k_set_exact,
@@ -66,10 +65,9 @@ print("quarter coupling weights:", [(f.to_notation(), str(w)) for f, w in res.we
 
 mu = res.as_coupling()
 assert is_consistent(mu, Q)
-sup = expand_support(mu)
-print("its coalescence number:", coalescence_number(sup))
+print("its coalescence number:", coalescence_number(mu))
 print("limiting partitions:")
-for part in sorted(limiting_partitions(sup), key=lambda p: p.format_onebased()):
+for part in sorted(limiting_partitions(mu), key=lambda p: p.format_onebased()):
     print("  ", part.format_onebased())
 # Two trajectories survive, and which pair survives is read off from the
 # partition the run gets absorbed into: 1,2|3,4 or 1,4|2,3.

@@ -11,7 +11,6 @@ from coalesce import (
     check_lumpability,
     coalescence_number,
     construct_block_measure,
-    expand_support,
     is_block_measure,
     StochasticMatrix,
     parse_matrix,
@@ -44,10 +43,9 @@ print("block conditions hold:", check_block_conditions(Q, part))
 
 # So a coupling can be assembled that moves whole blocks at once.
 mu = construct_block_measure(Q, part)
-sup = expand_support(mu)
 print("constructed coupling:",
       [(f.to_notation(), str(w)) for f, w in mu.iter_terms()])
-print("k =", coalescence_number(sup))
+print("k =", coalescence_number(mu))
 print("is it a block measure for 1,3|2,4?", is_block_measure(mu, part))
 # Not one. Each row of Q has a single positive entry per target block, so
 # the within-block moves are forced and both support functions come out as
@@ -60,8 +58,7 @@ print("is it a block measure for 1,3|2,4?", is_block_measure(mu, part))
 U6 = StochasticMatrix.uniform(6)
 for l in (1, 2, 3, 6):
     nu = uniform_divisor_coupling(6, l)
-    k = coalescence_number(expand_support(nu))
-    print(f"n=6, l={l}: {len(list(nu.iter_terms()))} functions, k = {k}")
+    print(f"n=6, l={l}: {nu.support_size()} functions, k = {coalescence_number(nu)}")
 
 # Doubly stochastic matrices are exactly the mixtures of permutations.
 # The decomposition writes U6's transition matrix as such a mixture.

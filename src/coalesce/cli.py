@@ -4,7 +4,9 @@ Every invocation writes a one-line JSON run manifest to stderr: the argv,
 sha256 digests of the input files it read, the seed in effect, the caps, the
 RNG layout the seed is read through (cftp.RNG_LAYOUT), the package version,
 and wall-clock time. Stdout carries only the results, in
-the format selected by --format.
+the format selected by --format. Each command handler returns its exit code
+and its output (a JSON document, or lines of text, tsv or dot), and main
+alone writes that output to stdout.
 
 Exit codes: 0 success, 1 a check or reproduction failed, 2 bad input,
 3 a configured budget was exceeded, 4 an internal error (a program fault,
@@ -17,6 +19,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import secrets
 import sys
 import time
@@ -110,11 +113,11 @@ def _load_coupling(run: _Run, path: str):
 
 
 def _parse_support_arg(run: _Run, value: str) -> Support:
-    """A support given as a file of function notations, or inline."""
-    if Path(value).is_file():
-        text = run.read_file(value)
-    else:
-        text = value
+    """A support given as a file of function notations, or inline.
+
+    Text that cannot be probed as a path, such as one longer than a file
+    name can be, is inline: os.path.isfile is False when the probe fails."""
+    text = run.read_file(value) if os.path.isfile(value) else value
     tokens = text.split()
     if not tokens:
         raise NotationError("empty support")
@@ -153,18 +156,15 @@ def _coupling_summary(mu) -> str:
     return f"{mu.support_size()} weighted functions"
 
 
-def _kset_payload(report, include_couplings: bool) -> dict:
-    members = []
-    for m in report.members:
-        entry = {"k": m.k, "how": m.how}
-        if include_couplings:
-            entry["coupling"] = json.loads(serialize_coupling(m.coupling))
-        members.append(entry)
+def _kset_payload(report) -> dict:
     return {
         "n": report.n,
         "values": sorted(report.values),
         "exact": report.exact,
-        "members": members,
+        "members": [
+            {"k": m.k, "how": m.how, "coupling": json.loads(serialize_coupling(m.coupling))}
+            for m in report.members
+        ],
         "exclusions": [
             {"k": e.k, "reason": e.reason, "detail": e.detail}
             for e in report.exclusions
@@ -202,7 +202,7 @@ def _kset_lines(report) -> list[str]:
 # --- command handlers -------------------------------------------------------
 
 
-def _cmd_analyze(args, run: _Run) -> int:
+def _cmd_analyze(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json")
     P = _load_irreducible(run, args.matrix)
     p = period(P)
@@ -211,29 +211,27 @@ def _cmd_analyze(args, run: _Run) -> int:
     allowed = math.prod(len(s) for s in P.row_supports)
     report = k_set_report(P, cap=args.exact_cap, max_closure=args.max_closure)
     if args.format == "json":
-        payload = {
+        return 0, {
             "n": P.n,
             "irreducible": True,
             "period": p,
             "doubly_stochastic": ds,
             "invariant_distribution": [str(v) for v in pi],
             "allowed_functions": allowed,
-            "kset": _kset_payload(report, include_couplings=True),
+            "kset": _kset_payload(report),
         }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"states: {P.n}")
-    print("irreducible: yes")
-    print(f"period: {p}")
-    print(f"doubly stochastic: {'yes' if ds else 'no'}")
-    print("invariant distribution:", " ".join(format_rational(v) for v in pi))
-    print(f"allowed functions: {allowed}")
-    for line in _kset_lines(report):
-        print(line)
-    return 0
+    return 0, [
+        f"states: {P.n}",
+        "irreducible: yes",
+        f"period: {p}",
+        f"doubly stochastic: {'yes' if ds else 'no'}",
+        "invariant distribution: " + " ".join(format_rational(v) for v in pi),
+        f"allowed functions: {allowed}",
+        *_kset_lines(report),
+    ]
 
 
-def _cmd_coupling_check(args, run: _Run) -> int:
+def _cmd_coupling_check(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json")
     mu = _load_coupling(run, args.coupling)
     P = _load_matrix(run, args.matrix)
@@ -246,100 +244,79 @@ def _cmd_coupling_check(args, run: _Run) -> int:
         for j in range(P.n)
         if induced.entries[i][j] != P.entries[i][j]
     ]
-    ok = not mismatches
+    if not mismatches:
+        if args.format == "json":
+            return 0, {"consistent": True}
+        return 0, ["consistent: the coupling resums to the matrix"]
+    i, j, got, want = mismatches[0]
     if args.format == "json":
-        payload = {"consistent": ok}
-        if not ok:
-            i, j, got, want = mismatches[0]
-            payload["first_mismatch"] = {
+        return 1, {
+            "consistent": False,
+            "first_mismatch": {
                 "row": i + 1, "column": j + 1, "coupling": str(got), "matrix": str(want)
-            }
-        print(json.dumps(payload, indent=2))
-    elif ok:
-        print("consistent: the coupling resums to the matrix")
-    else:
-        i, j, got, want = mismatches[0]
-        print(
-            f"not consistent: entry ({i + 1},{j + 1}) resums to "
-            f"{format_rational(got)}, matrix has {format_rational(want)}"
-            f" ({len(mismatches)} entries differ)"
-        )
-    return 0 if ok else 1
+            },
+        }
+    return 1, [
+        f"not consistent: entry ({i + 1},{j + 1}) resums to "
+        f"{format_rational(got)}, matrix has {format_rational(want)}"
+        f" ({len(mismatches)} entries differ)"
+    ]
 
 
-def _cmd_k_number(args, run: _Run) -> int:
+def _cmd_k_number(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json")
     mu = _load_coupling(run, args.coupling)
     k, pairs, e0 = coalescence_number_and_pairs(mu, max_closure=args.max_closure)
     parts = sorted(p.format_onebased() for p in close(mu, e0.kernel(), args.max_closure))
     size = mu.support_size()
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "support_size": size,
-                    "coalescence_number": k,
-                    "coalescing_pairs": [
-                        sorted(v + 1 for v in p) for p in sorted(pairs, key=sorted)
-                    ],
-                    "limiting_partitions": parts,
-                },
-                indent=2,
-            )
-        )
-        return 0
-    print(f"support: {size} functions")
-    print(f"coalescence number: {k}")
-    print(f"coalescing pairs: {_pairs_text(pairs) or 'none'}")
-    print("limiting partitions:")
-    for text in parts:
-        print(f"  {text}")
-    return 0
+        return 0, {
+            "support_size": size,
+            "coalescence_number": k,
+            "coalescing_pairs": [sorted(v + 1 for v in p) for p in sorted(pairs, key=sorted)],
+            "limiting_partitions": parts,
+        }
+    return 0, [
+        f"support: {size} functions",
+        f"coalescence number: {k}",
+        f"coalescing pairs: {_pairs_text(pairs) or 'none'}",
+        "limiting partitions:",
+        *(f"  {text}" for text in parts),
+    ]
 
 
-def _cmd_feasible(args, run: _Run) -> int:
+def _cmd_feasible(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json")
     P = _load_matrix(run, args.matrix)
     support = _parse_support_arg(run, args.support)
     result = feasible_weights(P, support)
     if result:
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "feasible": True,
-                        "weights": [[f.to_notation(), str(w)] for f, w in result.weights],
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print("feasible: yes")
-            for f, w in result.weights:
-                print(f"  {f.to_notation()}: {format_rational(w)}")
-        return 0
+            return 0, {
+                "feasible": True,
+                "weights": [[f.to_notation(), str(w)] for f, w in result.weights],
+            }
+        return 0, [
+            "feasible: yes",
+            *(f"  {f.to_notation()}: {format_rational(w)}" for f, w in result.weights),
+        ]
     weak = is_weakly_feasible(P, support)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "feasible": False,
-                    "reason": result.reason,
-                    "detail": result.detail,
-                    "some_subset_feasible": weak,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print("feasible: no")
-        print(f"reason: {result.reason}")
-        print(f"detail: {result.detail}")
-        print(f"some subset feasible: {'yes' if weak else 'no'}")
-    return 1
+        return 1, {
+            "feasible": False,
+            "reason": result.reason,
+            "detail": result.detail,
+            "some_subset_feasible": weak,
+        }
+    return 1, [
+        "feasible: no",
+        f"reason: {result.reason}",
+        f"detail: {result.detail}",
+        f"some subset feasible: {'yes' if weak else 'no'}",
+    ]
 
 
-def _cmd_blocks(args, run: _Run) -> int:
+def _cmd_blocks(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json")
     P = _load_matrix(run, args.matrix)
     partition = Partition.parse(args.partition)
@@ -373,46 +350,34 @@ def _cmd_blocks(args, run: _Run) -> int:
     elif lumped:
         payload.update(constructed=False, detail=detail)
         lines += ["coupling constructed: no", f"detail: {detail}"]
-    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
-    return 0 if verified else 1
+    return 0 if verified else 1, payload if args.format == "json" else lines
 
 
-def _cmd_birkhoff(args, run: _Run) -> int:
+def _cmd_birkhoff(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json")
     P = _load_matrix(run, args.matrix)
     decomp = birkhoff_decomposition(P)
     bound = (P.n - 1) ** 2 + 1
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "terms": [[f.to_notation(), str(w)] for f, w in decomp.terms],
-                    "term_count": len(decomp.terms),
-                    "bound": bound,
-                },
-                indent=2,
-            )
-        )
-        return 0
-    print(f"terms: {len(decomp.terms)} (bound {bound})")
-    for f, w in decomp.terms:
-        print(f"  {f.to_notation()}: {format_rational(w)}")
-    return 0
+        return 0, {
+            "terms": [[f.to_notation(), str(w)] for f, w in decomp.terms],
+            "term_count": len(decomp.terms),
+            "bound": bound,
+        }
+    return 0, [
+        f"terms: {len(decomp.terms)} (bound {bound})",
+        *(f"  {f.to_notation()}: {format_rational(w)}" for f, w in decomp.terms),
+    ]
 
 
-def _cmd_kset(args, run: _Run) -> int:
+def _cmd_kset(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json")
     P = _load_irreducible(run, args.matrix)
     report = k_set_report(P, cap=args.exact_cap, max_closure=args.max_closure)
-    if args.format == "json":
-        print(json.dumps(_kset_payload(report, include_couplings=True), indent=2))
-        return 0
-    for line in _kset_lines(report):
-        print(line)
-    return 0
+    return 0, _kset_payload(report) if args.format == "json" else _kset_lines(report)
 
 
-def _cmd_sample(args, run: _Run) -> int:
+def _cmd_sample(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json", "tsv")
     P = _load_irreducible(run, args.matrix)
     if args.coupling is not None:
@@ -428,38 +393,34 @@ def _cmd_sample(args, run: _Run) -> int:
     counts, failures = sample_counts(mu, stream, args.n_samples, t_max=t_max)
     pi = invariant_distribution(P)
     tv = total_variation(counts, pi) if counts else None
+    code = 1 if failures else 0
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "seed": run.seed,
-                    "samples": args.n_samples,
-                    "failures": failures,
-                    "counts": {str(s + 1): c for s, c in sorted(counts.items())},
-                    "tv_to_invariant": None if tv is None else str(tv),
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "tsv":
-        print("state\tcount")
-        for s, c in sorted(counts.items()):
-            print(f"{s + 1}\t{c}")
-        print(f"# failures: {failures}")
+        return code, {
+            "seed": run.seed,
+            "samples": args.n_samples,
+            "failures": failures,
+            "counts": {str(s + 1): c for s, c in sorted(counts.items())},
+            "tv_to_invariant": None if tv is None else str(tv),
+        }
+    if args.format == "tsv":
+        lines = ["state\tcount"]
+        lines += [f"{s + 1}\t{c}" for s, c in sorted(counts.items())]
+        lines.append(f"# failures: {failures}")
         if tv is not None:
-            print(f"# tv_to_invariant: {_float6(tv)}")
-    else:
-        total = sum(counts.values())
-        print(f"samples: {total} (failures: {failures}, seed: {run.seed})")
-        for s, c in sorted(counts.items()):
-            share = Fraction(c, total)
-            print(f"  state {s + 1}: {c} ({_float6(share)})")
-        if tv is not None:
-            print(f"total variation to invariant law: {_float6(tv)} ({tv})")
-    return 1 if failures else 0
+            lines.append(f"# tv_to_invariant: {_float6(tv)}")
+        return code, lines
+    total = sum(counts.values())
+    lines = [f"samples: {total} (failures: {failures}, seed: {run.seed})"]
+    lines += [
+        f"  state {s + 1}: {c} ({_float6(Fraction(c, total))})"
+        for s, c in sorted(counts.items())
+    ]
+    if tv is not None:
+        lines.append(f"total variation to invariant law: {_float6(tv)} ({tv})")
+    return code, lines
 
 
-def _cmd_verify_equidist(args, run: _Run) -> int:
+def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json")
     mu = _load_coupling(run, args.coupling)
     t_max = args.t_max if args.t_max is not None else DEFAULT_T_MAX
@@ -469,36 +430,32 @@ def _cmd_verify_equidist(args, run: _Run) -> int:
     else:
         alpha, tolerance = None, args.tolerance
     ok = report.passed(tolerance)
+    code = 0 if ok else 1
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "seed": run.seed,
-                    "runs": report.runs,
-                    "backward_failures": report.backward_failures,
-                    "forward_failures": report.forward_failures,
-                    "max_cdf_gap": str(report.max_cdf_gap),
-                    "tolerance": float(tolerance),
-                    "alpha": None if alpha is None else float(alpha),
-                    "passed": ok,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"runs: {report.runs} backward + {report.runs} forward (seed: {run.seed})")
-        print(f"backward failures: {report.backward_failures}")
-        print(f"forward failures: {report.forward_failures}")
-        print(f"max CDF gap: {_float6(report.max_cdf_gap)} ({report.max_cdf_gap})")
-        if alpha is None:
-            print(f"tolerance: {_float6(tolerance)}")
-        else:
-            print(f"tolerance: {_float6(tolerance)} (false-fail rate {float(alpha)}, DKW-Massart)")
-        print(f"verdict: {'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+        return code, {
+            "seed": run.seed,
+            "runs": report.runs,
+            "backward_failures": report.backward_failures,
+            "forward_failures": report.forward_failures,
+            "max_cdf_gap": str(report.max_cdf_gap),
+            "tolerance": float(tolerance),
+            "alpha": None if alpha is None else float(alpha),
+            "passed": ok,
+        }
+    tolerance_line = f"tolerance: {_float6(tolerance)}"
+    if alpha is not None:
+        tolerance_line += f" (false-fail rate {float(alpha)}, DKW-Massart)"
+    return code, [
+        f"runs: {report.runs} backward + {report.runs} forward (seed: {run.seed})",
+        f"backward failures: {report.backward_failures}",
+        f"forward failures: {report.forward_failures}",
+        f"max CDF gap: {_float6(report.max_cdf_gap)} ({report.max_cdf_gap})",
+        tolerance_line,
+        f"verdict: {'pass' if ok else 'fail'}",
+    ]
 
 
-def _cmd_examples(args, run: _Run) -> int:
+def _cmd_examples(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "json", "tsv")
     overrides = {}
     for item in args.override or []:
@@ -509,50 +466,49 @@ def _cmd_examples(args, run: _Run) -> int:
     only = None
     if args.only:
         only = [x for item in args.only for x in item.split(",") if x]
+        if not only:
+            raise InvalidOption("--only names no example id")
     rows = run_all(only, overrides)
     failed = [r for r in rows if not r.passed]
+    code = 1 if failed else 0
     if args.format == "json":
-        print(
-            json.dumps(
+        return code, {
+            "rows": [
                 {
-                    "rows": [
-                        {
-                            "example": r.example,
-                            "check": r.check,
-                            "expected": r.expected,
-                            "computed": r.computed,
-                            "passed": r.passed,
-                        }
-                        for r in rows
-                    ],
-                    "failed": len(failed),
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "tsv":
-        print("example\tcheck\texpected\tcomputed\tpassed")
+                    "example": r.example,
+                    "check": r.check,
+                    "expected": r.expected,
+                    "computed": r.computed,
+                    "passed": r.passed,
+                }
+                for r in rows
+            ],
+            "failed": len(failed),
+        }
+    if args.format == "tsv":
+        lines = ["example\tcheck\texpected\tcomputed\tpassed"]
         for r in rows:
             expected = r.expected.replace("\t", " ").replace("\n", "\\n")
             computed = r.computed.replace("\t", " ").replace("\n", "\\n")
-            print(f"{r.example}\t{r.check}\t{expected}\t{computed}\t{r.passed}")
-    else:
-        for r in rows:
-            mark = "ok " if r.passed else "FAIL"
-            line = f"[{mark}] {r.example}: {r.check}"
-            if not r.passed:
-                line += f" (expected {r.expected!r}, computed {r.computed!r})"
-            print(line)
-        print(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
-    return 1 if failed else 0
+            lines.append(f"{r.example}\t{r.check}\t{expected}\t{computed}\t{r.passed}")
+        return code, lines
+    lines = []
+    for r in rows:
+        mark = "ok " if r.passed else "FAIL"
+        line = f"[{mark}] {r.example}: {r.check}"
+        if not r.passed:
+            line += f" (expected {r.expected!r}, computed {r.computed!r})"
+        lines.append(line)
+    lines.append(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
+    return code, lines
 
 
-def _cmd_diagram(args, run: _Run) -> int:
+def _cmd_diagram(args, run: _Run) -> tuple[int, dict | list[str]]:
     _require_format(args, "text", "dot")
     mu = _load_coupling(run, args.coupling)
     t_max = args.t_max if args.t_max is not None else DEFAULT_DIAGRAM_STEPS
-    print(emit_trajectory_diagram(mu, RngStream(run.seed), t_max, fmt=args.format), end="")
-    return 0
+    diagram = emit_trajectory_diagram(mu, RngStream(run.seed), t_max, fmt=args.format)
+    return 0, diagram.splitlines()
 
 
 # --- parser -----------------------------------------------------------------
@@ -660,7 +616,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         check_options(args)
-        code = args.handler(args, run)
+        code, output = args.handler(args, run)
+        print(json.dumps(output, indent=2) if isinstance(output, dict) else "\n".join(output))
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3

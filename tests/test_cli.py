@@ -278,6 +278,21 @@ def test_feasible_rejected(ex10_file):
     assert doc["reason"] == "zero-forced"
 
 
+def test_long_inline_support_is_read_as_text(tmp_path):
+    # the 12 rotations of 12 states, inline, are longer than a file name can
+    # be; probing them as a path must not make a valid input exit 2
+    matrix = tmp_path / "u12.txt"
+    matrix.write_text(StochasticMatrix.uniform(12).to_text())
+    rotations = " ".join(",".join(str((i + r) % 12 + 1) for i in range(12)) for r in range(12))
+    assert len(rotations) == 323
+    support = tmp_path / "rotations.txt"
+    support.write_text(rotations)
+    inline = run_cli("feasible", str(matrix), "--support", rotations, "--seed", "1")
+    from_file = run_cli("feasible", str(matrix), "--support", str(support), "--seed", "1")
+    assert inline[:2] == from_file[:2]
+    assert from_file[0] == 0
+
+
 def test_blocks_verified(tmp_path):
     u4 = tmp_path / "u4.txt"
     u4.write_text("1/4 1/4 1/4 1/4\n" * 4)
@@ -596,6 +611,46 @@ def test_library_faults_are_typed_errors(tmp_path, ex10_file, argv, message):
     assert manifest_of(err)["exit_code"] == 2
 
 
+# one valid argv per subcommand, and every format that subcommand accepts
+HANDLER_RUNS = [
+    (["analyze", "{ex10}"], ("text", "json")),
+    (["coupling-check", "{doeblin}", "{ex10}"], ("text", "json")),
+    (["k-number", "{quarter}"], ("text", "json")),
+    (["feasible", "{ex10}", "--support", "123 231"], ("text", "json")),
+    (["blocks", "{ex11}", "--partition", "1,3|2,4"], ("text", "json")),
+    (["birkhoff", "{ex10}"], ("text", "json")),
+    (["kset", "{ex10}"], ("text", "json")),
+    (["sample", "{ex10}", "--n-samples", "20"], ("text", "json", "tsv")),
+    (["verify-equidist", "{doeblin}", "--runs", "20"], ("text", "json")),
+    (["examples", "--only", "ex7"], ("text", "json", "tsv")),
+    (["diagram", "{doeblin}"], ("text", "dot")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [(argv, fmt) for argv, formats in HANDLER_RUNS for fmt in formats],
+    ids=[f"{argv[0]}-{fmt}" for argv, formats in HANDLER_RUNS for fmt in formats],
+)
+def test_handlers_return_code_and_output(
+    capsys, ex10_file, ex11_file, quarter_file, doeblin_file, argv, fmt
+):
+    # a handler writes nothing; main alone renders what it returns
+    files = {"ex10": ex10_file, "ex11": ex11_file, "quarter": quarter_file, "doeblin": doeblin_file}
+    argv = [a.format(**files) for a in argv] + ["--seed", "1", "--format", fmt]
+    args = build_parser().parse_args(argv)
+    code, output = args.handler(args, _Run(seed=1))
+    assert capsys.readouterr().out == ""
+    assert isinstance(code, int)
+    if fmt == "json":
+        assert isinstance(output, dict)
+        rendered = json.dumps(output, indent=2)
+    else:
+        assert isinstance(output, list) and all(isinstance(line, str) for line in output)
+        rendered = "\n".join(output)
+    assert run_cli(*argv)[:2] == (code, rendered + "\n")
+
+
 def test_internal_error_exits_4(monkeypatch, ex10_file):
     # a ValueError is a fault of the program, not bad input: exit 4, and the
     # manifest is still written
@@ -693,6 +748,14 @@ def test_examples_override_negative_control(tmp_path):
         "examples", "--only", "divisors", "--override", f"divisors={rotated}", "--seed", "1"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("only", ["", ","], ids=["empty", "comma"])
+def test_examples_only_must_name_an_example(only):
+    # selecting no example is bad input, not 0/0 checks passed
+    code, out, err = run_cli("examples", "--only", only, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: --only names no example id"
 
 
 def test_diagram(doeblin_file):
