@@ -1,8 +1,11 @@
 """Birkhoff-von Neumann decomposition of doubly stochastic matrices.
 
-Greedy peeling: repeatedly pick the lexicographically least perfect matching
-on the positive entries, subtract the smallest matched entry times that
-permutation, and stop when the residual is zero.
+Greedy peeling: find a perfect matching on the positive entries of the
+residual, subtract the smallest matched entry times that permutation, and
+stop when the residual is zero. Each peel runs one matching: every row takes
+its least free column, then Kuhn's augmenting paths (Kuhn 1955) place the
+rows left over, searching columns in increasing order. Nothing else enters,
+so the same matrix always yields the same terms in the same order.
 
 Greedy peeling needs at most (n-1)^2 + 1 permutations, whatever matching it
 picks at each step (Johnson, Dulmage & Mendelsohn 1960), the dimension bound
@@ -57,64 +60,36 @@ class BirkhoffDecomposition:
         return StochasticMatrix(tuple(tuple(r) for r in out))
 
 
-def _max_matching(adj: list[list[int]], n: int, fixed: list[int]) -> bool:
-    """Does a perfect matching exist that extends the given row->col fixing?
+def _matching(adj: list[list[int]]) -> list[int]:
+    """A perfect matching on a positive pattern: the column of each row.
 
-    fixed[i] is a column index or -1. Kuhn's augmenting path search on the
-    remaining rows.
+    adj[i] lists row i's positive columns in increasing order. A residual
+    has equal positive line sums, so it has a perfect matching and a row
+    that no augmenting path places is a fault.
     """
-    col_of_row = list(fixed)
+    n = len(adj)
+    col_of_row = [-1] * n
     row_of_col = [-1] * n
-    for i, c in enumerate(col_of_row):
-        if c >= 0:
-            if row_of_col[c] >= 0:
-                return False
-            row_of_col[c] = i
-    used_cols = {c for c in col_of_row if c >= 0}
+    for i, cols in enumerate(adj):
+        for c in cols:
+            if row_of_col[c] < 0:
+                row_of_col[c], col_of_row[i] = i, c
+                break
 
-    def try_row(i: int, seen: list[bool]) -> bool:
+    def augment(i: int, seen: list[bool]) -> bool:
         for c in adj[i]:
-            if c in used_cols or seen[c]:
+            if seen[c]:
                 continue
             seen[c] = True
-            if row_of_col[c] < 0 or try_row(row_of_col[c], seen):
-                row_of_col[c] = i
-                col_of_row[i] = c
+            if row_of_col[c] < 0 or augment(row_of_col[c], seen):
+                row_of_col[c], col_of_row[i] = i, c
                 return True
         return False
 
     for i in range(n):
-        if col_of_row[i] >= 0:
-            continue
-        if not try_row(i, [False] * n):
-            return False
-    return True
-
-
-def _lex_least_matching(positive: list[list[bool]]) -> list[int]:
-    """The lexicographically least perfect matching on the positive pattern.
-
-    Rows are decided in order; each row takes the smallest column for which a
-    perfect matching on the remainder still exists.
-    """
-    n = len(positive)
-    adj = [[j for j in range(n) if positive[i][j]] for i in range(n)]
-    fixed = [-1] * n
-    for i in range(n):
-        taken = set(fixed[:i])
-        chosen = -1
-        for c in adj[i]:
-            if c in taken:
-                continue
-            trial = list(fixed)
-            trial[i] = c
-            if _max_matching(adj, n, trial):
-                chosen = c
-                break
-        if chosen < 0:
-            raise NotDoublyStochastic("positive pattern admits no perfect matching")
-        fixed[i] = chosen
-    return fixed
+        placed = col_of_row[i] >= 0 or augment(i, [False] * n)
+        assert placed, "residual pattern admits no perfect matching"
+    return col_of_row
 
 
 def birkhoff_decomposition(P: StochasticMatrix) -> BirkhoffDecomposition:
@@ -130,8 +105,7 @@ def birkhoff_decomposition(P: StochasticMatrix) -> BirkhoffDecomposition:
     terms: list[tuple[MapFunction, Fraction]] = []
     remaining = Fraction(1)
     while remaining > 0:
-        pattern = [[residual[i][j] > 0 for j in range(n)] for i in range(n)]
-        match = _lex_least_matching(pattern)
+        match = _matching([[j for j in range(n) if residual[i][j] > 0] for i in range(n)])
         theta = min(residual[i][match[i]] for i in range(n))
         perm = MapFunction(tuple(match))
         terms.append((perm, theta))

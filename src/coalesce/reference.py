@@ -3,7 +3,7 @@
 Each example is a named bundle of checks over a small chain or function
 family. Running one recomputes everything from scratch and compares against
 the stored answers, so any behavioral drift in the library shows up as a
-failed row instead of passing silently. The two single-matrix examples
+failed row instead of passing silently. The three single-matrix examples
 accept a replacement matrix, which is useful as a negative control: feeding
 a different chain through the same checks should fail them.
 """
@@ -22,10 +22,16 @@ from .blocks import (
     uniform_divisor_coupling,
 )
 from .cftp import DidNotCoalesce, RngStream, cftp_sample
-from .coupling import doeblin_coupling, is_consistent, permutation_coupling, to_explicit
+from .coupling import (
+    ExplicitCoupling,
+    doeblin_coupling,
+    is_consistent,
+    permutation_coupling,
+    to_explicit,
+)
 from .errors import InvalidOption
 from .feasibility import feasible_weights
-from .kset import can_exclude_second_largest, k_set_exact
+from .kset import can_exclude_second_largest, k_set_certificates, k_set_exact
 from .mapfun import MapFunction, Partition, Support
 from .matrix import StochasticMatrix, parse_matrix
 from .semigroup import coalescence_number, coalescing_pairs, limiting_partitions
@@ -37,6 +43,13 @@ EX11_MATRIX = "1/2 1/2 0 0\n0 1/2 1/2 0\n0 0 1/2 1/2\n1/2 0 0 1/2\n"
 # Support of the equal-weight coupling of the four-state chain above; the
 # four functions move the alternating blocks {1,3} and {2,4} rigidly.
 EX11_QUARTER_SUPPORT = ("1234", "1331", "2244", "2341")
+
+# K(P) = {1, 2}. The certificate route certifies 1 and excludes 3 and 4, but
+# no block partition certifies 2. The coupling below reaches k = 2 with two
+# limiting partitions, so it keeps no single block structure.
+CERTGAP_MATRIX = "0 1/4 3/4 0\n3/4 0 1/4 0\n0 1/4 0 3/4\n0 3/4 1/4 0\n"
+
+CERTGAP_COUPLING = (("2323", Fraction(1, 4)), ("3142", Fraction(3, 4)))
 
 EX7_FUNCTIONS = ("3434", "4334", "3412", "3421")
 
@@ -179,6 +192,36 @@ def _run_ex11(override: StochasticMatrix | None) -> list[ExampleRow]:
     return rows
 
 
+def _run_certgap(override: StochasticMatrix | None) -> list[ExampleRow]:
+    P = override if override is not None else parse_matrix(CERTGAP_MATRIX)
+    exact = k_set_exact(P)
+    certified = k_set_certificates(P)
+    members = tuple(m.k for m in certified.members)
+    excluded = tuple(e.k for e in certified.exclusions)
+    mu = ExplicitCoupling.from_pairs(
+        (MapFunction.from_notation(f), w) for f, w in CERTGAP_COUPLING
+    )
+    return [
+        _row("certgap", "achievable coalescence numbers", (1, 2), tuple(sorted(exact.values))),
+        _row("certgap", "certificate members", (1,), members),
+        _row("certgap", "certificate exclusions", (3, 4), excluded),
+        _row(
+            "certgap",
+            "left open by the certificates",
+            (2,),
+            tuple(k for k in range(1, P.n + 1) if k not in members + excluded),
+        ),
+        _row("certgap", "2323 + 3142 coupling consistent", True, is_consistent(mu, P)),
+        _row("certgap", "2323 + 3142 coupling classes", 2, coalescence_number(mu)),
+        _row(
+            "certgap",
+            "2323 + 3142 limiting partitions",
+            ("1,2|3,4", "1,3|2,4"),
+            _partitions_onebased(limiting_partitions(mu)),
+        ),
+    ]
+
+
 def _run_divisors(override: StochasticMatrix | None) -> list[ExampleRow]:
     n = 6
     U = StochasticMatrix.uniform(n)
@@ -240,6 +283,7 @@ REGISTRY: dict[str, Example] = {
         Example("ex7", False, _run_ex7),
         Example("ex10", True, _run_ex10),
         Example("ex11", True, _run_ex11),
+        Example("certgap", True, _run_certgap),
         Example("divisors", False, _run_divisors),
         Example("exclusion", False, _run_exclusion),
         Example("dichotomy", False, _run_dichotomy),
@@ -269,9 +313,12 @@ def run_all(
     overrides maps example ids to replacement matrices. Every id and every
     override is checked before any example runs: an unknown id, an override
     for an example that is not run, or one for an example that takes no
-    matrix raises InvalidOption.
+    matrix raises InvalidOption, and so does an id named twice.
     """
     ids = list(only) if only is not None else example_ids()
+    for i, example_id in enumerate(ids):
+        if example_id in ids[:i]:
+            raise InvalidOption(f"example id {example_id!r} is named more than once")
     overrides = overrides or {}
     for example_id in overrides:
         if example_id not in ids:

@@ -10,6 +10,7 @@ from coalesce import (
     birkhoff_decomposition,
     parse_matrix,
 )
+from coalesce.birkhoff import _matching
 
 
 def test_cycle_walk_two_terms(ex10):
@@ -43,8 +44,28 @@ def test_random_roundtrips_and_term_bound():
         assert dec.resum().entries == P.entries
         assert len(dec.terms) <= (n - 1) ** 2 + 1
         assert all(f.is_permutation() for f, _ in dec.terms)
+        assert len({f for f, _ in dec.terms}) == len(dec.terms)
+        assert birkhoff_decomposition(P).terms == dec.terms
         assert all(w > 0 for _, w in dec.terms)
         assert sum(w for _, w in dec.terms) == 1
+
+
+def test_stranded_row_is_placed_by_an_augmenting_path():
+    # least free columns give rows 1-3 columns 1-3 and leave row 4 with none;
+    # the augmenting path moves row 2 to column 4
+    P = parse_matrix("1 0 0 0\n0 1/2 0 1/2\n0 0 1/2 1/2\n0 1/2 1/2 0\n")
+    dec = birkhoff_decomposition(P)
+    assert [(f.to_notation(), w) for f, w in dec.terms] == [
+        ("1432", Fraction(1, 2)),
+        ("1243", Fraction(1, 2)),
+    ]
+
+
+def test_pattern_without_perfect_matching_is_a_fault():
+    # every residual has one, so this is a fault of the program (exit 4),
+    # not bad input
+    with pytest.raises(AssertionError, match="no perfect matching"):
+        _matching([[0], [0]])
 
 
 def test_uniform_matrix(ex11):

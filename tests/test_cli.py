@@ -578,8 +578,10 @@ def test_handler_faults_are_typed_errors(
 LIBRARY_FAULTS = [
     (
         ["examples", "--only", "bogus"],
-        "unknown example id 'bogus'; know ['dichotomy', 'divisors', 'ex10', 'ex11', 'ex7', 'exclusion']",
+        "unknown example id 'bogus'; know "
+        "['certgap', 'dichotomy', 'divisors', 'ex10', 'ex11', 'ex7', 'exclusion']",
     ),
+    (["examples", "--only", "ex7,ex7"], "example id 'ex7' is named more than once"),
     (["examples", "--override", "ex7={ex10}"], "example 'ex7' does not take a replacement matrix"),
     (
         ["examples", "--only", "ex7", "--override", "ex10={ex10}"],
@@ -592,7 +594,7 @@ LIBRARY_FAULTS = [
 @pytest.mark.parametrize(
     "argv, message",
     LIBRARY_FAULTS,
-    ids=["unknown-example", "override-no-matrix", "override-not-run", "not-utf8"],
+    ids=["unknown-example", "repeated-example", "override-no-matrix", "override-not-run", "not-utf8"],
 )
 def test_library_faults_are_typed_errors(tmp_path, ex10_file, argv, message):
     latin1 = tmp_path / "latin1.txt"
@@ -822,6 +824,18 @@ def test_python_m_coalesce_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: coalesce" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(argv[0], argv[0]) for argv, _ in HANDLER_RUNS] + [("paper-examples", "examples")],
+    ids=[argv[0] for argv, _ in HANDLER_RUNS] + ["paper-examples"],
+)
+def test_subcommand_help(command, name):
+    # an alias prints the usage of the subcommand it names
+    code, out, _ = run_cli(command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: coalesce {name} ")
 
 
 _GARBLE = "0123456789/|,. -x\n{}[]\":"

@@ -153,6 +153,38 @@ def test_certificates_on_uniform_matrix():
     ]
 
 
+def test_certificates_agree_with_exact_route():
+    # members the certificates claim are achievable, and values they exclude
+    # are not, on random irreducible matrices inside a 2^12 subset budget:
+    # plain ones, permutation mixtures (which may be periodic) and mixtures
+    # of block-permuting maps (which lump)
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        n, kind = rng.randint(3, 4), rng.randrange(3)
+        if kind == 0:
+            rows = oracles.random_stochastic(rng, n)
+        elif kind == 1:
+            rows = oracles.random_doubly_stochastic(rng, n, max_perms=3)
+        else:
+            _, images = oracles.random_block_permuting(rng, n, rng.randint(1, 3))
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for image in images:
+                for i in range(n):
+                    rows[i][image[i]] += Fraction(1, len(images))
+            if not oracles.strongly_connected(rows):
+                continue
+        P = StochasticMatrix.from_rows(rows)
+        try:
+            exact = k_set_exact(P, cap=2**12)
+        except BudgetExceeded:
+            continue
+        certified = k_set_certificates(P)
+        assert certified.values <= exact.values
+        assert not {e.k for e in certified.exclusions} & exact.values
+        checked += 1
+
+
 def test_pair_balance_criterion(ex10):
     assert not single_pair_balance(ex10, 0, 1)
     assert all(

@@ -2,9 +2,13 @@ import pytest
 
 from coalesce import InvalidOption, example_ids, parse_matrix, run_all
 
+from conftest import EX11_TEXT
+
 
 def test_example_ids():
-    assert example_ids() == ["ex7", "ex10", "ex11", "divisors", "exclusion", "dichotomy"]
+    assert example_ids() == [
+        "ex7", "ex10", "ex11", "certgap", "divisors", "exclusion", "dichotomy"
+    ]
 
 
 def test_fast_examples_all_pass():
@@ -18,6 +22,14 @@ def test_override_detects_mismatch():
     # a rotated 3-state walk still has K = {1, 3} but different mixture parts
     rotated = parse_matrix("1/2 0 1/2\n1/2 1/2 0\n0 1/2 1/2\n")
     rows = run_all(["ex10"], {"ex10": rotated})
+    assert any(not r.passed for r in rows)
+
+
+def test_certgap_pins_the_certificate_gap():
+    rows = run_all(["certgap"])
+    assert len(rows) == 7 and all(r.passed for r in rows)
+    # on the lazy 4-cycle walk K(P) = {1, 2, 4}, so the same checks fail
+    rows = run_all(["certgap"], {"certgap": parse_matrix(EX11_TEXT)})
     assert any(not r.passed for r in rows)
 
 
@@ -44,6 +56,7 @@ def test_run_all_rejects_unused_override():
     [
         (["first", "ex99"], None, "unknown example id"),
         (["first", "second"], "second", "does not take a replacement matrix"),
+        (["first", "second", "first"], None, "example id 'first' is named more than once"),
     ],
 )
 def test_run_all_checks_every_argument_before_running(monkeypatch, only, override_for, message):
