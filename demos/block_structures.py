@@ -4,10 +4,10 @@
 """
 
 from coalesce import (
+    BlockConditionsFail,
     NotLumpable,
     Partition,
     birkhoff_decomposition,
-    check_block_conditions,
     check_lumpability,
     coalescence_number,
     construct_block_measure,
@@ -38,11 +38,15 @@ for text in ("1,2|3,4", "1,3|2,4"):
 
 # The odd/even split also passes the stronger block conditions: blocks of
 # equal size, and the block-to-block mass moves by a permutation law.
+# construct_block_measure raises BlockConditionsFail when they fail.
 part = Partition.parse("1,3|2,4")
-print("block conditions hold:", check_block_conditions(Q, part))
+try:
+    mu = construct_block_measure(Q, part)
+except BlockConditionsFail:
+    mu = None
+print("block conditions hold:", mu is not None)
 
 # So a coupling can be assembled that moves whole blocks at once.
-mu = construct_block_measure(Q, part)
 print("constructed coupling:",
       [(f.to_notation(), str(w)) for f, w in mu.iter_terms()])
 print("k =", coalescence_number(mu))

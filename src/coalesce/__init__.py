@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .birkhoff import BirkhoffDecomposition, birkhoff_decomposition
 from .blocks import (
     NotLumpable,
-    check_block_conditions,
     check_lumpability,
     construct_block_measure,
     is_block_measure,

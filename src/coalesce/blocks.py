@@ -85,15 +85,6 @@ def check_lumpability(
     return StochasticMatrix(tuple(tuple(row) for row in rows))
 
 
-def check_block_conditions(P: StochasticMatrix, partition: Partition) -> bool:
-    """True when construct_block_measure would succeed with these arguments."""
-    try:
-        construct_block_measure(P, partition)
-    except BlockConditionsFail:
-        return False
-    return True
-
-
 def construct_block_measure(P: StochasticMatrix, partition: Partition) -> BlockCoupling:
     """Build the block-structured coupling of P over a partition.
 

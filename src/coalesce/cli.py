@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Every invocation writes a one-line JSON run manifest to stderr: the argv,
-sha256 digests of the input files it read, the seed in effect, the caps, the
-RNG layout the seed is read through (cftp.RNG_LAYOUT), the package version,
-and wall-clock time. Stdout carries only the results, in
-the format selected by --format. Each command handler returns its exit code
-and its output (a JSON document, or lines of text, tsv or dot), and main
-alone writes that output to stdout.
+Each subcommand takes only the options its handler reads. An argv that
+argparse rejects exits 2 with a usage message and no manifest. Every other
+invocation writes a one-line JSON run manifest to stderr: the argv, sha256
+digests of the input files it read, the seed in effect, the caps (null for a
+budget the command does not take), the RNG layout the seed is read through
+(cftp.RNG_LAYOUT), the package version, and wall-clock time. Stdout carries
+only the results, in a --format the command writes (checked in main). Each
+command handler returns its exit code and its output (a JSON document, or
+lines of text, tsv or dot), and main alone writes that output to stdout.
 
 Exit codes: 0 success, 1 a check or reproduction failed, 2 bad input,
 3 a configured budget was exceeded, 4 an internal error (a program fault,
@@ -124,10 +126,10 @@ def _parse_support_arg(run: _Run, value: str) -> Support:
     return Support.of(MapFunction.from_notation(tok) for tok in tokens)
 
 
-def _require_format(args, *allowed: str) -> None:
-    if args.format not in allowed:
+def _require_format(args) -> None:
+    if args.format not in args.formats:
         raise InvalidOption(
-            f"format {args.format!r} not supported here; use one of {', '.join(allowed)}"
+            f"format {args.format!r} not supported here; use one of {', '.join(args.formats)}"
         )
 
 
@@ -203,7 +205,6 @@ def _kset_lines(report) -> list[str]:
 
 
 def _cmd_analyze(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json")
     P = _load_irreducible(run, args.matrix)
     p = period(P)
     ds = is_doubly_stochastic(P)
@@ -232,7 +233,6 @@ def _cmd_analyze(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_coupling_check(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json")
     mu = _load_coupling(run, args.coupling)
     P = _load_matrix(run, args.matrix)
     if mu.n != P.n:
@@ -264,7 +264,6 @@ def _cmd_coupling_check(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_k_number(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json")
     mu = _load_coupling(run, args.coupling)
     k, pairs, e0 = coalescence_number_and_pairs(mu, max_closure=args.max_closure)
     parts = sorted(p.format_onebased() for p in close(mu, e0.kernel(), args.max_closure))
@@ -286,7 +285,6 @@ def _cmd_k_number(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_feasible(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json")
     P = _load_matrix(run, args.matrix)
     support = _parse_support_arg(run, args.support)
     result = feasible_weights(P, support)
@@ -317,7 +315,6 @@ def _cmd_feasible(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_blocks(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json")
     P = _load_matrix(run, args.matrix)
     partition = Partition.parse(args.partition)
     if partition.n != P.n:
@@ -354,7 +351,6 @@ def _cmd_blocks(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_birkhoff(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json")
     P = _load_matrix(run, args.matrix)
     decomp = birkhoff_decomposition(P)
     bound = (P.n - 1) ** 2 + 1
@@ -371,14 +367,12 @@ def _cmd_birkhoff(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_kset(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json")
     P = _load_irreducible(run, args.matrix)
     report = k_set_report(P, cap=args.exact_cap, max_closure=args.max_closure)
     return 0, _kset_payload(report) if args.format == "json" else _kset_lines(report)
 
 
 def _cmd_sample(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json", "tsv")
     P = _load_irreducible(run, args.matrix)
     if args.coupling is not None:
         mu = _load_coupling(run, args.coupling)
@@ -388,9 +382,7 @@ def _cmd_sample(args, run: _Run) -> tuple[int, dict | list[str]]:
             raise InvalidOption("the coupling does not resum to the matrix")
     else:
         mu = doeblin_coupling(P)
-    t_max = args.t_max if args.t_max is not None else DEFAULT_T_MAX
-    stream = RngStream(run.seed)
-    counts, failures = sample_counts(mu, stream, args.n_samples, t_max=t_max)
+    counts, failures = sample_counts(mu, RngStream(run.seed), args.n_samples, t_max=args.t_max)
     pi = invariant_distribution(P)
     tv = total_variation(counts, pi) if counts else None
     code = 1 if failures else 0
@@ -421,10 +413,8 @@ def _cmd_sample(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json")
     mu = _load_coupling(run, args.coupling)
-    t_max = args.t_max if args.t_max is not None else DEFAULT_T_MAX
-    report = equidistribution_report(mu, RngStream(run.seed), args.runs, t_max=t_max)
+    report = equidistribution_report(mu, RngStream(run.seed), args.runs, t_max=args.t_max)
     if args.tolerance is None:
         alpha, tolerance = FALSE_FAIL_RATE, equidistribution_tolerance(args.runs)
     else:
@@ -456,7 +446,6 @@ def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_examples(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "json", "tsv")
     overrides = {}
     for item in args.override or []:
         example_id, sep, path = item.partition("=")
@@ -504,10 +493,8 @@ def _cmd_examples(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_diagram(args, run: _Run) -> tuple[int, dict | list[str]]:
-    _require_format(args, "text", "dot")
     mu = _load_coupling(run, args.coupling)
-    t_max = args.t_max if args.t_max is not None else DEFAULT_DIAGRAM_STEPS
-    diagram = emit_trajectory_diagram(mu, RngStream(run.seed), t_max, fmt=args.format)
+    diagram = emit_trajectory_diagram(mu, RngStream(run.seed), args.t_max, fmt=args.format)
     return 0, diagram.splitlines()
 
 
@@ -517,10 +504,7 @@ def _cmd_diagram(args, run: _Run) -> tuple[int, dict | list[str]]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default: fresh random, recorded in the manifest)")
-    common.add_argument("--exact-cap", type=int, default=DEFAULT_SUBSET_BUDGET, help="max support subsets to enumerate before falling back to certificates (0: certificates only)")
-    common.add_argument("--max-closure", type=int, default=DEFAULT_CLOSURE_CAP, help="max state pairs searched for a coalescence number, and max partition pullbacks formed for limiting partitions")
-    common.add_argument("--t-max", type=int, default=None, help="time horizon for sampling runs")
-    common.add_argument("--format", choices=("text", "json", "tsv", "dot"), default="text", help="output format")
+    common.add_argument("--format", default="text", help="output format, one of those listed below (default: text)")
 
     parser = argparse.ArgumentParser(
         prog="coalesce",
@@ -528,69 +512,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full report for a matrix file")
-    p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_analyze)
+    def command(name, handler, formats, *options, **kwargs):
+        """A subcommand: --seed, --format over the formats its handler
+        writes (checked in main), and the options its handler reads, each
+        a (name, add_argument keywords) pair."""
+        p = sub.add_parser(name, parents=[common], epilog=f"formats: {', '.join(formats)}", **kwargs)
+        p.set_defaults(handler=handler, formats=formats)
+        for option, spec in options:
+            p.add_argument(option, **spec)
 
-    p = sub.add_parser("coupling-check", parents=[common], help="does a coupling resum to a matrix")
-    p.add_argument("coupling")
-    p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_coupling_check)
+    def t_max(default):
+        return "--t-max", {"type": int, "default": default, "help": "time horizon for sampling runs (default: %(default)s)"}
 
-    p = sub.add_parser("k-number", parents=[common], help="coalescence number of a coupling file")
-    p.add_argument("coupling")
-    p.set_defaults(handler=_cmd_k_number)
+    matrix, coupling = ("matrix", {}), ("coupling", {})
+    exact_cap = ("--exact-cap", {"type": int, "default": DEFAULT_SUBSET_BUDGET, "help": "max support subsets to enumerate before falling back to certificates (0: certificates only)"})
+    max_closure = ("--max-closure", {"type": int, "default": DEFAULT_CLOSURE_CAP, "help": "max state pairs searched for a coalescence number, and max partition pullbacks formed for limiting partitions"})
+    text_json = ("text", "json")
 
-    p = sub.add_parser("feasible", parents=[common], help="exact-support feasibility for a matrix")
-    p.add_argument("matrix")
-    p.add_argument("--support", required=True, help="file of function notations, or inline whitespace-separated notations")
-    p.set_defaults(handler=_cmd_feasible)
-
-    p = sub.add_parser("blocks", parents=[common], help="lumpability and block-structured coupling over a partition")
-    p.add_argument("matrix")
-    p.add_argument("--partition", required=True, help='one-based blocks, e.g. "1,2|3,4"')
-    p.set_defaults(handler=_cmd_blocks)
-
-    p = sub.add_parser("birkhoff", parents=[common], help="permutation mixture of a doubly stochastic matrix")
-    p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_birkhoff)
-
-    p = sub.add_parser("kset", parents=[common], help="achievable coalescence numbers of a matrix")
-    p.add_argument("matrix")
-    p.set_defaults(handler=_cmd_kset)
-
-    p = sub.add_parser("sample", parents=[common], help="exact invariant-law samples via coupling from the past")
-    p.add_argument("matrix")
-    p.add_argument("--coupling", default=None, help="coupling file (default: the independent product coupling)")
-    p.add_argument("--n-samples", type=int, required=True)
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("verify-equidist", parents=[common], help="compare backward and forward coalescence-time laws")
-    p.add_argument("coupling")
-    p.add_argument("--runs", type=int, required=True)
-    p.add_argument(
-        "--tolerance",
-        type=Fraction,
-        default=None,
-        help="the max CDF gap must be below this; read exactly, as a decimal or p/q "
-        f"(default: the DKW-Massart bound for --runs at false-fail rate {float(FALSE_FAIL_RATE)})",
+    command("analyze", _cmd_analyze, text_json, matrix, exact_cap, max_closure, help="full report for a matrix file")
+    command("coupling-check", _cmd_coupling_check, text_json, coupling, matrix, help="does a coupling resum to a matrix")
+    command("k-number", _cmd_k_number, text_json, coupling, max_closure, help="coalescence number of a coupling file")
+    command(
+        "feasible", _cmd_feasible, text_json, matrix,
+        ("--support", {"required": True, "help": "file of function notations, or inline whitespace-separated notations"}),
+        help="exact-support feasibility for a matrix",
     )
-    p.set_defaults(handler=_cmd_verify_equidist)
-
-    p = sub.add_parser(
-        "examples",
-        parents=[common],
+    command(
+        "blocks", _cmd_blocks, text_json, matrix,
+        ("--partition", {"required": True, "help": 'one-based blocks, e.g. "1,2|3,4"'}),
+        help="lumpability and block-structured coupling over a partition",
+    )
+    command("birkhoff", _cmd_birkhoff, text_json, matrix, help="permutation mixture of a doubly stochastic matrix")
+    command("kset", _cmd_kset, text_json, matrix, exact_cap, max_closure, help="achievable coalescence numbers of a matrix")
+    command(
+        "sample", _cmd_sample, ("text", "json", "tsv"), matrix,
+        ("--coupling", {"default": None, "help": "coupling file (default: the independent product coupling)"}),
+        ("--n-samples", {"type": int, "required": True}),
+        t_max(DEFAULT_T_MAX),
+        help="exact invariant-law samples via coupling from the past",
+    )
+    command(
+        "verify-equidist", _cmd_verify_equidist, text_json, coupling,
+        ("--runs", {"type": int, "required": True}),
+        ("--tolerance", {
+            "type": Fraction,
+            "default": None,
+            "help": "the max CDF gap must be below this; read exactly, as a decimal or p/q "
+            f"(default: the DKW-Massart bound for --runs at false-fail rate {float(FALSE_FAIL_RATE)})",
+        }),
+        t_max(DEFAULT_T_MAX),
+        help="compare backward and forward coalescence-time laws",
+    )
+    command(
+        "examples", _cmd_examples, ("text", "json", "tsv"),
+        ("--only", {"action": "append", "help": "example id(s), comma-separated or repeated"}),
+        ("--override", {"action": "append", "help": "id=path: replace a bundled matrix (a negative control)"}),
         aliases=["paper-examples"],
         help="re-run the bundled worked examples against their pinned results",
     )
-    p.add_argument("--only", action="append", help="example id(s), comma-separated or repeated")
-    p.add_argument("--override", action="append", help="id=path: replace a bundled matrix (a negative control)")
-    p.set_defaults(handler=_cmd_examples)
-
-    p = sub.add_parser("diagram", parents=[common], help="trajectory merge diagram for a coupling file")
-    p.add_argument("coupling")
-    p.set_defaults(handler=_cmd_diagram)
-
+    command(
+        "diagram", _cmd_diagram, ("text", "dot"), coupling, t_max(DEFAULT_DIAGRAM_STEPS),
+        help="trajectory merge diagram for a coupling file",
+    )
     return parser
 
 
@@ -615,6 +598,7 @@ def main(argv=None) -> int:
     run = _Run(seed=seed)
     started = time.perf_counter()
     try:
+        _require_format(args)
         check_options(args)
         code, output = args.handler(args, run)
         print(json.dumps(output, indent=2) if isinstance(output, dict) else "\n".join(output))
@@ -633,9 +617,9 @@ def main(argv=None) -> int:
         "inputs": run.inputs,
         "seed": run.seed,
         "caps": {
-            "exact_cap": args.exact_cap,
-            "max_closure": args.max_closure,
-            "t_max": args.t_max,
+            "exact_cap": getattr(args, "exact_cap", None),
+            "max_closure": getattr(args, "max_closure", None),
+            "t_max": getattr(args, "t_max", None),
             "support_cap": DEFAULT_SUPPORT_CAP,
         },
         "rng_layout": RNG_LAYOUT,

@@ -16,7 +16,6 @@ from coalesce import (
     StochasticMatrix,
     SupportTooLarge,
     UniformPermLaw,
-    check_block_conditions,
     check_lumpability,
     coalescence_number,
     coalescing_pairs,
@@ -47,13 +46,16 @@ def test_alternating_partition_lumps_to_coin_flip(ex11):
 
 
 def test_block_conditions(ex11):
-    assert check_block_conditions(ex11, Partition.parse("1,3|2,4"))
-    assert not check_block_conditions(ex11, Partition.parse("1,2|3,4"))
+    part = Partition.parse("1,3|2,4")
+    assert construct_block_measure(ex11, part).partition == part
+    with pytest.raises(coalesce.BlockConditionsFail, match="not lumpable"):
+        construct_block_measure(ex11, Partition.parse("1,2|3,4"))
     # the uniform matrix lumps over unequal blocks, but no permutation law
     # can reproduce unequal block masses
     U = StochasticMatrix.uniform(4)
     assert not isinstance(check_lumpability(U, Partition.parse("1|2,3,4")), NotLumpable)
-    assert not check_block_conditions(U, Partition.parse("1|2,3,4"))
+    with pytest.raises(coalesce.BlockConditionsFail, match="not doubly stochastic"):
+        construct_block_measure(U, Partition.parse("1|2,3,4"))
 
 
 def test_construct_block_coupling_on_cycle_walk(ex11):

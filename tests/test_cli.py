@@ -1,11 +1,15 @@
+import argparse
+import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -533,11 +537,6 @@ HANDLER_FAULTS = [
         "DimensionMismatch",
         "partition covers 4 states, matrix has 3",
     ),
-    (
-        ["kset", "{ex10}", "--format", "tsv"],
-        "InvalidOption",
-        "format 'tsv' not supported here; use one of text, json",
-    ),
     (["examples", "--override", "ex10"], "InvalidOption", "--override wants id=path, got 'ex10'"),
     (["feasible", "{ex10}", "--support", ""], "NotationError", "empty support"),
 ]
@@ -572,6 +571,17 @@ def test_handler_faults_are_typed_errors(
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == f"error: {message}"
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "xml"])
+def test_unsupported_format_is_bad_input(ex10_file, fmt):
+    # main checks the format against the ones the command writes, so one
+    # another command writes (tsv) and one none writes (xml) both exit 2
+    # with the manifest
+    code, out, err = run_cli("kset", ex10_file, "--format", fmt, "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: format {fmt!r} not supported here; use one of text, json"
+    assert manifest_of(err)["exit_code"] == 2
 
 
 # (argv, message): bad input that the library, not a handler check, finds
@@ -838,6 +848,57 @@ def test_subcommand_help(command, name):
     assert out.startswith(f"usage: coalesce {name} ")
 
 
+def _subcommands() -> dict:
+    """Each subcommand's parser, by name (aliases included)."""
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _option_strings(command: str) -> set[str]:
+    return {o for a in _subcommands()[command]._actions for o in a.option_strings}
+
+
+def _args_read(handler) -> set[str]:
+    """The args.<name> attributes a handler's source reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+
+
+def test_each_subcommand_takes_only_the_options_its_handler_reads():
+    # an option a handler never reads would parse, reach the manifest and
+    # change nothing; --seed is read by main, -h by argparse
+    subcommands = _subcommands()
+    assert len(subcommands) == len(HANDLER_RUNS) + 1  # and the paper-examples alias
+    for name, sub in subcommands.items():
+        declared = {a.dest for a in sub._actions}
+        assert declared == _args_read(sub.get_default("handler")) | {"seed", "help"}, name
+    for argv, formats in HANDLER_RUNS:
+        assert subcommands[argv[0]].get_default("formats") == formats, argv[0]
+
+
+def test_an_option_the_command_does_not_take_is_a_usage_error(ex10_file):
+    code, out, err = run_cli("birkhoff", ex10_file, "--max-closure", "5", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "--max-closure" in err
+
+
+def test_manifest_caps_record_the_budgets_in_effect(ex10_file, doeblin_file):
+    # a budget the command does not take is null; one it takes reads the
+    # value in effect, given or default
+    def caps(*argv):
+        recorded = manifest_of(run_cli(*argv, "--seed", "1")[2])["caps"]
+        return recorded["exact_cap"], recorded["max_closure"], recorded["t_max"]
+
+    assert caps("birkhoff", ex10_file) == (None, None, None)
+    assert caps("sample", ex10_file, "--n-samples", "5") == (None, None, 1048576)
+    assert caps("diagram", doeblin_file) == (None, None, 30)
+    assert caps("kset", ex10_file, "--exact-cap", "7") == (7, 250_000, None)
+
+
 _GARBLE = "0123456789/|,. -x\n{}[]\":"
 
 
@@ -896,10 +957,12 @@ def _cli_runs(draw):
     ]))
     argv += ["--seed", str(draw(st.integers(0, 3)))]
     argv += ["--format", draw(st.sampled_from(["text", "json", "text", "json", "tsv", "dot"]))]
-    option = draw(st.integers(0, 9))  # none, a small cap, or one out of range
-    options = [["--max-closure", "2"], ["--exact-cap", "0"], ["--t-max", "2"],
-               ["--max-closure", "0"], ["--exact-cap", "-1"], ["--t-max", "0"]]
-    argv += options[option - 4] if option >= 4 else []
+    takes = _option_strings(argv[0])
+    options = [o for o in (["--max-closure", "2"], ["--exact-cap", "0"], ["--t-max", "2"],
+                           ["--max-closure", "0"], ["--exact-cap", "-1"], ["--t-max", "0"])
+               if o[0] in takes]
+    if options and draw(st.integers(0, 9)) >= 4:  # none, a small cap, or one out of range
+        argv += draw(st.sampled_from(options))
     return argv, files
 
 
