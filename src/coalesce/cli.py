@@ -520,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, formats=formats)
         for option, spec in options:
             p.add_argument(option, **spec)
+        return p
 
     def t_max(default):
         return "--t-max", {"type": int, "default": default, "help": "time horizon for sampling runs (default: %(default)s)"}
@@ -563,13 +564,14 @@ def build_parser() -> argparse.ArgumentParser:
         t_max(DEFAULT_T_MAX),
         help="compare backward and forward coalescence-time laws",
     )
+    # the one command that expands a support, through to_explicit
     command(
         "examples", _cmd_examples, ("text", "json", "tsv"),
         ("--only", {"action": "append", "help": "example id(s), comma-separated or repeated"}),
         ("--override", {"action": "append", "help": "id=path: replace a bundled matrix (a negative control)"}),
         aliases=["paper-examples"],
         help="re-run the bundled worked examples against their pinned results",
-    )
+    ).set_defaults(support_cap=DEFAULT_SUPPORT_CAP)
     command(
         "diagram", _cmd_diagram, ("text", "dot"), coupling, t_max(DEFAULT_DIAGRAM_STEPS),
         help="trajectory merge diagram for a coupling file",
@@ -620,7 +622,7 @@ def main(argv=None) -> int:
             "exact_cap": getattr(args, "exact_cap", None),
             "max_closure": getattr(args, "max_closure", None),
             "t_max": getattr(args, "t_max", None),
-            "support_cap": DEFAULT_SUPPORT_CAP,
+            "support_cap": getattr(args, "support_cap", None),
         },
         "rng_layout": RNG_LAYOUT,
         "version": __version__,

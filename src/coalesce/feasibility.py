@@ -7,16 +7,22 @@ the weight on f, the constraints are
     sum over f in S with f(i) = j of w_f  =  P[i][j]   for every cell (i, j),
     w_f > 0 for every f in S.
 
-The open positivity condition is settled exactly: maximize each coordinate
-w_f over the closed polytope (w_f >= 0). If every maximum is positive, the
+When the columns of S are independent, the system has at most one
+solution, so the yes/no question is answered by one elimination of the
+augmented system [A_S | b]: S is feasible iff it is consistent and its
+unique solution is strictly positive. Otherwise the open positivity
+condition is settled by linear programming: maximize each coordinate w_f
+over the closed polytope (w_f >= 0). If every maximum is positive, the
 average of the maximizing points is a strictly positive solution; if some
-maximum is zero, no solution can use that function.
+maximum is zero, no solution can use that function. Weights are always
+reported from the simplex.
 
 Everything is exact. The right-hand side is scaled by the least common
-denominator of its entries, so the system is integral, and the simplex is a
-dense two-phase tableau over Python integers with fraction-free (Bareiss)
-pivots and Bland's rule: it terminates without any tolerance, and Fractions
-are built only for the weights it reports.
+denominator of its entries, so the system is integral. The elimination and
+the simplex, a dense two-phase tableau with Bland's rule, share one
+fraction-free (Bareiss) pivot over Python integers: neither needs a
+tolerance, and Fractions are built only for the weights the simplex
+reports.
 """
 from __future__ import annotations
 
@@ -73,6 +79,50 @@ class Infeasible:
         return False
 
 
+def _pivot(M: list[list[int]], r: int, e: int, d: int) -> int:
+    """One fraction-free (Bareiss) Gauss-Jordan pivot on p = M[r][e], in place.
+
+    M holds integer rows over the common denominator d > 0. Every other
+    row becomes (p * M[i] - M[i][e] * M[r]) / d, a division that is always
+    exact. A negative p has its sign flipped into every row, so that the
+    returned new denominator |p| stays positive and a pivoted column reads
+    |p| in its pivot row and 0 elsewhere.
+    """
+    top = M[r]
+    s = -1 if top[e] < 0 else 1
+    q = s * top[e]
+    for i, row in enumerate(M):
+        f = s * row[e]
+        if i == r:
+            if s < 0:
+                M[i] = [-x for x in row]
+        elif f:
+            M[i] = [(q * x - f * y) // d for x, y in zip(row, top)]
+        elif q != d:
+            M[i] = [q * x // d for x in row]
+    return q
+
+
+def _unique_solution(M: list[list[int]], k: int) -> tuple[list[int], list[int]] | None:
+    """Eliminate the integer rows [A | b], A with k columns, in place.
+
+    None when the columns of A are dependent. Otherwise (w, rest): w[c] is
+    the last entry of column c's pivot row, which is d times the unique
+    solution's coordinate c for the final denominator d > 0, and rest the
+    last entries of the rows left without a pivot, all zero exactly when
+    A x = b is consistent.
+    """
+    d, free, w = 1, list(range(len(M))), []
+    for e in range(k):
+        r = next((r for r in free if M[r][e]), None)
+        if r is None:
+            return None
+        d = _pivot(M, r, e, d)
+        free.remove(r)
+        w.append(r)
+    return [M[r][-1] for r in w], [M[r][-1] for r in free]
+
+
 class _Simplex:
     """Fraction-free two-phase simplex with Bland's rule.
 
@@ -82,9 +132,7 @@ class _Simplex:
 
     The tableau, cost row included, is kept as integers M over one common
     denominator d = |det B| of the current basis, so the true tableau is
-    M / d. A pivot on p = M[r][e] maps every other entry to
-    (p * M[i][j] - M[i][e] * M[r][j]) / d, a division that is always exact
-    (Bareiss), and then sets d = p.
+    M / d, and pivots with _pivot.
     """
 
     def __init__(self, columns: list[list[int]], b: list[int], scale: int):
@@ -102,22 +150,8 @@ class _Simplex:
         self.feasible = self._phase1()
 
     def _pivot(self, r: int, e: int):
-        M, d = self.M, self.d
-        top = M[r]
-        # only a phase-1 expel pivot can be negative; flip its sign into
-        # every row so that the new denominator q = |p| stays positive
-        s = -1 if top[e] < 0 else 1
-        q = s * top[e]
-        for i, row in enumerate(M):
-            f = s * row[e]
-            if i == r:
-                if s < 0:
-                    M[i] = [-x for x in row]
-            elif f:
-                M[i] = [(q * x - f * y) // d for x, y in zip(row, top)]
-            elif q != d:
-                M[i] = [q * x // d for x in row]
-        self.d = q
+        # only a phase-1 expel pivot can be negative
+        self.d = _pivot(self.M, r, e, self.d)
         self.basis[r] = e
 
     def _solve(self, cost: list[int], allowed) -> int:
@@ -211,11 +245,12 @@ class SupportTester:
         b = [P.entries[i][j] for i, j in self.cells]
         self._scale = lcm(*(v.denominator for v in b))
         b = [v.numerator * (self._scale // v.denominator) for v in b]
-        self._row_idx = _independent_rows(rows, b)
+        keep = _independent_rows(rows, b)
+        self._rows = [rows[r] for r in keep]
         self._columns = [
-            [rows[r][c] for r in self._row_idx] for c in range(len(self.functions))
+            [row[c] for row in self._rows] for c in range(len(self.functions))
         ]
-        self._b = [b[r] for r in self._row_idx]
+        self._b = [b[r] for r in keep]
         # rank of the marginal system: no vertex of its polytope has more
         # positive coordinates
         self.rank = len(self._b)
@@ -235,13 +270,22 @@ class SupportTester:
     def decide(self, idxs) -> bool:
         """True iff some coupling of P has support exactly {functions[c] for c in idxs}.
 
-        Coordinates already strictly positive in a previously found optimum
-        are skipped, which usually collapses the solve count well below the
+        Independent columns are decided by one elimination: feasible iff
+        the system is consistent and its unique solution strictly
+        positive. Dependent ones go to the simplex, where coordinates
+        already strictly positive in a previously found optimum are
+        skipped, which usually collapses the solve count well below the
         support size.
         """
         idxs = list(idxs)
         if not self.covers(idxs):
             return False
+        solved = _unique_solution(
+            [[row[c] for c in idxs] + [v] for row, v in zip(self._rows, self._b)], len(idxs)
+        )
+        if solved is not None:
+            w, rest = solved
+            return not any(rest) and all(v > 0 for v in w)
         sx = self._simplex(idxs)
         if not sx.feasible:
             return False

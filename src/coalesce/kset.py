@@ -15,12 +15,14 @@ the union of the supports of the vertices of Q that lie inside S. A vertex
 support covers every positive cell (each cell has positive mass) and has at
 most r functions (its columns are independent). Supports are searched by
 size, and the pruned up-set only grows, so every vertex support strictly
-inside a decided subset was itself decided earlier, and recorded when the
-simplex found it feasible. Hence:
+inside a decided subset was itself decided earlier, and recorded when it
+was found feasible. Hence:
 
 - if recorded vertex supports lie inside S, S is feasible iff they cover it;
 - if none does and S has more than r functions, S is infeasible;
-- otherwise the simplex decides, and a feasible S is a vertex support.
+- otherwise S is feasible only as a vertex support, with independent
+  columns: one elimination decides it (consistent, and its unique solution
+  strictly positive), and the simplex runs only on dependent columns.
 
 Enumeration is exponential in the allowed-function count, so a second,
 certificate-based route covers larger instances with one-sided conclusions:
@@ -75,8 +77,10 @@ class KSetReport:
     counts every subset considered; cover_skipped those failing the cell
     cover, pruned those skipped by the prune antichain, and lp_decided the
     rest, every subset whose feasibility was decided. Only those with no
-    recorded vertex support inside and at most r functions reach the
-    simplex (see the module docstring); the name is kept for the output.
+    recorded vertex support inside and at most r functions reach
+    SupportTester.decide, and of those only the ones with dependent
+    columns reach the simplex (see the module docstring); the name is
+    kept for the output.
     """
 
     n: int
@@ -178,11 +182,11 @@ def k_set_exact(
     Feasibility follows from the vertex supports found so far: a subset is
     feasible iff the recorded vertex supports inside it cover it. With none
     inside, a subset with more functions than the rank r of the marginal
-    system is infeasible, and a smaller one goes to the simplex; when
-    feasible it is a vertex support and is recorded. This is exact because
-    subsets come by size, vertex supports always pass the cover check, and
-    the pruned up-set only grows, so no vertex support inside a decided
-    subset was skipped.
+    system is infeasible, and a smaller one goes to SupportTester.decide;
+    when feasible it is a vertex support and is recorded. This is exact
+    because subsets come by size, vertex supports always pass the cover
+    check, and the pruned up-set only grows, so no vertex support inside a
+    decided subset was skipped.
 
     With prune=True (safe for the resulting set), a subset is skipped when
     it contains an already-feasible subset T such that every value between
@@ -216,19 +220,27 @@ def k_set_exact(
     vertex_masks: list[int] = []  # supports of the vertices found so far
     enumerated = lp_decided = cover_skipped = pruned = 0
     bit = [1 << c for c in range(m)]
+    cell_masks, full_mask = tester.masks, tester.full_mask
     stop = False
     for size in range(1, m + 1):
         if stop:
             break
         for idxs in itertools.combinations(range(m), size):
             enumerated += 1
-            mask = 0
+            mask = cover = 0
             for c in idxs:
                 mask |= bit[c]
-            if not tester.covers(idxs):
+                cover |= cell_masks[c]
+            if cover != full_mask:
                 cover_skipped += 1
                 continue
-            if prune and any(pm & mask == pm for pm in prune_list):
+            # the antichain is empty unless prune is set
+            for pm in prune_list:
+                if pm & mask == pm:
+                    break
+            else:
+                pm = 0
+            if pm:
                 pruned += 1
                 continue
             lp_decided += 1

@@ -891,12 +891,16 @@ def test_manifest_caps_record_the_budgets_in_effect(ex10_file, doeblin_file):
     # value in effect, given or default
     def caps(*argv):
         recorded = manifest_of(run_cli(*argv, "--seed", "1")[2])["caps"]
-        return recorded["exact_cap"], recorded["max_closure"], recorded["t_max"]
+        return (
+            recorded["exact_cap"], recorded["max_closure"], recorded["t_max"], recorded["support_cap"]
+        )
 
-    assert caps("birkhoff", ex10_file) == (None, None, None)
-    assert caps("sample", ex10_file, "--n-samples", "5") == (None, None, 1048576)
-    assert caps("diagram", doeblin_file) == (None, None, 30)
-    assert caps("kset", ex10_file, "--exact-cap", "7") == (7, 250_000, None)
+    assert caps("birkhoff", ex10_file) == (None, None, None, None)
+    assert caps("sample", ex10_file, "--n-samples", "5") == (None, None, 1048576, None)
+    assert caps("diagram", doeblin_file) == (None, None, 30, None)
+    assert caps("kset", ex10_file, "--exact-cap", "7") == (7, 250_000, None, None)
+    # only examples expands a support (to_explicit), under the library's cap
+    assert caps("examples", "--only", "ex7") == (None, None, None, 1_000_000)
 
 
 _GARBLE = "0123456789/|,. -x\n{}[]\":"

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 
@@ -223,6 +225,68 @@ def test_integer_simplex_matches_fraction_reference_and_oracle(monkeypatch):
                 assert _integral(sx)
     assert tally == {"feasible": 18, "infeasible": 182}
     assert expel["pivots"] > 0 and expel["negative"] > 0
+
+
+def _decide_mutant(old, new):
+    """SupportTester.decide with one piece of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(feasibility.SupportTester.decide))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(feasibility), namespace)
+    return namespace["decide"]
+
+
+def test_elimination_decides_independent_columns_like_oracle_and_simplex(monkeypatch):
+    # covering supports whose columns are independent, so that A_S w = b
+    # has at most one solution and decide answers from one elimination;
+    # a feasible one plus one more function, when that keeps the columns
+    # independent, has a unique solution with a zero coordinate
+    rng = random.Random(82)
+    panel = []
+    tally = {"positive": 0, "inconsistent": 0, "zero": 0, "negative": 0}
+    for t in range(40):
+        n = rng.randint(3, 4)
+        rows = (
+            oracles.random_doubly_stochastic(rng, n, max_perms=3)
+            if t % 2
+            else oracles.random_stochastic_denominators(rng, n, (2, 3, 7, 9, 97))
+        )
+        P = StochasticMatrix.from_rows(rows)
+        tester = SupportTester(P, allowed_functions(P))
+        m = len(tester.functions)
+        draws = [sorted(rng.sample(range(m), rng.randint(1, min(tester.rank, m)))) for _ in range(10)]
+        for idxs in draws:
+            images = [tester.functions[c].image for c in idxs]
+            cols, b = oracles._cell_system(rows, images)
+            A = [[col[r] for col in cols] for r in range(len(b))]
+            if not tester.covers(idxs) or oracles.gauss_rank(A) < len(idxs):
+                continue
+            w = oracles.solve_exact(A, b)
+            kind = (
+                "inconsistent" if w is None
+                else "negative" if min(w) < 0
+                else "zero" if min(w) == 0
+                else "positive"
+            )
+            tally[kind] += 1
+            want = kind == "positive"
+            assert oracles.oracle_exact_feasible(rows, images) == want
+            assert bool(tester.witness(idxs)) == want
+            panel.append((tester, idxs, want))
+            if want and len(idxs) < m:
+                draws.append(sorted(idxs + [rng.choice([c for c in range(m) if c not in idxs])]))
+    assert tally == {"positive": 16, "inconsistent": 35, "zero": 18, "negative": 45}
+
+    def no_simplex(self, idxs):
+        raise AssertionError("independent columns reached the simplex")
+
+    monkeypatch.setattr(SupportTester, "_simplex", no_simplex)
+    assert all(tester.decide(idxs) == want for tester, idxs, want in panel)
+    # accepting a zero coordinate, or a solution of the first k rows that
+    # the rows past them contradict, must be caught by the panel
+    for old, new in (("v > 0", "v >= 0"), ("not any(rest) and ", "")):
+        mutant = _decide_mutant(old, new)
+        assert any(mutant(tester, idxs) != want for tester, idxs, want in panel)
 
 
 def test_large_denominators_stay_exact():

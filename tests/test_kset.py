@@ -106,24 +106,38 @@ def test_vertex_rule_matches_oracle():
 
 
 def test_simplex_runs_only_on_vertex_candidates(ex10, ex11, monkeypatch):
-    # decided subsets (lp_decided) against the ones that reach the simplex
-    calls = []
-    decide = feasibility.SupportTester.decide
+    # decided subsets (lp_decided) against the vertex candidates that reach
+    # decide, and those of them whose dependent columns still build a
+    # simplex there (the rest are decided by one elimination)
+    calls, built = [], []
+    decide, simplex = feasibility.SupportTester.decide, feasibility.SupportTester._simplex
 
     def counting(self, idxs):
         calls.append(idxs)
-        return decide(self, idxs)
+        self.deciding = True
+        try:
+            return decide(self, idxs)
+        finally:
+            self.deciding = False
+
+    def building(self, idxs):
+        if getattr(self, "deciding", False):
+            built.append(idxs)
+        return simplex(self, idxs)
 
     monkeypatch.setattr(feasibility.SupportTester, "decide", counting)
-    for P, kwargs, decided, simplex in (
-        (ex10, {}, 46, 22),
-        (ex10, {"prune": False}, 193, 22),
-        (ex11, {}, 4942, 1840),
+    monkeypatch.setattr(feasibility.SupportTester, "_simplex", building)
+    for P, kwargs, decided, candidates, dependent in (
+        (ex10, {}, 46, 22, 0),
+        (ex10, {"prune": False}, 193, 22, 0),
+        (ex11, {}, 4942, 1840, 192),
     ):
         calls.clear()
+        built.clear()
         report = k_set_exact(P, **kwargs)
         assert report.lp_decided == decided
-        assert len(calls) == simplex
+        assert len(calls) == candidates
+        assert len(built) == dependent
 
 
 def test_two_state_walk():
