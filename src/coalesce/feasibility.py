@@ -7,22 +7,22 @@ the weight on f, the constraints are
     sum over f in S with f(i) = j of w_f  =  P[i][j]   for every cell (i, j),
     w_f > 0 for every f in S.
 
-When the columns of S are independent, the system has at most one
-solution, so the yes/no question is answered by one elimination of the
-augmented system [A_S | b]: S is feasible iff it is consistent and its
-unique solution is strictly positive. Otherwise the open positivity
-condition is settled by linear programming: maximize each coordinate w_f
-over the closed polytope (w_f >= 0). If every maximum is positive, the
-average of the maximizing points is a strictly positive solution; if some
-maximum is zero, no solution can use that function. Weights are always
-reported from the simplex.
+The open positivity condition is settled by linear programming: maximize
+each coordinate w_f over the closed polytope (w_f >= 0). If every maximum
+is positive, the average of the maximizing points is a strictly positive
+solution; if some maximum is zero, no solution can use that function.
+
+The K(P) loop asks a narrower question: is S the support of a vertex of
+the polytope of weightings of all the allowed functions? That holds iff the columns of S are independent and the
+unique solution of the augmented system [A_S | b] is strictly positive, so
+one elimination decides it, with no simplex.
 
 Everything is exact. The right-hand side is scaled by the least common
 denominator of its entries, so the system is integral. The elimination and
-the simplex, a dense two-phase tableau with Bland's rule, share one
-fraction-free (Bareiss) pivot over Python integers: neither needs a
-tolerance, and Fractions are built only for the weights the simplex
-reports.
+the simplex, a dense two-phase tableau with Bland's rule, share the one
+fraction-free (Bareiss) pivot of matrix.row_reduce over Python integers:
+neither needs a tolerance, and Fractions are built only for the weights
+the simplex reports.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from math import lcm
 from .coupling import ExplicitCoupling
 from .errors import DimensionMismatch
 from .mapfun import MapFunction, Support
-from .matrix import StochasticMatrix, row_reduce
+from .matrix import StochasticMatrix, _pivot, row_reduce
 
 _ZERO = Fraction(0)
 
@@ -77,50 +77,6 @@ class Infeasible:
 
     def __bool__(self) -> bool:
         return False
-
-
-def _pivot(M: list[list[int]], r: int, e: int, d: int) -> int:
-    """One fraction-free (Bareiss) Gauss-Jordan pivot on p = M[r][e], in place.
-
-    M holds integer rows over the common denominator d > 0. Every other
-    row becomes (p * M[i] - M[i][e] * M[r]) / d, a division that is always
-    exact. A negative p has its sign flipped into every row, so that the
-    returned new denominator |p| stays positive and a pivoted column reads
-    |p| in its pivot row and 0 elsewhere.
-    """
-    top = M[r]
-    s = -1 if top[e] < 0 else 1
-    q = s * top[e]
-    for i, row in enumerate(M):
-        f = s * row[e]
-        if i == r:
-            if s < 0:
-                M[i] = [-x for x in row]
-        elif f:
-            M[i] = [(q * x - f * y) // d for x, y in zip(row, top)]
-        elif q != d:
-            M[i] = [q * x // d for x in row]
-    return q
-
-
-def _unique_solution(M: list[list[int]], k: int) -> tuple[list[int], list[int]] | None:
-    """Eliminate the integer rows [A | b], A with k columns, in place.
-
-    None when the columns of A are dependent. Otherwise (w, rest): w[c] is
-    the last entry of column c's pivot row, which is d times the unique
-    solution's coordinate c for the final denominator d > 0, and rest the
-    last entries of the rows left without a pivot, all zero exactly when
-    A x = b is consistent.
-    """
-    d, free, w = 1, list(range(len(M))), []
-    for e in range(k):
-        r = next((r for r in free if M[r][e]), None)
-        if r is None:
-            return None
-        d = _pivot(M, r, e, d)
-        free.remove(r)
-        w.append(r)
-    return [M[r][-1] for r in w], [M[r][-1] for r in free]
 
 
 class _Simplex:
@@ -261,42 +217,30 @@ class SupportTester:
             mask |= self.masks[c]
         return mask
 
-    def covers(self, idxs) -> bool:
-        return self.cover_mask(idxs) == self.full_mask
-
     def _simplex(self, idxs) -> _Simplex:
         return _Simplex([self._columns[c] for c in idxs], self._b, self._scale)
 
     def decide(self, idxs) -> bool:
-        """True iff some coupling of P has support exactly {functions[c] for c in idxs}.
+        """True iff {functions[c] for c in idxs} is the support of a vertex
+        of the coupling polytope {w >= 0 : A w = b}.
 
-        Independent columns are decided by one elimination: feasible iff
-        the system is consistent and its unique solution strictly
-        positive. Dependent ones go to the simplex, where coordinates
-        already strictly positive in a previously found optimum are
-        skipped, which usually collapses the solve count well below the
-        support size.
+        That is, the columns of A_S are independent and the unique solution
+        of A_S w = b is strictly positive, which one elimination of
+        [A_S | b] decides. An uncovered positive cell needs no check of its
+        own: its row reads 0 = b > 0, so the system is inconsistent. Whether
+        some coupling has exactly this support, vertex or not, is witness's
+        question.
         """
         idxs = list(idxs)
-        if not self.covers(idxs):
+        M = [[row[c] for c in idxs] + [v] for row, v in zip(self._rows, self._b)]
+        _, pivots = row_reduce(M, len(idxs))
+        if len(pivots) < len(idxs):
             return False
-        solved = _unique_solution(
-            [[row[c] for c in idxs] + [v] for row, v in zip(self._rows, self._b)], len(idxs)
-        )
-        if solved is not None:
-            w, rest = solved
-            return not any(rest) and all(v > 0 for v in w)
-        sx = self._simplex(idxs)
-        if not sx.feasible:
-            return False
-        pending = set(range(len(idxs)))
-        while pending:
-            j = min(pending)
-            val, x = sx.maximize_coord(j)
-            if val == 0:
-                return False
-            pending -= {c for c in pending if x[c] > 0}
-        return True
+        # the solution is M[r][-1] / d on each pivot row r; every other row
+        # reads 0 = M[r][-1] / d, consistent only when it is 0
+        solution = {r: M[r][-1] for _, r in pivots}
+        consistent = not any(M[r][-1] for r in range(len(M)) if r not in solution)
+        return consistent and all(v > 0 for v in solution.values())
 
     def witness(self, idxs) -> FeasibilityWitness | Infeasible:
         """Strictly positive weights, or the reason none exist.
@@ -306,8 +250,8 @@ class SupportTester:
         function order. That makes the output deterministic.
         """
         idxs = list(idxs)
-        if not self.covers(idxs):
-            missing = self.cover_mask(idxs) ^ self.full_mask
+        missing = self.cover_mask(idxs) ^ self.full_mask
+        if missing:
             pos = (missing & -missing).bit_length() - 1
             i, j = self.cells[pos]
             return Infeasible(
@@ -339,8 +283,8 @@ class SupportTester:
 def _independent_rows(rows: list[list[int]], b: list[int]) -> list[int]:
     """Indices of the augmented rows [A | b] that are independent of the
     rows before them: the pivot columns of the transpose."""
-    transpose = [[Fraction(v) for v in col] for col in (*zip(*rows), b)]
-    return row_reduce(transpose, len(rows))
+    transpose = [list(col) for col in (*zip(*rows), b)]
+    return [c for c, _ in row_reduce(transpose, len(rows))[1]]
 
 
 def _split_unsupported(P: StochasticMatrix, support: Support):
@@ -386,7 +330,4 @@ def is_weakly_feasible(P: StochasticMatrix, support: Support) -> bool:
     if not good:
         return False
     tester = SupportTester(P, Support.of(f for f, _ in good))
-    idxs = list(range(len(tester.functions)))
-    if not tester.covers(idxs):
-        return False
-    return tester._simplex(idxs).feasible
+    return tester._simplex(range(len(tester.functions))).feasible

@@ -21,8 +21,8 @@ was found feasible. Hence:
 - if recorded vertex supports lie inside S, S is feasible iff they cover it;
 - if none does and S has more than r functions, S is infeasible;
 - otherwise S is feasible only as a vertex support, with independent
-  columns: one elimination decides it (consistent, and its unique solution
-  strictly positive), and the simplex runs only on dependent columns.
+  columns and a strictly positive unique solution: one elimination decides
+  it.
 
 Enumeration is exponential in the allowed-function count, so a second,
 certificate-based route covers larger instances with one-sided conclusions:
@@ -78,8 +78,8 @@ class KSetReport:
     cover, pruned those skipped by the prune antichain, and lp_decided the
     rest, every subset whose feasibility was decided. Only those with no
     recorded vertex support inside and at most r functions reach
-    SupportTester.decide, and of those only the ones with dependent
-    columns reach the simplex (see the module docstring); the name is
+    SupportTester.decide, the vertex-support test, which one elimination
+    answers with no linear program (see the module docstring); the name is
     kept for the output.
     """
 
@@ -182,11 +182,11 @@ def k_set_exact(
     Feasibility follows from the vertex supports found so far: a subset is
     feasible iff the recorded vertex supports inside it cover it. With none
     inside, a subset with more functions than the rank r of the marginal
-    system is infeasible, and a smaller one goes to SupportTester.decide;
-    when feasible it is a vertex support and is recorded. This is exact
-    because subsets come by size, vertex supports always pass the cover
-    check, and the pruned up-set only grows, so no vertex support inside a
-    decided subset was skipped.
+    system is infeasible, and a smaller one is feasible iff
+    SupportTester.decide finds it a vertex support, which is recorded. This
+    is exact because subsets come by size, vertex supports always pass the
+    cover check, and the pruned up-set only grows, so no vertex support
+    inside a decided subset was skipped.
 
     With prune=True (safe for the resulting set), a subset is skipped when
     it contains an already-feasible subset T such that every value between

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -24,7 +24,6 @@ from .mapfun import MapFunction
 from .rational import format_rational, parse_rational
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -160,45 +159,63 @@ def invariant_distribution(P: StochasticMatrix) -> tuple[Fraction, ...]:
     if not is_irreducible(P):
         raise NotIrreducible("invariant distribution requires irreducibility")
     n = P.n
-    # Augmented rows of (P^T - I) x = 0 plus the normalisation row sum(x) = 1.
+    scale = lcm(*(v.denominator for row in P.entries for v in row))
+    # Augmented rows of scale * (P^T - I) x = 0 plus the normalisation row
+    # sum(x) = 1, all integral.
     rows = [
-        [P.entries[i][j] - (1 if i == j else 0) for i in range(n)] + [_ZERO]
+        [int(scale * (P.entries[i][j] - (i == j))) for i in range(n)] + [0]
         for j in range(n)
     ]
-    rows.append([_ONE] * (n + 1))
-    if len(row_reduce(rows, n)) < n:
-        raise NotIrreducible("singular system; chain is not irreducible")
-    return tuple(rows[k][n] for k in range(n))
+    rows.append([1] * (n + 1))
+    d, pivots = row_reduce(rows, n)
+    # an irreducible chain has exactly one invariant law, so rank n
+    assert len(pivots) == n, "irreducible chain with a singular invariant system"
+    return tuple(Fraction(rows[r][n], d) for _, r in pivots)
 
 
-def pivot_step(rows: list[list[Fraction]], r: int, c: int) -> None:
-    """One exact Gauss-Jordan step, in place: scale row r so that its entry
-    in column c is 1, then clear column c from every other row."""
-    top = rows[r]
-    pv = top[c]
-    if pv != 1:
-        top = rows[r] = [v / pv for v in top]
-    for i, row in enumerate(rows):
-        f = row[c]
-        if f != 0 and i != r:
-            rows[i] = [x - f * y for x, y in zip(row, top)]
+def _pivot(M: list[list[int]], r: int, e: int, d: int) -> int:
+    """One fraction-free (Bareiss) Gauss-Jordan pivot on p = M[r][e], in place.
+
+    M holds integer rows over the common denominator d > 0. Every other
+    row becomes (p * M[i] - M[i][e] * M[r]) / d, a division that is always
+    exact. A negative p has its sign flipped into every row, so that the
+    returned new denominator |p| stays positive and a pivoted column reads
+    |p| in its pivot row and 0 elsewhere.
+    """
+    top = M[r]
+    s = -1 if top[e] < 0 else 1
+    q = s * top[e]
+    for i, row in enumerate(M):
+        f = s * row[e]
+        if i == r:
+            if s < 0:
+                M[i] = [-x for x in row]
+        elif f:
+            M[i] = [(q * x - f * y) // d for x, y in zip(row, top)]
+        elif q != d:
+            M[i] = [q * x // d for x in row]
+    return q
 
 
-def row_reduce(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduced row echelon form, in place, pivoting on the first ncols
-    columns only. Returns the pivot columns in order: row k holds the k-th,
-    and a column is a pivot exactly when it is independent of the columns
-    before it."""
-    pivots: list[int] = []
+def row_reduce(M: list[list[int]], ncols: int) -> tuple[int, list[tuple[int, int]]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
+    pivoting on the first ncols columns only; rows are not reordered.
+
+    Returns (d, pivots): the final denominator d > 0, so that M / d is the
+    reduced form, and the (column, row) of each pivot in column order. Each
+    column pivots on the first row not yet pivoted with a nonzero entry in
+    it; a column with none is dependent on the columns before it and is
+    skipped.
+    """
+    d, pivots, free = 1, [], list(range(len(M)))
     for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
+        r = next((r for r in free if M[r][c]), None)
+        if r is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pivot_step(rows, r, c)
-        pivots.append(c)
-    return pivots
+        d = _pivot(M, r, c, d)
+        free.remove(r)
+        pivots.append((c, r))
+    return d, pivots
 
 
 def relabel(P: StochasticMatrix, sigma: MapFunction) -> StochasticMatrix:

@@ -106,23 +106,30 @@ def oracle_pullback_orbit(closure: set[Image], blocks) -> set[frozenset[frozense
 # --- exact linear algebra ---------------------------------------------------
 
 
-def gauss_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
+def reduce_exact(rows, ncols: int):
+    """Gauss-Jordan over Fractions on the first ncols columns, rows left in
+    place: each column pivots on the first row not yet pivoted with a
+    nonzero entry in it, which is scaled to 1 and cleared from every other
+    row. Returns the reduced rows and the (column, row) of each pivot."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[tuple[int, int]] = []
+    for c in range(ncols):
+        used = {r for _, r in pivots}
+        piv = next((r for r in range(len(m)) if r not in used and m[r][c] != 0), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][c]
-        m[rank] = [v / inv for v in m[rank]]
+        inv = m[piv][c]
+        m[piv] = [v / inv for v in m[piv]]
         for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
+            if r != piv and m[r][c] != 0:
                 f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+                m[r] = [a - f * b for a, b in zip(m[r], m[piv])]
+        pivots.append((c, piv))
+    return m, pivots
+
+
+def gauss_rank(rows: list[list[Fraction]]) -> int:
+    return len(reduce_exact(rows, len(rows[0]) if rows else 0)[1])
 
 
 def solve_exact(A: list[list[Fraction]], b: list[Fraction]):
@@ -131,31 +138,14 @@ def solve_exact(A: list[list[Fraction]], b: list[Fraction]):
     None covers both an inconsistent system and a rank-deficient one, which
     is all the vertex enumeration below needs.
     """
-    rows, cols = len(A), len(A[0])
-    m = [A[r][:] + [b[r]] for r in range(rows)]
-    pivots: list[int] = []
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][c]
-        m[rank] = [v / inv for v in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][c] != 0:
-                f = m[r][c]
-                m[r] = [a - f * bb for a, bb in zip(m[r], m[rank])]
-        pivots.append(c)
-        rank += 1
-    if rank < cols:
+    cols = len(A[0])
+    m, pivots = reduce_exact([A[r] + [b[r]] for r in range(len(A))], cols)
+    if len(pivots) < cols:
         return None
-    if any(m[r][cols] != 0 for r in range(rank, rows)):
+    used = {r for _, r in pivots}
+    if any(m[r][cols] != 0 for r in range(len(m)) if r not in used):
         return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][cols]
-    return x
+    return [m[r][cols] for _, r in pivots]
 
 
 # --- exact-support feasibility by basic-solution enumeration ----------------
@@ -220,6 +210,16 @@ def oracle_exact_feasible(P_rows, images: list[Image]) -> bool:
         if len(covered) == len(images):
             return True
     return nonempty and len(covered) == len(images)
+
+
+def oracle_vertex_support(P_rows, images: list[Image]) -> bool:
+    """Are these functions exactly the support of a vertex of the coupling
+    polytope: independent columns and a strictly positive unique solution?"""
+    cols, b = _cell_system(P_rows, images)
+    if cols is None:
+        return False
+    w = solve_exact([[col[r] for col in cols] for r in range(len(b))], b)
+    return w is not None and min(w) > 0
 
 
 def oracle_weakly_feasible(P_rows, images: list[Image]) -> bool:

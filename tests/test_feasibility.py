@@ -30,8 +30,9 @@ def sup(*notations):
 
 
 def decides(P, support):
-    """The exact-support decision that the K(P) loop runs."""
-    return SupportTester(P, support).decide(range(len(support)))
+    """The general exact-support question: does some coupling of P have
+    exactly this support?"""
+    return bool(SupportTester(P, support).witness(range(len(support))))
 
 
 def test_quarter_support_weights(ex11, quarter_coupling):
@@ -202,14 +203,13 @@ def test_integer_simplex_matches_fraction_reference_and_oracle(monkeypatch):
         m = len(tester.functions)
         for _ in range(5):
             idxs = sorted(rng.sample(range(m), rng.randint(1, min(7, m))))
-            want = oracles.oracle_exact_feasible(
-                rows, [tester.functions[c].image for c in idxs]
-            )
-            assert tester.decide(idxs) == want
+            images = [tester.functions[c].image for c in idxs]
+            want = oracles.oracle_exact_feasible(rows, images)
+            assert tester.decide(idxs) == oracles.oracle_vertex_support(rows, images)
             res = tester.witness(idxs)
             assert bool(res) == want
             tally["feasible" if want else "infeasible"] += 1
-            if not tester.covers(idxs):
+            if tester.cover_mask(idxs) != tester.full_mask:
                 continue
             sx = tester._simplex(idxs)
             ref = oracles.FractionSimplex(
@@ -237,13 +237,19 @@ def _decide_mutant(old, new):
 
 
 def test_elimination_decides_independent_columns_like_oracle_and_simplex(monkeypatch):
-    # covering supports whose columns are independent, so that A_S w = b
-    # has at most one solution and decide answers from one elimination;
-    # a feasible one plus one more function, when that keeps the columns
-    # independent, has a unique solution with a zero coordinate
+    # decide is the vertex-support test: independent columns, so that
+    # A_S w = b has at most one solution, and that solution strictly
+    # positive. The panel holds random draws of at most rank-many
+    # functions, covering or not, independent or not; a vertex support
+    # plus one more function, whose unique solution, if any, has a zero
+    # coordinate; and the union of two vertex supports, which some coupling
+    # has as its exact support (the midpoint of the two vertices) but no
+    # vertex does
     rng = random.Random(82)
     panel = []
-    tally = {"positive": 0, "inconsistent": 0, "zero": 0, "negative": 0}
+    tally = dict.fromkeys(
+        ("positive", "inconsistent", "zero", "negative", "dependent", "uncovered", "union"), 0
+    )
     for t in range(40):
         n = rng.randint(3, 4)
         rows = (
@@ -259,32 +265,54 @@ def test_elimination_decides_independent_columns_like_oracle_and_simplex(monkeyp
             images = [tester.functions[c].image for c in idxs]
             cols, b = oracles._cell_system(rows, images)
             A = [[col[r] for col in cols] for r in range(len(b))]
-            if not tester.covers(idxs) or oracles.gauss_rank(A) < len(idxs):
-                continue
+            independent = oracles.gauss_rank(A) == len(idxs)
             w = oracles.solve_exact(A, b)
             kind = (
-                "inconsistent" if w is None
+                "uncovered" if tester.cover_mask(idxs) != tester.full_mask
+                else "dependent" if not independent
+                else "inconsistent" if w is None
                 else "negative" if min(w) < 0
                 else "zero" if min(w) == 0
                 else "positive"
             )
             tally[kind] += 1
-            want = kind == "positive"
-            assert oracles.oracle_exact_feasible(rows, images) == want
-            assert bool(tester.witness(idxs)) == want
+            want = independent and w is not None and min(w) > 0
+            assert want == (kind == "positive")
+            assert bool(tester.witness(idxs)) == oracles.oracle_exact_feasible(rows, images)
             panel.append((tester, idxs, want))
             if want and len(idxs) < m:
                 draws.append(sorted(idxs + [rng.choice([c for c in range(m) if c not in idxs])]))
-    assert tally == {"positive": 16, "inconsistent": 35, "zero": 18, "negative": 45}
+        # the simplex's coordinate maximizers are vertices of the polytope
+        sx, vertices = tester._simplex(range(m)), []
+        for j in range(m):
+            x = sx.maximize_coord(j)[1]
+            idxs = [c for c in range(m) if x[c] > 0]
+            if idxs not in vertices:
+                vertices.append(idxs)
+        for first, second in combinations(vertices[:3], 2):
+            assert all(
+                oracles.oracle_vertex_support(rows, [tester.functions[c].image for c in v])
+                for v in (first, second)
+            )
+            idxs = sorted(set(first) | set(second))
+            cols, b = oracles._cell_system(rows, [tester.functions[c].image for c in idxs])
+            assert oracles.gauss_rank([[col[r] for col in cols] for r in range(len(b))]) < len(idxs)
+            assert tester.witness(idxs)
+            tally["union"] += 1
+            panel.append((tester, idxs, False))
+    assert tally == {
+        "positive": 16, "inconsistent": 35, "zero": 18, "negative": 45,
+        "dependent": 10, "uncovered": 283, "union": 107,
+    }
 
     def no_simplex(self, idxs):
-        raise AssertionError("independent columns reached the simplex")
+        raise AssertionError("decide built a simplex")
 
     monkeypatch.setattr(SupportTester, "_simplex", no_simplex)
     assert all(tester.decide(idxs) == want for tester, idxs, want in panel)
-    # accepting a zero coordinate, or a solution of the first k rows that
-    # the rows past them contradict, must be caught by the panel
-    for old, new in (("v > 0", "v >= 0"), ("not any(rest) and ", "")):
+    # accepting a zero coordinate, or a solution of the pivot rows that the
+    # rows left without a pivot contradict, must be caught by the panel
+    for old, new in (("v > 0", "v >= 0"), ("consistent and ", "")):
         mutant = _decide_mutant(old, new)
         assert any(mutant(tester, idxs) != want for tester, idxs, want in panel)
 

@@ -107,8 +107,8 @@ def test_vertex_rule_matches_oracle():
 
 def test_simplex_runs_only_on_vertex_candidates(ex10, ex11, monkeypatch):
     # decided subsets (lp_decided) against the vertex candidates that reach
-    # decide, and those of them whose dependent columns still build a
-    # simplex there (the rest are decided by one elimination)
+    # decide, and the simplexes built there: none, since one elimination
+    # decides every candidate
     calls, built = [], []
     decide, simplex = feasibility.SupportTester.decide, feasibility.SupportTester._simplex
 
@@ -127,17 +127,17 @@ def test_simplex_runs_only_on_vertex_candidates(ex10, ex11, monkeypatch):
 
     monkeypatch.setattr(feasibility.SupportTester, "decide", counting)
     monkeypatch.setattr(feasibility.SupportTester, "_simplex", building)
-    for P, kwargs, decided, candidates, dependent in (
-        (ex10, {}, 46, 22, 0),
-        (ex10, {"prune": False}, 193, 22, 0),
-        (ex11, {}, 4942, 1840, 192),
+    for P, kwargs, decided, candidates in (
+        (ex10, {}, 46, 22),
+        (ex10, {"prune": False}, 193, 22),
+        (ex11, {}, 4942, 1840),
     ):
         calls.clear()
         built.clear()
         report = k_set_exact(P, **kwargs)
         assert report.lp_decided == decided
         assert len(calls) == candidates
-        assert len(built) == dependent
+        assert built == []
 
 
 def test_two_state_walk():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from coalesce import matrix
 from coalesce import (
     EntryOutOfRange,
     MapFunction,
@@ -95,15 +96,54 @@ def test_invariant_doubly_stochastic_is_uniform(ex10, ex11):
 
 def test_invariant_is_stationary_random():
     rng = random.Random(71)
-    for _ in range(25):
-        n = rng.randint(2, 5)
-        rows = oracles.random_stochastic(rng, n)
+    # the first matrix mixes the coprime denominators 7, 9 and 97
+    coprime = [
+        [Fraction(2, 7), Fraction(5, 7), 0],
+        [0, Fraction(5, 9), Fraction(4, 9)],
+        [Fraction(1, 97), 0, Fraction(96, 97)],
+    ]
+    for rows in [coprime] + [oracles.random_stochastic(rng, rng.randint(2, 5)) for _ in range(25)]:
+        n = len(rows)
         P = StochasticMatrix.from_rows(rows)
         pi = invariant_distribution(P)
         assert sum(pi) == 1
         assert all(v > 0 for v in pi)
         for j in range(n):
             assert sum(pi[i] * rows[i][j] for i in range(n)) == pi[j]
+
+
+def test_row_reduce_matches_fraction_reduction(monkeypatch):
+    # integer entries of both signs, so that negative pivots flip signs,
+    # and a later column sometimes a multiple of an earlier one, so that
+    # dependent columns are skipped before independent ones
+    flips = []
+    pivot = matrix._pivot
+
+    def traced(M, r, e, d):
+        flips.append(M[r][e] < 0)
+        return pivot(M, r, e, d)
+
+    monkeypatch.setattr(matrix, "_pivot", traced)
+    rng = random.Random(74)
+    tally = {"full rank": 0, "rank-deficient": 0, "skipped": 0}
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        M = [[rng.randint(-4, 4) for _ in range(ncols + 1)] for _ in range(nrows)]
+        if ncols > 1 and rng.random() < 0.5:
+            a, b = sorted(rng.sample(range(ncols), 2))
+            k = rng.randint(-2, 2)
+            for row in M:
+                row[b] = k * row[a]
+        want, want_pivots = oracles.reduce_exact(M, ncols)
+        d, pivots = matrix.row_reduce(M, ncols)
+        assert pivots == want_pivots
+        assert d > 0 and all(type(v) is int for row in M for v in row)
+        assert [[Fraction(v, d) for v in row] for row in M] == want
+        tally["full rank" if len(pivots) == min(nrows, ncols) else "rank-deficient"] += 1
+        # a dependent column with a pivot column after it
+        tally["skipped"] += pivots[-1][0] >= len(pivots) if pivots else 0
+    assert tally == {"full rank": 51, "rank-deficient": 9, "skipped": 7}
+    assert flips.count(True) == 76
 
 
 def test_doubly_stochastic(ex10, ex11):
