@@ -3,12 +3,12 @@
 Each subcommand takes only the options its handler reads. An argv that
 argparse rejects exits 2 with a usage message and no manifest. Every other
 invocation writes a one-line JSON run manifest to stderr: the argv, sha256
-digests of the input files it read, the seed in effect, the caps (null for a
-budget the command does not take), the RNG layout the seed is read through
-(cftp.RNG_LAYOUT), the package version, and wall-clock time. Stdout carries
-only the results, in a --format the command writes (checked in main). Each
-command handler returns its exit code and its output (a JSON document, or
-lines of text, tsv or dot), and main alone writes that output to stdout.
+digests of the input files it read, the seed in effect (null where nothing
+draws), the caps (null for a budget the command does not take), the RNG
+layout the seed is read through (cftp.RNG_LAYOUT), the package version, and
+wall-clock time. Each command handler returns its exit code and its output
+(a JSON document, or lines of text, tsv or dot) in a --format the command
+writes (checked in main), and main alone writes that output to stdout.
 
 Exit codes: 0 success, 1 a check or reproduction failed, 2 bad input,
 3 a configured budget was exceeded, 4 an internal error (a program fault,
@@ -26,7 +26,7 @@ import secrets
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,12 +81,11 @@ from .semigroup import DEFAULT_CLOSURE_CAP, close, coalescence_number_and_pairs
 DEFAULT_DIAGRAM_STEPS = 30
 
 
-@dataclass
 class _Run:
     """What the manifest needs to know about one invocation."""
 
-    seed: int
-    inputs: list = field(default_factory=list)
+    def __init__(self):
+        self.inputs = []
 
     def read_file(self, path: str) -> str:
         data = Path(path).read_bytes()
@@ -382,13 +381,13 @@ def _cmd_sample(args, run: _Run) -> tuple[int, dict | list[str]]:
             raise InvalidOption("the coupling does not resum to the matrix")
     else:
         mu = doeblin_coupling(P)
-    counts, failures = sample_counts(mu, RngStream(run.seed), args.n_samples, t_max=args.t_max)
+    counts, failures = sample_counts(mu, RngStream(args.seed), args.n_samples, t_max=args.t_max)
     pi = invariant_distribution(P)
     tv = total_variation(counts, pi) if counts else None
     code = 1 if failures else 0
     if args.format == "json":
         return code, {
-            "seed": run.seed,
+            "seed": args.seed,
             "samples": args.n_samples,
             "failures": failures,
             "counts": {str(s + 1): c for s, c in sorted(counts.items())},
@@ -402,7 +401,7 @@ def _cmd_sample(args, run: _Run) -> tuple[int, dict | list[str]]:
             lines.append(f"# tv_to_invariant: {_float6(tv)}")
         return code, lines
     total = sum(counts.values())
-    lines = [f"samples: {total} (failures: {failures}, seed: {run.seed})"]
+    lines = [f"samples: {total} (failures: {failures}, seed: {args.seed})"]
     lines += [
         f"  state {s + 1}: {c} ({_float6(Fraction(c, total))})"
         for s, c in sorted(counts.items())
@@ -414,7 +413,7 @@ def _cmd_sample(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
     mu = _load_coupling(run, args.coupling)
-    report = equidistribution_report(mu, RngStream(run.seed), args.runs, t_max=args.t_max)
+    report = equidistribution_report(mu, RngStream(args.seed), args.runs, t_max=args.t_max)
     if args.tolerance is None:
         alpha, tolerance = FALSE_FAIL_RATE, equidistribution_tolerance(args.runs)
     else:
@@ -423,7 +422,7 @@ def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
     code = 0 if ok else 1
     if args.format == "json":
         return code, {
-            "seed": run.seed,
+            "seed": args.seed,
             "runs": report.runs,
             "backward_failures": report.backward_failures,
             "forward_failures": report.forward_failures,
@@ -436,7 +435,7 @@ def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
     if alpha is not None:
         tolerance_line += f" (false-fail rate {float(alpha)}, DKW-Massart)"
     return code, [
-        f"runs: {report.runs} backward + {report.runs} forward (seed: {run.seed})",
+        f"runs: {report.runs} backward + {report.runs} forward (seed: {args.seed})",
         f"backward failures: {report.backward_failures}",
         f"forward failures: {report.forward_failures}",
         f"max CDF gap: {_float6(report.max_cdf_gap)} ({report.max_cdf_gap})",
@@ -494,7 +493,7 @@ def _cmd_examples(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 def _cmd_diagram(args, run: _Run) -> tuple[int, dict | list[str]]:
     mu = _load_coupling(run, args.coupling)
-    diagram = emit_trajectory_diagram(mu, RngStream(run.seed), args.t_max, fmt=args.format)
+    diagram = emit_trajectory_diagram(mu, RngStream(args.seed), args.t_max, fmt=args.format)
     return 0, diagram.splitlines()
 
 
@@ -503,7 +502,6 @@ def _cmd_diagram(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default: fresh random, recorded in the manifest)")
     common.add_argument("--format", default="text", help="output format, one of those listed below (default: text)")
 
     parser = argparse.ArgumentParser(
@@ -513,9 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def command(name, handler, formats, *options, **kwargs):
-        """A subcommand: --seed, --format over the formats its handler
-        writes (checked in main), and the options its handler reads, each
-        a (name, add_argument keywords) pair."""
+        """A subcommand: --format over the formats its handler writes (checked
+        in main) and the options its handler reads, each a (name, keywords) pair."""
         p = sub.add_parser(name, parents=[common], epilog=f"formats: {', '.join(formats)}", **kwargs)
         p.set_defaults(handler=handler, formats=formats)
         for option, spec in options:
@@ -528,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix, coupling = ("matrix", {}), ("coupling", {})
     exact_cap = ("--exact-cap", {"type": int, "default": DEFAULT_SUBSET_BUDGET, "help": "max support subsets to enumerate before falling back to certificates (0: certificates only)"})
     max_closure = ("--max-closure", {"type": int, "default": DEFAULT_CLOSURE_CAP, "help": "max state pairs searched for a coalescence number, and max partition pullbacks formed for limiting partitions"})
+    seed = ("--seed", {"type": int, "default": None, "help": "RNG seed (default: fresh random, recorded in the manifest)"})
     text_json = ("text", "json")
 
     command("analyze", _cmd_analyze, text_json, matrix, exact_cap, max_closure, help="full report for a matrix file")
@@ -549,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sample", _cmd_sample, ("text", "json", "tsv"), matrix,
         ("--coupling", {"default": None, "help": "coupling file (default: the independent product coupling)"}),
         ("--n-samples", {"type": int, "required": True}),
-        t_max(DEFAULT_T_MAX),
+        t_max(DEFAULT_T_MAX), seed,
         help="exact invariant-law samples via coupling from the past",
     )
     command(
@@ -561,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
             "help": "the max CDF gap must be below this; read exactly, as a decimal or p/q "
             f"(default: the DKW-Massart bound for --runs at false-fail rate {float(FALSE_FAIL_RATE)})",
         }),
-        t_max(DEFAULT_T_MAX),
+        t_max(DEFAULT_T_MAX), seed,
         help="compare backward and forward coalescence-time laws",
     )
     # the one command that expands a support, through to_explicit
@@ -573,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run the bundled worked examples against their pinned results",
     ).set_defaults(support_cap=DEFAULT_SUPPORT_CAP)
     command(
-        "diagram", _cmd_diagram, ("text", "dot"), coupling, t_max(DEFAULT_DIAGRAM_STEPS),
+        "diagram", _cmd_diagram, ("text", "dot"), coupling, t_max(DEFAULT_DIAGRAM_STEPS), seed,
         help="trajectory merge diagram for a coupling file",
     )
     return parser
@@ -588,16 +586,18 @@ def check_options(args) -> None:
                 f"--{option.replace('_', '-')} must be at least {least}, got {value}"
             )
     tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and tolerance <= 0:
-        raise InvalidOption(f"--tolerance must be above 0, got {tolerance}")
+    if tolerance is not None and not 0 < tolerance <= 1:  # a CDF gap is at most 1
+        shown = Decimal(tolerance.numerator) / tolerance.denominator  # str() fails past 4300 digits
+        raise InvalidOption(f"--tolerance must be above 0 and at most 1, got {shown:.6g}")
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
 
-    seed = args.seed if args.seed is not None else secrets.randbits(32)
-    run = _Run(seed=seed)
+    if "seed" in args and args.seed is None:
+        args.seed = secrets.randbits(32)
+    run = _Run()
     started = time.perf_counter()
     try:
         _require_format(args)
@@ -617,7 +617,7 @@ def main(argv=None) -> int:
     manifest = {
         "command": ["coalesce"] + argv,
         "inputs": run.inputs,
-        "seed": run.seed,
+        "seed": getattr(args, "seed", None),
         "caps": {
             "exact_cap": getattr(args, "exact_cap", None),
             "max_closure": getattr(args, "max_closure", None),

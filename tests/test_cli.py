@@ -85,7 +85,7 @@ def doeblin_file(tmp_path):
 
 
 def test_analyze_text(ex10_file):
-    code, out, err = run_cli("analyze", ex10_file, "--seed", "5")
+    code, out, err = run_cli("analyze", ex10_file)
     assert code == 0
     assert "irreducible: yes" in out
     assert "doubly stochastic: yes" in out
@@ -94,7 +94,7 @@ def test_analyze_text(ex10_file):
 
 
 def test_analyze_json(ex10_file):
-    code, out, _ = run_cli("analyze", ex10_file, "--format", "json", "--seed", "5")
+    code, out, _ = run_cli("analyze", ex10_file, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["n"] == 3
@@ -104,10 +104,10 @@ def test_analyze_json(ex10_file):
 
 
 def test_manifest_records_run(ex10_file):
-    code, _, err = run_cli("analyze", ex10_file, "--seed", "5")
+    code, _, err = run_cli("analyze", ex10_file)
     m = manifest_of(err)
     assert m["command"][1] == "analyze"
-    assert m["seed"] == 5
+    assert m["seed"] is None  # analyze draws nothing
     assert m["rng_layout"] == 3
     assert m["exit_code"] == 0
     assert m["wall_clock_seconds"] >= 0
@@ -119,7 +119,7 @@ def test_manifest_records_run(ex10_file):
 def test_analyze_rejects_reducible(tmp_path):
     p = tmp_path / "red.txt"
     p.write_text("1 0\n1/2 1/2\n")
-    code, _, err = run_cli("analyze", str(p), "--seed", "1")
+    code, _, err = run_cli("analyze", str(p))
     assert code == 2
     assert "error:" in err
 
@@ -130,30 +130,30 @@ def test_kset_rejects_reducible(tmp_path):
     p = tmp_path / "red.txt"
     p.write_text("1/2 1/2 0\n0 1 0\n0 0 1\n")
     for argv in (("kset",), ("kset", "--exact-cap", "0"), ("analyze",)):
-        code, out, err = run_cli(*argv, str(p), "--seed", "1")
+        code, out, err = run_cli(*argv, str(p))
         assert code == 2, argv
         assert out == ""
         assert "error: matrix is not irreducible" in err
 
 
 def test_coupling_check(quarter_file, ex11_file, ex10_file, tmp_path):
-    code, out, _ = run_cli("coupling-check", quarter_file, ex11_file, "--seed", "1")
+    code, out, _ = run_cli("coupling-check", quarter_file, ex11_file)
     assert code == 0
     assert "consistent" in out
     # same state count, different matrix: reported as a check failure
     u4 = tmp_path / "u4.txt"
     u4.write_text("1/4 1/4 1/4 1/4\n" * 4)
-    code, out, _ = run_cli("coupling-check", quarter_file, str(u4), "--seed", "1")
+    code, out, _ = run_cli("coupling-check", quarter_file, str(u4))
     assert code == 1
     assert "not consistent" in out
     assert "entries differ" in out
     # mismatched dimensions are an input error, not a finding
-    code, _, err = run_cli("coupling-check", quarter_file, ex10_file, "--seed", "1")
+    code, _, err = run_cli("coupling-check", quarter_file, ex10_file)
     assert code == 2
 
 
 def test_k_number(quarter_file):
-    code, out, _ = run_cli("k-number", quarter_file, "--seed", "1")
+    code, out, _ = run_cli("k-number", quarter_file)
     assert code == 0
     assert "coalescence number: 2" in out
     assert "{1,2} {1,4} {2,3} {3,4}" in out
@@ -185,7 +185,7 @@ def _coupling_file(tmp_path, mu):
 )
 def test_k_number_past_the_support_cap(tmp_path, make, k, partition, support):
     # supports past the 10^6 expansion cap, answered from the structure
-    code, out, _ = run_cli("k-number", _coupling_file(tmp_path, make()), "--format", "json", "--seed", "1")
+    code, out, _ = run_cli("k-number", _coupling_file(tmp_path, make()), "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["support_size"] == support
@@ -210,7 +210,7 @@ def test_k_number_pullback_budget(tmp_path, monkeypatch):
         return unread(states) if states == range(self.n) else image_law(self, states)
 
     monkeypatch.setattr(BlockCoupling, "image_law", guarded)
-    code, _, err = run_cli("k-number", _coupling_file(tmp_path, uniform_divisor_coupling(20, 10)), "--seed", "1")
+    code, _, err = run_cli("k-number", _coupling_file(tmp_path, uniform_divisor_coupling(20, 10)))
     assert code == 3
     assert "more than 250000 pullbacks" in err
 
@@ -239,7 +239,7 @@ def test_k_number_runs_one_pair_search_and_expands_nothing(tmp_path, monkeypatch
     for cls in (ExplicitCoupling, BlockCoupling):
         monkeypatch.setattr(cls, "support", counted("support", cls.support))
     mu = quarter_coupling if name == "quarter" else uniform_divisor_coupling(6, 2)
-    code, _, _ = run_cli("k-number", _coupling_file(tmp_path, mu), "--seed", "1")
+    code, _, _ = run_cli("k-number", _coupling_file(tmp_path, mu))
     assert code == 0
     assert calls == {"expand_support": 0, "support": 0, "_merge_steps": 1, "close": 1}
 
@@ -250,13 +250,13 @@ def test_coupling_file_faults_are_named(tmp_path):
         "n": 2, "partition": [[1, 2]], "block_perms": "uniform",
         "within": [{"x": {"1": "1"}}, {"1": {"1": "1"}}],
     }))
-    code, _, err = run_cli("k-number", str(p), "--seed", "1")
+    code, _, err = run_cli("k-number", str(p))
     assert code == 2
     assert "within entry for state 1: block key must be one of 1..1, got 'x'" in err
 
 
 def test_k_number_budget(quarter_file):
-    code, _, err = run_cli("k-number", quarter_file, "--max-closure", "2", "--seed", "1")
+    code, _, err = run_cli("k-number", quarter_file, "--max-closure", "2")
     assert code == 3
     assert "error:" in err
     assert manifest_of(err)["exit_code"] == 3
@@ -264,7 +264,7 @@ def test_k_number_budget(quarter_file):
 
 def test_feasible_inline(ex10_file):
     code, out, _ = run_cli(
-        "feasible", ex10_file, "--support", "123 231", "--format", "json", "--seed", "1"
+        "feasible", ex10_file, "--support", "123 231", "--format", "json"
     )
     assert code == 0
     doc = json.loads(out)
@@ -274,7 +274,7 @@ def test_feasible_inline(ex10_file):
 
 def test_feasible_rejected(ex10_file):
     code, out, _ = run_cli(
-        "feasible", ex10_file, "--support", "123 231 133", "--format", "json", "--seed", "1"
+        "feasible", ex10_file, "--support", "123 231 133", "--format", "json"
     )
     assert code == 1
     doc = json.loads(out)
@@ -291,8 +291,8 @@ def test_long_inline_support_is_read_as_text(tmp_path):
     assert len(rotations) == 323
     support = tmp_path / "rotations.txt"
     support.write_text(rotations)
-    inline = run_cli("feasible", str(matrix), "--support", rotations, "--seed", "1")
-    from_file = run_cli("feasible", str(matrix), "--support", str(support), "--seed", "1")
+    inline = run_cli("feasible", str(matrix), "--support", rotations)
+    from_file = run_cli("feasible", str(matrix), "--support", str(support))
     assert inline[:2] == from_file[:2]
     assert from_file[0] == 0
 
@@ -300,7 +300,7 @@ def test_long_inline_support_is_read_as_text(tmp_path):
 def test_blocks_verified(tmp_path):
     u4 = tmp_path / "u4.txt"
     u4.write_text("1/4 1/4 1/4 1/4\n" * 4)
-    code, out, _ = run_cli("blocks", str(u4), "--partition", "1,2|3,4", "--seed", "1")
+    code, out, _ = run_cli("blocks", str(u4), "--partition", "1,2|3,4")
     assert code == 0
     assert "lumpable: yes" in out
     assert "verified block measure: yes" in out
@@ -318,7 +318,7 @@ def test_blocks_on_large_cycle_is_decided_on_pairs(tmp_path):
     )
     t0 = time.monotonic()
     code, out, err = run_cli(
-        "blocks", str(p), "--partition", "1,3,5,7,9,11|2,4,6,8,10,12", "--seed", "1"
+        "blocks", str(p), "--partition", "1,3,5,7,9,11|2,4,6,8,10,12"
     )
     assert code == 0, err
     assert "verified block measure: yes" in out
@@ -326,14 +326,14 @@ def test_blocks_on_large_cycle_is_decided_on_pairs(tmp_path):
 
 
 def test_blocks_constructed_but_not_block_measure(ex11_file):
-    code, out, _ = run_cli("blocks", ex11_file, "--partition", "1,3|2,4", "--seed", "1")
+    code, out, _ = run_cli("blocks", ex11_file, "--partition", "1,3|2,4")
     assert code == 1
     assert "coupling constructed: yes" in out
     assert "verified block measure: no" in out
 
 
 def test_blocks_not_lumpable(ex11_file):
-    code, out, _ = run_cli("blocks", ex11_file, "--partition", "1,2|3,4", "--seed", "1")
+    code, out, _ = run_cli("blocks", ex11_file, "--partition", "1,2|3,4")
     assert code == 1
     assert "lumpable: no" in out
 
@@ -361,7 +361,7 @@ def test_blocks_lumps_once(tmp_path, monkeypatch, rows, partition, lines):
     monkeypatch.setattr(blocks, "check_lumpability", lambda *a: calls.append(a) or lump(*a))
     p = tmp_path / "P.txt"
     p.write_text(rows)
-    code, out, _ = run_cli("blocks", str(p), "--partition", partition, "--seed", "1")
+    code, out, _ = run_cli("blocks", str(p), "--partition", partition)
     assert code == 1
     assert len(calls) == 1
     start = out.splitlines().index(lines[0])
@@ -372,18 +372,18 @@ def test_blocks_lumps_once(tmp_path, monkeypatch, rows, partition, lines):
 
 
 def test_birkhoff(ex10_file, tmp_path):
-    code, out, _ = run_cli("birkhoff", ex10_file, "--format", "json", "--seed", "1")
+    code, out, _ = run_cli("birkhoff", ex10_file, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert sorted(doc["terms"]) == [["123", "1/2"], ["231", "1/2"]]
     nds = tmp_path / "nds.txt"
     nds.write_text("1 0\n1/2 1/2\n")
-    code, _, err = run_cli("birkhoff", str(nds), "--seed", "1")
+    code, _, err = run_cli("birkhoff", str(nds))
     assert code == 2
 
 
 def test_kset_json(ex10_file):
-    code, out, _ = run_cli("kset", ex10_file, "--format", "json", "--seed", "1")
+    code, out, _ = run_cli("kset", ex10_file, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["values"] == [1, 3]
@@ -464,20 +464,20 @@ def test_max_closure_below_one_rejected(ex10_file, quarter_file):
         ("kset", ex10_file, "--max-closure", "0"),
         ("k-number", quarter_file, "--max-closure", "0"),
     ):
-        code, out, err = run_cli(*argv, "--seed", "1")
+        code, out, err = run_cli(*argv)
         assert code == 2, argv
         assert out == ""
         assert "--max-closure" in err.splitlines()[0]
         assert manifest_of(err)["exit_code"] == 2
     # 1 is valid input, and a budget the 3 state pairs of ex10 exceed
-    code, _, err = run_cli("kset", ex10_file, "--max-closure", "1", "--seed", "1")
+    code, _, err = run_cli("kset", ex10_file, "--max-closure", "1")
     assert code == 3
     assert "state pairs" in err.splitlines()[0]
 
 
 def test_non_positive_tolerance_rejected(doeblin_file):
     # no gap is below a tolerance at or under 0, so such a run could only fail
-    for value in ("0", "-1/20", "-0.5"):
+    for value in ("0", "-1/20", "-0.5", "-1e5000"):
         code, out, err = run_cli(
             "verify-equidist", doeblin_file, "--runs", "5", f"--tolerance={value}", "--seed", "1"
         )
@@ -487,8 +487,23 @@ def test_non_positive_tolerance_rejected(doeblin_file):
         assert manifest_of(err)["exit_code"] == 2
 
 
+def test_tolerance_above_one_rejected(doeblin_file):
+    # a CDF gap is at most 1, so a tolerance above 1 passes every run; 1e309
+    # overflowed float() and exited 4, an internal error; 1e5000 has more
+    # digits than str() of an int allows, so the message must not use it
+    for value in ("2", "1e309", "1e5000"):
+        code, out, err = run_cli(
+            "verify-equidist", doeblin_file, "--runs", "5", f"--tolerance={value}", "--seed", "1"
+        )
+        assert (code, out) == (2, ""), value
+        assert "--tolerance" in err.splitlines()[0]
+        assert manifest_of(err)["exit_code"] == 2
+    code, _, _ = run_cli("verify-equidist", doeblin_file, "--runs", "5", "--tolerance=1", "--seed", "1")
+    assert code == 0
+
+
 def test_exact_cap_below_zero_rejected(ex10_file):
-    code, out, err = run_cli("kset", ex10_file, "--exact-cap", "-1", "--seed", "1")
+    code, out, err = run_cli("kset", ex10_file, "--exact-cap", "-1")
     assert code == 2
     assert out == ""
     assert "--exact-cap" in err.splitlines()[0]
@@ -508,7 +523,7 @@ def test_bad_option_is_a_typed_error(ex10_file):
         check_options(args)
     assert isinstance(info.value, coalesce.CoalesceError)
     assert not isinstance(info.value, ValueError)
-    code, out, err = run_cli("kset", ex10_file, "--exact-cap", "-1", "--seed", "1")
+    code, out, err = run_cli("kset", ex10_file, "--exact-cap", "-1")
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == "error: --exact-cap must be at least 0, got -1"
     assert manifest_of(err)["exit_code"] == 2
@@ -561,10 +576,10 @@ def test_handler_faults_are_typed_errors(
         "reducible": str(reducible),
         "rotated": str(rotated),
     }
-    argv = [a.format(**files) for a in argv] + ["--seed", "1"]
+    argv = [a.format(**files) for a in argv]
     args = build_parser().parse_args(argv)
     with pytest.raises(getattr(coalesce, error)) as info:
-        args.handler(args, _Run(seed=1))
+        args.handler(args, _Run())
     assert str(info.value) == message
     assert isinstance(info.value, coalesce.CoalesceError)
     assert not isinstance(info.value, ValueError)
@@ -578,7 +593,7 @@ def test_unsupported_format_is_bad_input(ex10_file, fmt):
     # main checks the format against the ones the command writes, so one
     # another command writes (tsv) and one none writes (xml) both exit 2
     # with the manifest
-    code, out, err = run_cli("kset", ex10_file, "--format", fmt, "--seed", "1")
+    code, out, err = run_cli("kset", ex10_file, "--format", fmt)
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == f"error: format {fmt!r} not supported here; use one of text, json"
     assert manifest_of(err)["exit_code"] == 2
@@ -610,11 +625,11 @@ def test_library_faults_are_typed_errors(tmp_path, ex10_file, argv, message):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"\xff 1\n")
     files = {"ex10": ex10_file, "latin1": str(latin1)}
-    argv = [a.format(**files) for a in argv] + ["--seed", "1"]
+    argv = [a.format(**files) for a in argv]
     message = message.format(**files)
     args = build_parser().parse_args(argv)
     with pytest.raises(coalesce.CoalesceError) as info:
-        args.handler(args, _Run(seed=1))
+        args.handler(args, _Run())
     assert str(info.value) == message
     assert not isinstance(info.value, ValueError)
     code, out, err = run_cli(*argv)
@@ -632,10 +647,10 @@ HANDLER_RUNS = [
     (["blocks", "{ex11}", "--partition", "1,3|2,4"], ("text", "json")),
     (["birkhoff", "{ex10}"], ("text", "json")),
     (["kset", "{ex10}"], ("text", "json")),
-    (["sample", "{ex10}", "--n-samples", "20"], ("text", "json", "tsv")),
-    (["verify-equidist", "{doeblin}", "--runs", "20"], ("text", "json")),
+    (["sample", "{ex10}", "--n-samples", "20", "--seed", "1"], ("text", "json", "tsv")),
+    (["verify-equidist", "{doeblin}", "--runs", "20", "--seed", "1"], ("text", "json")),
     (["examples", "--only", "ex7"], ("text", "json", "tsv")),
-    (["diagram", "{doeblin}"], ("text", "dot")),
+    (["diagram", "{doeblin}", "--seed", "1"], ("text", "dot")),
 ]
 
 
@@ -649,9 +664,9 @@ def test_handlers_return_code_and_output(
 ):
     # a handler writes nothing; main alone renders what it returns
     files = {"ex10": ex10_file, "ex11": ex11_file, "quarter": quarter_file, "doeblin": doeblin_file}
-    argv = [a.format(**files) for a in argv] + ["--seed", "1", "--format", fmt]
+    argv = [a.format(**files) for a in argv] + ["--format", fmt]
     args = build_parser().parse_args(argv)
-    code, output = args.handler(args, _Run(seed=1))
+    code, output = args.handler(args, _Run())
     assert capsys.readouterr().out == ""
     assert isinstance(code, int)
     if fmt == "json":
@@ -672,7 +687,7 @@ def test_internal_error_exits_4(monkeypatch, ex10_file):
         raise ValueError("injected fault")
 
     monkeypatch.setattr(cli, "_cmd_birkhoff", broken)
-    code, out, err = run_cli("birkhoff", ex10_file, "--seed", "1")
+    code, out, err = run_cli("birkhoff", ex10_file)
     assert (code, out) == (4, "")
     assert err.splitlines()[0] == "error: internal error: ValueError: injected fault"
     assert "Traceback" in err.splitlines()[1]
@@ -689,7 +704,7 @@ def test_kset_budget_on_large_cycle_falls_back(tmp_path):
             for i in range(9)
         )
     )
-    code, out, err = run_cli("kset", str(p), "--seed", "1")
+    code, out, err = run_cli("kset", str(p))
     assert code == 0, err
     assert "coalescence numbers: 1 9 (not exhaustive)" in out
     assert "note: 2^19683 - 1 candidate supports exceed the budget of 1048576" in out
@@ -737,7 +752,7 @@ def test_verify_equidist_default_tolerance_follows_runs(doeblin_file):
 
 
 def test_examples_subcommand():
-    code, out, _ = run_cli("examples", "--only", "ex7", "--seed", "1", "--format", "tsv")
+    code, out, _ = run_cli("examples", "--only", "ex7", "--format", "tsv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "example\tcheck\texpected\tcomputed\tpassed"
@@ -745,7 +760,7 @@ def test_examples_subcommand():
 
 
 def test_examples_alias():
-    code, out, _ = run_cli("paper-examples", "--only", "ex7", "--seed", "1")
+    code, out, _ = run_cli("paper-examples", "--only", "ex7")
     assert code == 0
 
 
@@ -753,11 +768,11 @@ def test_examples_override_negative_control(tmp_path):
     rotated = tmp_path / "rot.txt"
     rotated.write_text(ROTATED_TEXT)
     code, out, _ = run_cli(
-        "examples", "--only", "ex10", "--override", f"ex10={rotated}", "--seed", "1"
+        "examples", "--only", "ex10", "--override", f"ex10={rotated}"
     )
     assert code == 1
     code, _, err = run_cli(
-        "examples", "--only", "divisors", "--override", f"divisors={rotated}", "--seed", "1"
+        "examples", "--only", "divisors", "--override", f"divisors={rotated}"
     )
     assert code == 2
 
@@ -765,7 +780,7 @@ def test_examples_override_negative_control(tmp_path):
 @pytest.mark.parametrize("only", ["", ","], ids=["empty", "comma"])
 def test_examples_only_must_name_an_example(only):
     # selecting no example is bad input, not 0/0 checks passed
-    code, out, err = run_cli("examples", "--only", only, "--seed", "1")
+    code, out, err = run_cli("examples", "--only", only)
     assert (code, out) == (2, "")
     assert err.splitlines()[0] == "error: --only names no example id"
 
@@ -809,17 +824,20 @@ def test_seeded_outputs_are_pinned(doeblin_file):
 
 
 def test_missing_file_and_bad_subcommand(tmp_path):
-    code, _, err = run_cli("analyze", str(tmp_path / "nope.txt"), "--seed", "1")
+    code, _, err = run_cli("analyze", str(tmp_path / "nope.txt"))
     assert code == 2
     code, _, _ = run_cli("frobnicate")
     assert code == 2
 
 
 def test_seed_autogenerated(ex10_file):
-    _, _, err = run_cli("analyze", ex10_file)
+    # a drawing command given no --seed records the seed it drew, and that
+    # seed replays the run
+    code, out, err = run_cli("sample", ex10_file, "--n-samples", "50")
     m = manifest_of(err)
     assert isinstance(m["seed"], int)
     assert 0 <= m["seed"] < 2**32
+    assert run_cli("sample", ex10_file, "--n-samples", "50", "--seed", str(m["seed"]))[:2] == (code, out)
 
 
 def test_python_m_coalesce_runs_the_cli():
@@ -870,27 +888,33 @@ def _args_read(handler) -> set[str]:
 
 def test_each_subcommand_takes_only_the_options_its_handler_reads():
     # an option a handler never reads would parse, reach the manifest and
-    # change nothing; --seed is read by main, -h by argparse
+    # change nothing; -h is read by argparse
     subcommands = _subcommands()
     assert len(subcommands) == len(HANDLER_RUNS) + 1  # and the paper-examples alias
     for name, sub in subcommands.items():
         declared = {a.dest for a in sub._actions}
-        assert declared == _args_read(sub.get_default("handler")) | {"seed", "help"}, name
+        assert declared == _args_read(sub.get_default("handler")) | {"help"}, name
     for argv, formats in HANDLER_RUNS:
         assert subcommands[argv[0]].get_default("formats") == formats, argv[0]
 
 
 def test_an_option_the_command_does_not_take_is_a_usage_error(ex10_file):
-    code, out, err = run_cli("birkhoff", ex10_file, "--max-closure", "5", "--seed", "1")
-    assert (code, out) == (2, "")
-    assert "--max-closure" in err
+    # a usage error exits before the manifest is written
+    for argv, option in (
+        (("birkhoff", ex10_file, "--max-closure", "5"), "--max-closure"),
+        (("kset", ex10_file, "--seed", "1"), "--seed"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert option in err
+        assert '"command"' not in err
 
 
 def test_manifest_caps_record_the_budgets_in_effect(ex10_file, doeblin_file):
     # a budget the command does not take is null; one it takes reads the
     # value in effect, given or default
     def caps(*argv):
-        recorded = manifest_of(run_cli(*argv, "--seed", "1")[2])["caps"]
+        recorded = manifest_of(run_cli(*argv)[2])["caps"]
         return (
             recorded["exact_cap"], recorded["max_closure"], recorded["t_max"], recorded["support_cap"]
         )
@@ -959,9 +983,11 @@ def _cli_runs(draw):
         ["examples", "--only", example, "--override", "ex10=M"],
         ["diagram", "C"],
     ]))
-    argv += ["--seed", str(draw(st.integers(0, 3)))]
-    argv += ["--format", draw(st.sampled_from(["text", "json", "text", "json", "tsv", "dot"]))]
     takes = _option_strings(argv[0])
+    seed = str(draw(st.integers(0, 3)))  # drawn for every command, so later draws do not hang on it
+    if "--seed" in takes:
+        argv += ["--seed", seed]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "text", "json", "tsv", "dot"]))]
     options = [o for o in (["--max-closure", "2"], ["--exact-cap", "0"], ["--t-max", "2"],
                            ["--max-closure", "0"], ["--exact-cap", "-1"], ["--t-max", "0"])
                if o[0] in takes]
