@@ -189,7 +189,7 @@ def _kset_lines(report) -> list[str]:
         lines.append(f"  k={m.k}: {m.how}; witness: {_coupling_summary(m.coupling)}")
     for e in report.exclusions:
         lines.append(f"  ruled out k={e.k}: {e.reason}")
-    if report.exact:
+    if report.subsets_enumerated:
         lines.append(
             f"  subsets enumerated: {report.subsets_enumerated}"
             f" (lp {report.lp_decided}, cover-skipped {report.cover_skipped},"

@@ -24,16 +24,30 @@ was found feasible. Hence:
   columns and a strictly positive unique solution: one elimination decides
   it.
 
-Enumeration is exponential in the allowed-function count, so a second,
-certificate-based route covers larger instances with one-sided conclusions:
-aperiodicity settles membership of 1, double stochasticity settles n, a
-per-pair balance condition can rule out n-1, and lumpable partitions with
-doubly stochastic block matrices contribute verified block-measure members.
+Certificates settle part of K(P) with no search: aperiodicity settles
+membership of 1, double stochasticity settles n, a per-pair balance
+condition can rule out n-1, and lumpable partitions with doubly stochastic
+block matrices contribute verified block-measure members. k_set_report
+hands the exclusions to the enumeration, which stops once every value from
+k(allowed) to n is achieved or excluded, so it searches only for the values
+the theorems leave open. Past the subset budget the certificates alone
+answer, one-sided in general.
+
+For an irreducible chain on three states they answer exactly. 1 and 3 are
+decided both ways. If 2 is in K(P), a coupling with k = 2 has one
+coalescing pair {a, b}, which must pass the single-pair balance, so 2 is
+excluded unless some pair passes it. If {a, b} passes it, P(a,c) = P(b,c)
+= P(c,a) + P(c,b) = x for the third state c: P is lumpable over ab|c, with
+the doubly stochastic block matrix [[1-x, x], [x, 1-x]], and x > 0 since
+the chain is irreducible. The block coupling built over ab|c then swaps the
+blocks with probability x, sending a and b both to c, so it merges {a, b}:
+it is a block measure with two blocks, and 2 is a certified member.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -73,10 +87,12 @@ class KExclusion:
 class KSetReport:
     """The outcome of either route to K(P).
 
-    The four counters are filled by the exact route. subsets_enumerated
-    counts every subset considered; cover_skipped those failing the cell
-    cover, pruned those skipped by the prune antichain, and lp_decided the
-    rest, every subset whose feasibility was decided. Only those with no
+    The four counters are filled by the exact route, and are zero when the
+    certificates alone answered. subsets_enumerated counts every subset
+    considered before the loop stopped, not the 2^m - 1 it would visit
+    without the stop; cover_skipped those failing the cell cover, pruned
+    those skipped by the prune antichain, and lp_decided the rest, every
+    subset whose feasibility was decided. Only those with no
     recorded vertex support inside and at most r functions reach
     SupportTester.decide, the vertex-support test, which one elimination
     answers with no linear program (see the module docstring); the name is
@@ -172,6 +188,7 @@ def k_set_exact(
     prune: bool = True,
     collect_feasible: bool = False,
     max_closure: int = DEFAULT_CLOSURE_CAP,
+    excluded: Mapping[int, KExclusion] | None = None,
 ) -> KSetReport:
     """K(P) by exhaustive support enumeration. Exact, but exponential.
 
@@ -188,14 +205,20 @@ def k_set_exact(
     cover check, and the pruned up-set only grows, so no vertex support
     inside a decided subset was skipped.
 
-    With prune=True (safe for the resulting set), a subset is skipped when
-    it contains an already-feasible subset T such that every value between
-    k(allowed) and k(T) has been achieved: enlarging a support can only move
-    k within that interval. Those T form an antichain with no filtering: a
-    new one was not pruned, so it contains no earlier one, and subsets come
-    by non-decreasing size, each once, so no earlier one contains it.
-    Witnesses are kept for the first support achieving each value. With
-    collect_feasible=True every feasible support actually tested is
+    excluded maps values already proven outside K(P), by the certificates'
+    theorems, to their exclusions. A value is settled once it is achieved
+    or excluded. An unachieved value keeps the exclusion given for it, and
+    is otherwise excluded as 'exhaustive'. With prune=True (safe for the resulting set), a subset is skipped when it
+    contains an already-feasible subset T such that every value between
+    k(allowed) and k(T) is settled: enlarging a support can only move k
+    within that interval, so no superset achieves a new value. Those T form
+    an antichain with no filtering: a new one was not pruned, so it contains
+    no earlier one, and subsets come by non-decreasing size, each once, so
+    no earlier one contains it. The loop stops once every value from
+    k(allowed) to n is settled. Witnesses are kept for the first support
+    achieving each value; the order does not depend on excluded, and no
+    such support is pruned, so they are the witnesses found without it.
+    With collect_feasible=True every feasible support actually tested is
     recorded with its k, and no early stop is taken.
 
     Raises BudgetExceeded when there are more than cap non-empty subsets,
@@ -212,9 +235,13 @@ def k_set_exact(
     tester = SupportTester(P, allowed)
     functions = tester.functions
     n = P.n
+    excluded = excluded or {}
     k_floor = coalescence_number(allowed, max_closure=max_closure)
-    full_range = set(range(k_floor, n + 1))
     achieved: dict[int, FeasibilityWitness] = {}
+
+    def settled(top: int) -> bool:
+        return all(v in achieved or v in excluded for v in range(k_floor, top + 1))
+
     records: list[tuple[Support, int]] = []
     prune_list: list[int] = []  # antichain of subset masks
     vertex_masks: list[int] = []  # supports of the vertices found so far
@@ -266,16 +293,18 @@ def k_set_exact(
                 witness = tester.witness(idxs)
                 assert isinstance(witness, FeasibilityWitness)
                 achieved[k_s] = witness
-            if prune and all(v in achieved for v in range(k_floor, k_s + 1)):
+            if prune and settled(k_s):
                 prune_list.append(mask)
-            if not collect_feasible and set(achieved) == full_range:
+            if not collect_feasible and settled(n):
                 stop = True
                 break
     members = tuple(
         KMember(k, achieved[k].as_coupling(), "exhaustive") for k in sorted(achieved)
     )
     exclusions = tuple(
-        KExclusion(k, "exhaustive") for k in range(1, n + 1) if k not in achieved
+        excluded.get(k, KExclusion(k, "exhaustive"))
+        for k in range(1, n + 1)
+        if k not in achieved
     )
     return KSetReport(
         n=n,
@@ -288,6 +317,39 @@ def k_set_exact(
         pruned=pruned,
         feasible=tuple(records) if collect_feasible else None,
     )
+
+
+def _certified_exclusions(P: StochasticMatrix) -> tuple[KExclusion, ...]:
+    """The values the theorems rule out of K(P), with no search.
+
+    1 is out when P is periodic, n when P is not doubly stochastic, and n-1
+    when every state pair fails the single-pair balance. These are the
+    exclusions of k_set_certificates, which k_set_report hands to the
+    subset loop before it starts.
+    """
+    n = P.n
+    exclusions = []
+    if period(P) != 1:
+        exclusions.append(
+            KExclusion(1, "aperiodicity", "periodic chains admit no coalescing coupling")
+        )
+    if can_exclude_second_largest(P):
+        exclusions.append(
+            KExclusion(
+                n - 1,
+                "single-pair-criterion",
+                "every pair fails the balance required of a lone coalescing pair",
+            )
+        )
+    if not is_doubly_stochastic(P):
+        exclusions.append(
+            KExclusion(
+                n,
+                "double-stochasticity",
+                "a coupling with no coalescing pair must ride on permutations",
+            )
+        )
+    return tuple(exclusions)
 
 
 def k_set_certificates(P: StochasticMatrix) -> KSetReport:
@@ -305,36 +367,15 @@ def k_set_certificates(P: StochasticMatrix) -> KSetReport:
     """
     n = P.n
     members: list[KMember] = []
-    exclusions: list[KExclusion] = []
+    exclusions = _certified_exclusions(P)
     notes: list[str] = []
-    seen: set[int] = set()
-    if period(P) == 1:
+    seen = {e.k for e in exclusions}
+    if 1 not in seen:
         members.append(KMember(1, doeblin_coupling(P), "aperiodicity"))
         seen.add(1)
-    else:
-        exclusions.append(
-            KExclusion(1, "aperiodicity", "periodic chains admit no coalescing coupling")
-        )
-    if is_doubly_stochastic(P):
-        if n not in seen:
-            members.append(KMember(n, permutation_coupling(P), "double-stochasticity"))
-            seen.add(n)
-    else:
-        exclusions.append(
-            KExclusion(
-                n,
-                "double-stochasticity",
-                "a coupling with no coalescing pair must ride on permutations",
-            )
-        )
-    if can_exclude_second_largest(P):
-        exclusions.append(
-            KExclusion(
-                n - 1,
-                "single-pair-criterion",
-                "every pair fails the balance required of a lone coalescing pair",
-            )
-        )
+    if n not in seen:
+        members.append(KMember(n, permutation_coupling(P), "double-stochasticity"))
+        seen.add(n)
     counted = 0
     truncated = False
     for partition in _set_partitions(n):
@@ -343,7 +384,7 @@ def k_set_certificates(P: StochasticMatrix) -> KSetReport:
             truncated = True
             break
         l = partition.size
-        if l in seen or l == n or l == 1:
+        if l in seen:  # 1 and n are always settled
             continue
         try:
             mu = construct_block_measure(P, partition)
@@ -370,10 +411,16 @@ def k_set_report(
     cap: int = DEFAULT_SUBSET_BUDGET,
     max_closure: int = DEFAULT_CLOSURE_CAP,
 ) -> KSetReport:
-    """Exact enumeration when it fits the budget, certificates otherwise."""
+    """Exact enumeration when it fits the budget, certificates otherwise.
+
+    The certified exclusions steer the enumeration (see k_set_exact). Past
+    the budget the certificate report is exact when its members and
+    exclusions settle every value from 1 to n.
+    """
+    excluded = {e.k: e for e in _certified_exclusions(P)}
     try:
-        return k_set_exact(P, cap=cap, max_closure=max_closure)
+        return k_set_exact(P, cap=cap, max_closure=max_closure, excluded=excluded)
     except BudgetExceeded as exc:
         report = k_set_certificates(P)
-        return replace(report, notes=report.notes + (str(exc),))
-
+        settled = report.values | excluded.keys() == set(range(1, P.n + 1))
+        return replace(report, exact=settled, notes=report.notes + (str(exc),))

@@ -90,7 +90,7 @@ def test_analyze_text(ex10_file):
     assert "irreducible: yes" in out
     assert "doubly stochastic: yes" in out
     assert "coalescence numbers: 1 3 (exact)" in out
-    assert "subsets enumerated: 255" in out
+    assert "subsets enumerated: 20" in out
 
 
 def test_analyze_json(ex10_file):
@@ -508,11 +508,12 @@ def test_exact_cap_below_zero_rejected(ex10_file):
     assert out == ""
     assert "--exact-cap" in err.splitlines()[0]
     assert manifest_of(err)["exit_code"] == 2
-    # zero keeps meaning "certificates only"
+    # zero keeps meaning "certificates only", which settle the 3-state walk
     code, out, _ = run_cli("kset", ex10_file, "--exact-cap", "0", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["exact"] is False and doc["values"] == [1, 3]
+    assert doc["exact"] is True and doc["values"] == [1, 3]
+    assert doc["stats"]["subsets_enumerated"] == 0
 
 
 def test_bad_option_is_a_typed_error(ex10_file):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,15 +19,14 @@ from coalesce import (
     k_set_certificates,
     k_set_exact,
     k_set_report,
+    parse_matrix,
     single_pair_balance,
 )
-from coalesce.reference import path_walk
+from coalesce.reference import CERTGAP_MATRIX, path_walk
 
 
 @pytest.fixture(scope="module")
 def ex11_report():
-    from coalesce import parse_matrix
-
     ex11 = parse_matrix(
         "1/2 1/2 0 0\n0 1/2 1/2 0\n0 0 1/2 1/2\n1/2 0 0 1/2\n"
     )
@@ -34,11 +34,13 @@ def ex11_report():
 
 
 def test_cycle_walk_achievable_set(ex10):
+    # the single-pair criterion rules out 2, so the loop stops once 1 and 3
+    # have witnesses
     report = k_set_report(ex10)
     assert sorted(report.values) == [1, 3]
     assert report.exact
-    assert report.subsets_enumerated == 255
-    assert [(e.k, e.reason) for e in report.exclusions] == [(2, "exhaustive")]
+    assert report.subsets_enumerated == 20
+    assert [(e.k, e.reason) for e in report.exclusions] == [(2, "single-pair-criterion")]
     for m in report.members:
         assert is_consistent(m.coupling, ex10)
         assert coalescence_number(expand_support(m.coupling)) == m.k
@@ -149,7 +151,7 @@ def test_two_state_walk():
 def test_three_state_walk():
     report = k_set_report(path_walk(3))
     assert sorted(report.values) == [1, 3]
-    assert [(e.k, e.reason) for e in report.exclusions] == [(2, "exhaustive")]
+    assert [(e.k, e.reason) for e in report.exclusions] == [(2, "single-pair-criterion")]
 
 
 def test_certificates_on_uniform_matrix():
@@ -197,6 +199,73 @@ def test_certificates_agree_with_exact_route():
         assert certified.values <= exact.values
         assert not {e.k for e in certified.exclusions} & exact.values
         checked += 1
+
+
+def _random_irreducible(rng, n):
+    # plain, denominator-based, doubly stochastic, or a mixture of
+    # block-permuting maps (which lumps)
+    while True:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return oracles.random_stochastic(rng, n)
+        if kind == 1:
+            return oracles.random_stochastic_denominators(rng, n, (2, 3, 7, 9, 97))
+        if kind == 2:
+            return oracles.random_doubly_stochastic(rng, n, max_perms=3)
+        _, images = oracles.random_block_permuting(rng, n, rng.randint(1, 3))
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for image in images:
+            for i in range(n):
+                rows[i][image[i]] += Fraction(1, len(images))
+        if oracles.strongly_connected(rows):
+            return rows
+
+
+def _small_panel(seed, count, states, max_functions=12):
+    # random irreducible matrices with at most max_functions allowed
+    # functions, so that the unsteered loop fits the test's time
+    rng = random.Random(seed)
+    panel = []
+    while len(panel) < count:
+        P = StochasticMatrix.from_rows(_random_irreducible(rng, rng.choice(states)))
+        if math.prod(len(s) for s in P.row_supports) <= max_functions:
+            panel.append(P)
+    return panel
+
+
+def test_steered_report_matches_unsteered_loop():
+    # the certified exclusions only stop and prune the loop: values and
+    # witnesses are those of the loop run with no exclusions, and of the
+    # full run with no prune and no early stop, which finds the same first
+    # support for each value
+    steered_total = plain_total = 0
+    for P in _small_panel(2601, 40, (3, 4)):
+        full = k_set_exact(P, prune=False, collect_feasible=True)
+        plain = k_set_exact(P)
+        steered = k_set_report(P)
+        assert steered.exact
+        for report in (plain, steered):
+            assert report.values == full.values
+            assert [(m.k, m.how, m.coupling.support()) for m in report.members] == [
+                (m.k, m.how, m.coupling.support()) for m in full.members
+            ]
+            assert [m.coupling for m in report.members] == [m.coupling for m in full.members]
+            assert [e.k for e in report.exclusions] == [e.k for e in full.exclusions]
+        assert steered.subsets_enumerated <= plain.subsets_enumerated
+        steered_total += steered.subsets_enumerated
+        plain_total += plain.subsets_enumerated
+    assert steered_total < plain_total
+
+
+def test_certificates_settle_three_states():
+    # for an irreducible 3-state chain the certificates decide every value:
+    # 1 by aperiodicity, 3 by double stochasticity, and 2 either way (see
+    # the kset module docstring)
+    for P in _small_panel(2602, 90, (3,)):
+        report = k_set_report(P, cap=0)
+        assert report.exact
+        assert report.subsets_enumerated == 0
+        assert report.values == k_set_exact(P).values
 
 
 def test_pair_balance_criterion(ex10):
@@ -251,8 +320,16 @@ def test_budget_checked_before_functions_are_built(monkeypatch):
 
 
 def test_budget_fallback(ex10):
-    # an impossible subset budget forces the certificate path
+    # an impossible subset budget forces the certificate path, which on the
+    # 3-state walk settles every value
     report = k_set_report(ex10, cap=10)
+    assert report.exact
+    assert any("exceed" in note for note in report.notes)
+    assert sorted(report.values) == [1, 3]
+    assert report.subsets_enumerated == 0
+    # on certgap the certificates leave 2 open, so the fallback is inexact
+    report = k_set_report(parse_matrix(CERTGAP_MATRIX), cap=10)
     assert not report.exact
     assert any("exceed" in note for note in report.notes)
-    assert {1, 3} <= set(report.values)
+    assert sorted(report.values) == [1]
+    assert [e.k for e in report.exclusions] == [3, 4]
