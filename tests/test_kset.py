@@ -169,6 +169,17 @@ def test_certificates_on_uniform_matrix():
     ]
 
 
+def _block_permuting_rows(rng, n):
+    # an even mixture of block-permuting maps, which lumps; None when the
+    # chain is reducible
+    _, images = oracles.random_block_permuting(rng, n, rng.randint(1, 3))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for image in images:
+        for i in range(n):
+            rows[i][image[i]] += Fraction(1, len(images))
+    return rows if oracles.strongly_connected(rows) else None
+
+
 def test_certificates_agree_with_exact_route():
     # members the certificates claim are achievable, and values they exclude
     # are not, on random irreducible matrices inside a 2^12 subset budget:
@@ -183,12 +194,8 @@ def test_certificates_agree_with_exact_route():
         elif kind == 1:
             rows = oracles.random_doubly_stochastic(rng, n, max_perms=3)
         else:
-            _, images = oracles.random_block_permuting(rng, n, rng.randint(1, 3))
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            for image in images:
-                for i in range(n):
-                    rows[i][image[i]] += Fraction(1, len(images))
-            if not oracles.strongly_connected(rows):
+            rows = _block_permuting_rows(rng, n)
+            if rows is None:
                 continue
         P = StochasticMatrix.from_rows(rows)
         try:
@@ -202,8 +209,7 @@ def test_certificates_agree_with_exact_route():
 
 
 def _random_irreducible(rng, n):
-    # plain, denominator-based, doubly stochastic, or a mixture of
-    # block-permuting maps (which lumps)
+    # plain, denominator-based, doubly stochastic, or lumpable
     while True:
         kind = rng.randrange(4)
         if kind == 0:
@@ -212,12 +218,8 @@ def _random_irreducible(rng, n):
             return oracles.random_stochastic_denominators(rng, n, (2, 3, 7, 9, 97))
         if kind == 2:
             return oracles.random_doubly_stochastic(rng, n, max_perms=3)
-        _, images = oracles.random_block_permuting(rng, n, rng.randint(1, 3))
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for image in images:
-            for i in range(n):
-                rows[i][image[i]] += Fraction(1, len(images))
-        if oracles.strongly_connected(rows):
+        rows = _block_permuting_rows(rng, n)
+        if rows is not None:
             return rows
 
 
