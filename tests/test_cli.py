@@ -23,6 +23,7 @@ from coalesce import (
     BlockCoupling,
     EquidistributionReport,
     ExplicitCoupling,
+    ExplicitPermLaw,
     Partition,
     StochasticMatrix,
     construct_block_measure,
@@ -821,6 +822,64 @@ def test_seeded_outputs_are_pinned(doeblin_file):
         "from  3   3   1   1   1   1\n"
         "classes  3   2   2   2   1\n"
         "coalesced at t=4\n"
+    )
+
+
+def test_seeded_outputs_of_each_draw_path_are_pinned(tmp_path):
+    # the draw paths the pins above miss: sample through an explicit
+    # coupling, and diagrams of block couplings under the uniform law and
+    # under an explicit law of two terms (each state with its own tables)
+    path5 = "1/2 1/2 0 0 0\n1/2 0 1/2 0 0\n0 1/2 0 1/2 0\n0 0 1/2 0 1/2\n0 0 0 1/2 1/2\n"
+    matrix, coupling = tmp_path / "path5.txt", tmp_path / "path5.json"
+    matrix.write_text(path5)
+    coupling.write_text(serialize_coupling(to_explicit(doeblin_coupling(parse_matrix(path5)))))
+    code, out, _ = run_cli(
+        "sample", str(matrix), "--coupling", str(coupling), "--n-samples", "300", "--seed", "5",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "seed": 5,
+        "samples": 300,
+        "failures": 0,
+        "counts": {"1": 67, "2": 51, "3": 62, "4": 59, "5": 61},
+        "tv_to_invariant": "1/30",
+    }
+    uniform = tmp_path / "uniform.json"
+    uniform.write_text(serialize_coupling(uniform_divisor_coupling(4, 2)))
+    code, out, _ = run_cli("diagram", str(uniform), "--seed", "2", "--t-max", "5")
+    assert code == 0
+    assert out == (
+        "time     0   1   2   3   4   5\n"
+        "from  1   1   2   4   3   2   3\n"
+        "from  2   2   1   4   3   2   3\n"
+        "from  3   3   3   1   1   4   1\n"
+        "from  4   4   4   2   2   4   1\n"
+        "classes  4   4   3   3   2   2\n"
+        "not coalesced by t=5\n"
+    )
+    F = Fraction
+    within = (
+        ((0, ((0, F(1, 2)), (1, F(1, 2)))), (1, ((2, F(1, 4)), (3, F(3, 4))))),
+        ((0, ((0, F(2, 3)), (1, F(1, 3)))), (1, ((3, F(1)),))),
+        ((0, ((0, F(1)),)), (1, ((2, F(3, 5)), (3, F(2, 5))))),
+        ((0, ((0, F(1, 6)), (1, F(5, 6)))), (1, ((2, F(1, 2)), (3, F(1, 2))))),
+    )
+    law = ExplicitPermLaw((((0, 1), F(1, 3)), ((1, 0), F(2, 3))))
+    two_terms = tmp_path / "two_terms.json"
+    two_terms.write_text(
+        serialize_coupling(BlockCoupling(Partition.from_blocks([[0, 1], [2, 3]]), law, within))
+    )
+    code, out, _ = run_cli("diagram", str(two_terms), "--seed", "4", "--t-max", "6")
+    assert code == 0
+    assert out == (
+        "time     0   1   2   3   4   5   6\n"
+        "from  1   1   4   2   4   2   2   4\n"
+        "from  2   2   4   2   4   2   2   4\n"
+        "from  3   3   1   4   2   4   3   1\n"
+        "from  4   4   2   4   2   4   3   1\n"
+        "classes  4   3   2   2   2   2   2\n"
+        "not coalesced by t=6\n"
     )
 
 
