@@ -56,6 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
+from operator import itemgetter
 
 from .coupling import GrandCoupling
 from .semigroup import coalescing_pairs
@@ -133,17 +134,18 @@ def _walk(
     walk reads exactly t draws, so the next walk on the same rng starts on
     fresh draws (see the module docstring). backward applies each new draw
     first (F_1 o ... o F_t), forward applies it last (F_t o ... o F_1).
-    A composite is a list whose entry x is the image of state x; given a
-    list seen, the walk appends every composite to it.
+    A composite is a tuple whose entry x is the image of state x; given a
+    list seen, the walk appends every composite to it. Each step composes
+    with one itemgetter call: itemgetter(*g)(f) is f o g.
     """
     n = mu.n
-    composite = list(range(n))
+    sample_image = mu.sample_image
+    # itemgetter of a single index returns the bare entry, not a 1-tuple
+    take = itemgetter if n > 1 else lambda x: lambda seq: (seq[x],)
+    composite = tuple(range(n))
     for t in range(1, t_max + 1):
-        img = mu.sample_image(rng)
-        if backward:
-            composite = [composite[v] for v in img]
-        else:
-            composite = [img[v] for v in composite]
+        img = sample_image(rng)
+        composite = take(*img)(composite) if backward else take(*composite)(img)
         if seen is not None:
             seen.append(composite)
         value = composite[0]

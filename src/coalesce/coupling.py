@@ -386,10 +386,27 @@ class BlockCoupling(_Coupling):
 
     def sample_image(self, rng) -> tuple[int, ...]:
         """Draw a block permutation, then each state's image from its table
-        in that permutation's row."""
+        in that permutation's row.
+
+        The states' draws are _pick's draw rule, inlined into one loop over
+        the row so that a step makes no call per state: the same words are
+        read in the same order."""
         law_rows = self._law_rows
         row = self._row(self.law.sample(rng)) if law_rows is None else _pick(rng, law_rows)
-        return tuple([_pick(rng, table) for table in row])
+        getrandbits = rng.getrandbits
+        image = []
+        for den, k, shift, guide, cum, payloads in row:
+            if den == 1:
+                image.append(payloads[0])
+                continue
+            r = getrandbits(k)
+            while r >= den:
+                r = getrandbits(k)
+            i = guide[r >> shift]
+            while cum[i] <= r:
+                i += 1
+            image.append(payloads[i])
+        return tuple(image)
 
 
 GrandCoupling = ExplicitCoupling | BlockCoupling

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coalesce import (
+    CoalescenceRecord,
     DidNotCoalesce,
     ExplicitCoupling,
     MapFunction,
@@ -15,6 +16,7 @@ from coalesce import (
     cftp_sample,
     chi_square_pvalue,
     doeblin_coupling,
+    emit_trajectory_diagram,
     equidistribution_report,
     equidistribution_tolerance,
     forward_record,
@@ -194,6 +196,49 @@ def test_provable_shortcut_negative(ex10):
     ):
         assert not provably_never_coalesces(one)
         assert sample_counts(one, RngStream(20), 5) == (Counter({0: 5}), 0)
+
+
+@dataclass(frozen=True)
+class KeepingStream(RngStream):
+    """An RngStream that keeps every generator it hands out."""
+
+    handed: list = field(default_factory=list, compare=False)
+
+    def substream(self, index):
+        rng = super().substream(index)
+        self.handed.append(rng)
+        return rng
+
+
+@pytest.mark.parametrize(
+    "one",
+    [
+        ExplicitCoupling.from_pairs([(MapFunction((0,)), Fraction(1))]),
+        doeblin_coupling(StochasticMatrix.identity(1)),
+    ],
+    ids=["explicit", "block"],
+)
+def test_one_state_walks_coalesce_at_once_without_drawing(one):
+    # every walk on one state is constant after its first image, which has
+    # one outcome and reads no word from the generator; a composite on one
+    # state stays a 1-tuple through each step
+    counting = counting_coupling(one)
+    stream = KeepingStream(21)
+    assert sample_counts(counting, stream, 4) == (Counter({0: 4}), 0)
+    rep = equidistribution_report(counting, stream, runs=3)
+    assert (rep.backward, rep.forward, rep.max_cdf_gap) == (((1, 3),), ((1, 3),), 0)
+    assert backward_record(counting, stream, collect_trace=True) == CoalescenceRecord(
+        1, 0, "backward", (1,)
+    )
+    assert forward_record(counting, stream) == CoalescenceRecord(1, 0, "forward")
+    assert emit_trajectory_diagram(counting, stream, 5) == (
+        "time     0   1\nfrom  1   1   1\nclasses  1   1\ncoalesced at t=1\n"
+    )
+    # one image per walk: 4 samples, 3 + 3 records, 2 records and a diagram
+    assert counting.images == 4 + 6 + 2 + 1
+    untouched = RngStream(21).substream(0).getstate()
+    assert len(stream.handed) == 5
+    assert all(rng.getstate() == untouched for rng in stream.handed)
 
 
 def test_large_explicit_support_is_proven_never_to_coalesce():
