@@ -38,9 +38,14 @@ generator per run, from the run stream's substream(0): sample_counts and
 equidistribution_report read all their walks from it in turn, tallying
 each walk's value or time, and cftp_sample, the records and the diagram
 read one walk from the substream(0) of the stream they are given. Within
-an image, each draw from a finite law (coupling._pick) reads k-bit words
-from the generator, k = den.bit_length() for the law's common denominator
-den, until one is below den, as random.randrange(den) would.
+an image, each draw from a finite law reads k-bit words from the
+generator, k = den.bit_length() for the law's common denominator den,
+until one is below den, as random.randrange(den) would. That rule lives in
+coupling._pick, which draws an explicit coupling's map and an explicit
+block law's permutation, and in the row loop of BlockCoupling.sample_image,
+which draws each state's image. Layout 3 is the same whichever of the two
+reads a draw. Each step of a walk is one mu.sample_image call, the one
+per-draw call that tracing and draw counts read.
 
 Some couplings can never coalesce: some pair of states is merged by no
 composition of support functions. provably_never_coalesces finds such a

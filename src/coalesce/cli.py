@@ -427,11 +427,11 @@ def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
             "backward_failures": report.backward_failures,
             "forward_failures": report.forward_failures,
             "max_cdf_gap": str(report.max_cdf_gap),
-            "tolerance": float(tolerance),
+            "tolerance": str(tolerance),
             "alpha": None if alpha is None else float(alpha),
             "passed": ok,
         }
-    tolerance_line = f"tolerance: {_float6(tolerance)}"
+    tolerance_line = f"tolerance: {_float6(tolerance)} ({tolerance})"
     if alpha is not None:
         tolerance_line += f" (false-fail rate {float(alpha)}, DKW-Massart)"
     return code, [

@@ -105,7 +105,8 @@ def _pick(rng, table):
     [0, den), and the payload is the first whose threshold exceeds r, found
     by a short search from guide[r >> shift]. This reads the generator word
     for word as random.randrange(den) does. A table with den == 1 has one
-    outcome and draws nothing.
+    outcome and draws nothing. BlockCoupling.sample_image inlines this rule
+    for a row of tables, so a change to it changes both.
     """
     den, k, shift, guide, cum, payloads = table
     if den == 1:

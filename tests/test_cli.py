@@ -724,12 +724,19 @@ def test_verify_equidist_tolerance_is_exact(tmp_path):
     code, out, _ = run_cli(*argv, "--tolerance", f"{gap.numerator}/{gap.denominator}")
     assert code == 1
     assert f"max CDF gap: {float(gap):.6f} ({gap})" in out
+    assert f"tolerance: {float(gap):.6f} ({gap})\n" in out
     assert "verdict: fail" in out
     code, out, _ = run_cli(*argv, "--tolerance", str(gap + Fraction(1, 10**6)), "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["max_cdf_gap"] == str(gap) and doc["tolerance"] == float(gap + Fraction(1, 10**6))
+    assert doc["max_cdf_gap"] == str(gap) and doc["tolerance"] == str(gap + Fraction(1, 10**6))
     assert doc["passed"] is True and doc["alpha"] is None
+    # the tolerance is written exactly, also where a float would read 0
+    code, out, _ = run_cli(*argv, "--tolerance", "1e-400", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["tolerance"] == f"1/{10**400}"
+    _, out, _ = run_cli(*argv, "--tolerance", "1e-400")
+    assert f"tolerance: 0.000000 (1/{10**400})\n" in out
     # read as a float, 0.05 is slightly above 1/20 and a gap of 1/20 passed
     args = build_parser().parse_args(["verify-equidist", str(p), "--runs", "1", "--tolerance", "0.05"])
     report = EquidistributionReport(1, (), (), 0, 0, Fraction(1, 20))
@@ -745,12 +752,13 @@ def test_verify_equidist_default_tolerance_follows_runs(doeblin_file):
         assert code == 0
         doc = json.loads(out)
         assert doc["alpha"] == 0.001
-        assert doc["tolerance"] == float(equidistribution_tolerance(int(runs)))
-        tolerances.append(doc["tolerance"])
+        assert doc["tolerance"] == str(equidistribution_tolerance(int(runs)))
+        tolerances.append(float(Fraction(doc["tolerance"])))
     # four times the runs halve the tolerance
     assert tolerances[1] == pytest.approx(tolerances[0] / 2)
     _, out, _ = run_cli("verify-equidist", doeblin_file, "--runs", "200", "--seed", "3")
-    assert "tolerance: 0.287994 (false-fail rate 0.001, DKW-Massart)" in out
+    exact = equidistribution_tolerance(200)
+    assert f"tolerance: 0.287994 ({exact}) (false-fail rate 0.001, DKW-Massart)" in out
 
 
 def test_examples_subcommand():
@@ -809,7 +817,7 @@ def test_seeded_outputs_are_pinned(doeblin_file):
         "backward_failures": 0,
         "forward_failures": 0,
         "max_cdf_gap": "27/1000",
-        "tolerance": float(equidistribution_tolerance(1000)),
+        "tolerance": str(equidistribution_tolerance(1000)),
         "alpha": 0.001,
         "passed": True,
     }
