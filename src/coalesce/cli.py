@@ -136,6 +136,14 @@ def _float6(x) -> str:
     return f"{float(x):.6f}"
 
 
+def _exact(q: Fraction) -> str:
+    """q as "p/q", or "p" when whole, like str(q); written through Decimal,
+    since str() of an int fails past 4300 digits (a --tolerance of 1e-5000
+    has 5001)."""
+    numerator = str(Decimal(q.numerator))
+    return numerator if q.denominator == 1 else f"{numerator}/{Decimal(q.denominator)}"
+
+
 def _pairs_text(pairs) -> str:
     parts = sorted(tuple(sorted(v + 1 for v in p)) for p in pairs)
     return " ".join("{" + ",".join(map(str, p)) + "}" for p in parts)
@@ -427,11 +435,11 @@ def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
             "backward_failures": report.backward_failures,
             "forward_failures": report.forward_failures,
             "max_cdf_gap": str(report.max_cdf_gap),
-            "tolerance": str(tolerance),
+            "tolerance": _exact(tolerance),
             "alpha": None if alpha is None else float(alpha),
             "passed": ok,
         }
-    tolerance_line = f"tolerance: {_float6(tolerance)} ({tolerance})"
+    tolerance_line = f"tolerance: {_float6(tolerance)} = {_exact(tolerance)}"
     if alpha is not None:
         tolerance_line += f" (false-fail rate {float(alpha)}, DKW-Massart)"
     return code, [

@@ -106,7 +106,12 @@ def _pick(rng, table):
     by a short search from guide[r >> shift]. This reads the generator word
     for word as random.randrange(den) does. A table with den == 1 has one
     outcome and draws nothing. BlockCoupling.sample_image inlines this rule
-    for a row of tables, so a change to it changes both.
+    for a row of tables, so a change to it changes both; the randrange and
+    per-state lookup oracle tests in tests/test_coupling.py pin each copy on
+    its own. One shared row loop, with this as its one-table case, drew the
+    same words but made the sampling benchmark's wall_s 10% slower
+    (0.506 -> 0.558 s, six pairs on a 2-vCPU host), as every explicit draw and
+    every explicit block-law permutation then pays for a loop and a list.
     """
     den, k, shift, guide, cum, payloads = table
     if den == 1:

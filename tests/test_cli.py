@@ -724,7 +724,7 @@ def test_verify_equidist_tolerance_is_exact(tmp_path):
     code, out, _ = run_cli(*argv, "--tolerance", f"{gap.numerator}/{gap.denominator}")
     assert code == 1
     assert f"max CDF gap: {float(gap):.6f} ({gap})" in out
-    assert f"tolerance: {float(gap):.6f} ({gap})\n" in out
+    assert f"tolerance: {float(gap):.6f} = {gap}\n" in out
     assert "verdict: fail" in out
     code, out, _ = run_cli(*argv, "--tolerance", str(gap + Fraction(1, 10**6)), "--format", "json")
     assert code == 0
@@ -736,7 +736,14 @@ def test_verify_equidist_tolerance_is_exact(tmp_path):
     assert code == 1
     assert json.loads(out)["tolerance"] == f"1/{10**400}"
     _, out, _ = run_cli(*argv, "--tolerance", "1e-400")
-    assert f"tolerance: 0.000000 (1/{10**400})\n" in out
+    assert f"tolerance: 0.000000 = 1/{10**400}\n" in out
+    # and where str() of its denominator, past 4300 digits, would raise
+    code, out, _ = run_cli(*argv, "--tolerance", "1e-5000", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["tolerance"] == "1/1" + "0" * 5000
+    code, out, _ = run_cli(*argv, "--tolerance", "1e-5000")
+    assert code == 1
+    assert "tolerance: 0.000000 = 1/1" + "0" * 5000 + "\n" in out
     # read as a float, 0.05 is slightly above 1/20 and a gap of 1/20 passed
     args = build_parser().parse_args(["verify-equidist", str(p), "--runs", "1", "--tolerance", "0.05"])
     report = EquidistributionReport(1, (), (), 0, 0, Fraction(1, 20))
@@ -758,7 +765,7 @@ def test_verify_equidist_default_tolerance_follows_runs(doeblin_file):
     assert tolerances[1] == pytest.approx(tolerances[0] / 2)
     _, out, _ = run_cli("verify-equidist", doeblin_file, "--runs", "200", "--seed", "3")
     exact = equidistribution_tolerance(200)
-    assert f"tolerance: 0.287994 ({exact}) (false-fail rate 0.001, DKW-Massart)" in out
+    assert f"tolerance: 0.287994 = {exact} (false-fail rate 0.001, DKW-Massart)" in out
 
 
 def test_examples_subcommand():
