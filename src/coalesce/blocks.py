@@ -9,9 +9,9 @@ Construction goes through lumpability: if the row mass of P from any state
 of block r into block s depends only on r, those masses form a block-level
 matrix. When that matrix is doubly stochastic it carries a law on block
 permutations, and the conditional rows inside each block complete a
-BlockCoupling. The construction is marginal-correct by design; whether the
-result actually coalesces to the block count is a separate question answered
-by is_block_measure.
+BlockCoupling (BlockCoupling.conditioned). The construction is
+marginal-correct by design; whether the result actually coalesces to the
+block count is a separate question answered by is_block_measure.
 """
 from __future__ import annotations
 
@@ -90,7 +90,7 @@ def construct_block_measure(P: StochasticMatrix, partition: Partition) -> BlockC
 
     Requires P lumpable over the partition, with a doubly stochastic
     block-level matrix; its Birkhoff decomposition is the law on block
-    permutations.
+    permutations, passed to BlockCoupling.conditioned.
 
     Raises BlockConditionsFail, carrying the lump result, when either
     requirement fails. Note that the result is always a consistent coupling,
@@ -108,24 +108,7 @@ def construct_block_measure(P: StochasticMatrix, partition: Partition) -> BlockC
         )
     decomp = birkhoff_decomposition(lumped)
     law = ExplicitPermLaw(tuple((f.image, w) for f, w in decomp.terms))
-    l = partition.size
-    block_of = partition.block_of()
-    within = []
-    for i in range(P.n):
-        r = block_of[i]
-        entry = []
-        for s in range(l):
-            lam = lumped.entries[r][s]
-            if lam == 0:
-                continue
-            dist = tuple(
-                (j, P.entries[i][j] / lam)
-                for j in sorted(partition.blocks[s])
-                if P.entries[i][j] > 0
-            )
-            entry.append((s, dist))
-        within.append(tuple(entry))
-    return BlockCoupling(partition, law, tuple(within))
+    return BlockCoupling.conditioned(P, partition, law)
 
 
 def is_block_measure(mu: GrandCoupling, partition: Partition | None = None) -> bool:
@@ -177,7 +160,8 @@ def uniform_divisor_coupling(n: int, l: int) -> BlockCoupling:
     """A block measure of the uniform chain on n states with exactly l blocks.
 
     Splits the states into l consecutive blocks of size n/l, draws a uniform
-    block permutation, and picks images uniformly inside the target block.
+    block permutation, and picks images uniformly inside the target block
+    (BlockCoupling.conditioned on the uniform chain's rows).
     Every state then has marginal 1/n on every target, so this couples the
     uniform chain, and the coalescence number is exactly l. Requires l to
     divide n.
@@ -188,13 +172,4 @@ def uniform_divisor_coupling(n: int, l: int) -> BlockCoupling:
         raise NotADivisor(f"{l} does not divide {n}")
     m = n // l
     partition = Partition.from_blocks(range(r * m, (r + 1) * m) for r in range(l))
-    law = UniformPermLaw(l)
-    share = Fraction(1, m)
-    within = tuple(
-        tuple(
-            (s, tuple((j, share) for j in range(s * m, (s + 1) * m)))
-            for s in range(l)
-        )
-        for _ in range(n)
-    )
-    return BlockCoupling(partition, law, within)
+    return BlockCoupling.conditioned(StochasticMatrix.uniform(n), partition, UniformPermLaw(l))

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import __version__
 from .birkhoff import birkhoff_decomposition
-from .blocks import construct_block_measure, is_block_measure
+from .blocks import check_lumpability, construct_block_measure, is_block_measure
 from .cftp import (
     DEFAULT_T_MAX,
     FALSE_FAIL_RATE,
@@ -147,16 +147,6 @@ def _exact(q: Fraction) -> str:
 def _pairs_text(pairs) -> str:
     parts = sorted(tuple(sorted(v + 1 for v in p)) for p in pairs)
     return " ".join("{" + ",".join(map(str, p)) + "}" for p in parts)
-
-
-def _law_matrix(law) -> StochasticMatrix:
-    """The block-level matrix a block-permutation law carries: entry (r, s)
-    is the chance that block r is sent to block s."""
-    rows = [[Fraction(0)] * law.l for _ in range(law.l)]
-    for r, row in enumerate(rows):
-        for w, (s,) in law.image_law((r,)):
-            row[s] += w
-    return StochasticMatrix(tuple(map(tuple, rows)))
 
 
 def _coupling_summary(mu) -> str:
@@ -331,7 +321,7 @@ def _cmd_blocks(args, run: _Run) -> tuple[int, dict | list[str]]:
     except BlockConditionsFail as exc:
         mu, lumped, detail = None, exc.lumped, str(exc)
     else:
-        lumped = _law_matrix(mu.law)
+        lumped = check_lumpability(P, partition)
     if not lumped:
         payload = {"lumpable": False, "detail": lumped.describe()}
         lines = ["lumpable: no", f"detail: {lumped.describe()}"]
@@ -586,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_options(args) -> None:
-    """Raise InvalidOption for a count, cap or tolerance out of its range."""
+    """Raise InvalidOption for a value out of its range or a test that cannot fail."""
     for option, least in (("n_samples", 1), ("runs", 1), ("t_max", 1), ("exact_cap", 0), ("max_closure", 1)):
         value = getattr(args, option, None)
         if value is not None and value < least:
@@ -597,6 +587,12 @@ def check_options(args) -> None:
     if tolerance is not None and not 0 < tolerance <= 1:  # a CDF gap is at most 1
         shown = Decimal(tolerance.numerator) / tolerance.denominator  # str() fails past 4300 digits
         raise InvalidOption(f"--tolerance must be above 0 and at most 1, got {shown:.6g}")
+    if "tolerance" in args and tolerance is None and equidistribution_tolerance(args.runs) >= 1:
+        raise InvalidOption(
+            f"--runs {args.runs} is too few without --tolerance: the default tolerance "
+            f"{_float6(equidistribution_tolerance(args.runs))} is at least 1, so no run could "
+            "fail; use more runs or pass --tolerance"
+        )
 
 
 def main(argv=None) -> int:

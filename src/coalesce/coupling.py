@@ -10,7 +10,8 @@ P's rows. Two storage forms are supported:
 
 The block form can describe supports far too large to enumerate (for example
 a uniform law over all l! block permutations), while still allowing exact
-marginal computations and exact sampling.
+marginal computations and exact sampling. Its within-distributions come
+from a document (parse_coupling) or from a matrix (BlockCoupling.conditioned).
 
 Both forms hand over their structure through one primitive,
 image_law(states): the law of (f(x) for x in states), for distinct states,
@@ -345,6 +346,26 @@ class BlockCoupling(_Coupling):
                         f"sums to {total}"
                     )
 
+    @classmethod
+    def conditioned(cls, P: StochasticMatrix, partition: Partition, law) -> BlockCoupling:
+        """within[i] pairs each block s with P(i, B_s) > 0, in block order,
+        with (j, P(i, j) / P(i, B_s)) over the j in B_s with P(i, j) > 0, in
+        state order: P's row conditioned on B_s. The marginals are P's rows
+        when law sends block r to s with chance P(i, B_s) for i in B_r."""
+        if partition.n != P.n:
+            raise DimensionMismatch(f"partition on n={partition.n}, matrix on n={P.n}")
+        blocks = [sorted(b) for b in partition.blocks]
+        within = []
+        for row in P.entries:
+            entry = []
+            for s, blk in enumerate(blocks):
+                targets = [j for j in blk if row[j] > 0]
+                if targets:
+                    mass = sum(row[j] for j in targets)
+                    entry.append((s, tuple((j, row[j] / mass) for j in targets)))
+            within.append(tuple(entry))
+        return cls(partition, law, tuple(within))
+
     @property
     def n(self) -> int:
         return self.partition.n
@@ -452,17 +473,13 @@ def to_explicit(mu: GrandCoupling, cap: int = DEFAULT_SUPPORT_CAP) -> ExplicitCo
 def doeblin_coupling(P: StochasticMatrix) -> BlockCoupling:
     """The independent product coupling: each state draws from its own row.
 
-    A BlockCoupling over the single-block partition (identity block
+    The one-block case of BlockCoupling.conditioned (identity block
     permutation, rows as within-distributions), which samples in O(n)
     regardless of how many functions the product support would contain;
     to_explicit lists its terms.
     """
     law = ExplicitPermLaw((((0,), _ONE),))
-    within = tuple(
-        ((0, tuple((j, P.entries[i][j]) for j in P.row_supports[i])),)
-        for i in range(P.n)
-    )
-    return BlockCoupling(Partition.single_block(P.n), law, within)
+    return BlockCoupling.conditioned(P, Partition.single_block(P.n), law)
 
 
 def permutation_coupling(P: StochasticMatrix) -> ExplicitCoupling:

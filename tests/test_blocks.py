@@ -20,6 +20,7 @@ from coalesce import (
     coalescence_number,
     coalescing_pairs,
     construct_block_measure,
+    doeblin_coupling,
     expand_support,
     is_block_measure,
     is_consistent,
@@ -213,3 +214,81 @@ def test_foreign_partition_charges_the_cap_on_components(monkeypatch):
     monkeypatch.setattr(BlockCoupling, "image_law", _unread)
     with pytest.raises(SupportTooLarge, match="3628800"):
         is_block_measure(mu, Partition.parse("1,2,3,4|5,6,7,8|9,10,11,12|13,14,15,16|17,18,19,20"))
+
+
+def _oracle_within(rows, blocks):
+    """within from its definition: for each block s with P(i, B_s) > 0, in
+    block order, the pairs (j, P(i, j) / P(i, B_s)) over the j in B_s with
+    P(i, j) > 0, in state order."""
+    within = []
+    for row in rows:
+        entry = []
+        for s, blk in enumerate(sorted((sorted(b) for b in blocks), key=min)):
+            mass = sum(row[j] for j in blk)
+            if mass > 0:
+                entry.append((s, tuple((j, row[j] / mass) for j in blk if row[j] > 0)))
+        within.append(tuple(entry))
+    return tuple(within)
+
+
+def _builder_panel():
+    """(construct, rows, blocks) for the three constructors on a seeded
+    panel: lumpable mixtures of block-permuting maps, random irreducible
+    matrices, and every divisor coupling with n <= 12."""
+    rng = random.Random(28)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        blocks, images = oracles.random_block_permuting(rng, n, rng.randint(1, 5))
+        raw = [rng.randint(1, 5) for _ in images]
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for t, a in zip(images, raw):
+            for i in range(n):
+                rows[i][t[i]] += Fraction(a, sum(raw))
+        P = StochasticMatrix.from_rows(rows)
+        yield (lambda P=P, blocks=blocks: construct_block_measure(P, Partition.from_blocks(blocks))), rows, blocks
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = oracles.random_stochastic(rng, n)
+        P = StochasticMatrix.from_rows(rows)
+        yield (lambda P=P: doeblin_coupling(P)), rows, [range(n)]
+    for n in range(1, 13):
+        for l in range(1, n + 1):
+            if n % l == 0:
+                m = n // l
+                blocks = [range(r * m, (r + 1) * m) for r in range(l)]
+                rows = [[Fraction(1, n)] * n for _ in range(n)]
+                yield (lambda n=n, l=l: uniform_divisor_coupling(n, l)), rows, blocks
+
+
+def test_constructors_move_each_state_by_its_conditioned_row():
+    zero_mass = 0
+    for construct, rows, blocks in _builder_panel():
+        mu = construct()
+        assert mu.within == _oracle_within(rows, blocks)
+        assert is_consistent(mu, StochasticMatrix.from_rows(rows))
+        zero_mass += sum(len(entry) < len(blocks) for entry in mu.within)
+    assert zero_mass >= 100
+    with pytest.raises(coalesce.DimensionMismatch):
+        BlockCoupling.conditioned(StochasticMatrix.uniform(3), Partition.single_block(4), UniformPermLaw(1))
+
+
+def test_a_builder_keeping_zero_mass_blocks_is_rejected(monkeypatch):
+    def keeps_zero_mass_blocks(cls, P, partition, law):
+        within = tuple(
+            tuple(
+                (s, tuple((j, row[j] / sum(row[k] for k in blk)) for j in sorted(blk) if row[j] > 0))
+                for s, blk in enumerate(partition.blocks)
+            )
+            for row in P.entries
+        )
+        return cls(partition, law, within)
+
+    monkeypatch.setattr(BlockCoupling, "conditioned", classmethod(keeps_zero_mass_blocks))
+    rejected = 0
+    for construct, rows, blocks in _builder_panel():
+        try:
+            construct()
+        except coalesce.CouplingFormatError as exc:
+            assert "do not match reachable blocks" in str(exc)
+            rejected += 1
+    assert rejected >= 100

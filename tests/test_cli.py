@@ -503,6 +503,25 @@ def test_tolerance_above_one_rejected(doeblin_file):
     assert code == 0
 
 
+def test_runs_too_few_for_the_default_tolerance_rejected(tmp_path):
+    # at 16 runs the default bound is 1.018, above any CDF gap, so every
+    # coupling would pass; at 17 it is 0.988
+    assert equidistribution_tolerance(16) >= 1 > equidistribution_tolerance(17)
+    p = tmp_path / "c.json"
+    p.write_text(serialize_coupling(uniform_divisor_coupling(4, 1)))
+    code, out, err = run_cli("verify-equidist", str(p), "--runs", "16", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == (
+        "error: --runs 16 is too few without --tolerance: the default tolerance 1.018212 "
+        "is at least 1, so no run could fail; use more runs or pass --tolerance"
+    )
+    assert manifest_of(err)["exit_code"] == 2
+    for extra in (["--runs", "17"], ["--runs", "5", "--tolerance", "1/2"]):
+        code, out, _ = run_cli("verify-equidist", str(p), *extra, "--seed", "1")
+        assert code in (0, 1), extra
+        assert "verdict: " in out
+
+
 def test_exact_cap_below_zero_rejected(ex10_file):
     code, out, err = run_cli("kset", ex10_file, "--exact-cap", "-1")
     assert code == 2
