@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import __version__
 from .birkhoff import birkhoff_decomposition
-from .blocks import check_lumpability, construct_block_measure, is_block_measure
+from .blocks import construct_block_measure, is_block_measure
 from .cftp import (
     DEFAULT_T_MAX,
     FALSE_FAIL_RATE,
@@ -147,6 +147,16 @@ def _exact(q: Fraction) -> str:
 def _pairs_text(pairs) -> str:
     parts = sorted(tuple(sorted(v + 1 for v in p)) for p in pairs)
     return " ".join("{" + ",".join(map(str, p)) + "}" for p in parts)
+
+
+def _law_matrix(law) -> StochasticMatrix:
+    """The block-level matrix a block-permutation law carries: entry (r, s)
+    is the chance that block r is sent to block s."""
+    rows = [[Fraction(0)] * law.l for _ in range(law.l)]
+    for r, row in enumerate(rows):
+        for w, (s,) in law.image_law((r,)):
+            row[s] += w
+    return StochasticMatrix(tuple(map(tuple, rows)))
 
 
 def _coupling_summary(mu) -> str:
@@ -321,7 +331,7 @@ def _cmd_blocks(args, run: _Run) -> tuple[int, dict | list[str]]:
     except BlockConditionsFail as exc:
         mu, lumped, detail = None, exc.lumped, str(exc)
     else:
-        lumped = check_lumpability(P, partition)
+        lumped = _law_matrix(mu.law)
     if not lumped:
         payload = {"lumpable": False, "detail": lumped.describe()}
         lines = ["lumpable: no", f"detail: {lumped.describe()}"]

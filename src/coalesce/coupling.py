@@ -357,12 +357,13 @@ class BlockCoupling(_Coupling):
         blocks = [sorted(b) for b in partition.blocks]
         within = []
         for row in P.entries:
+            den = lcm(*(v.denominator for v in row))  # integer masses: P(i, j) = a[j] / den
+            a = [v.numerator * (den // v.denominator) for v in row]
             entry = []
             for s, blk in enumerate(blocks):
-                targets = [j for j in blk if row[j] > 0]
-                if targets:
-                    mass = sum(row[j] for j in targets)
-                    entry.append((s, tuple((j, row[j] / mass) for j in targets)))
+                mass = sum(a[j] for j in blk)
+                if mass:
+                    entry.append((s, tuple((j, Fraction(a[j], mass)) for j in blk if a[j])))
             within.append(tuple(entry))
         return cls(partition, law, tuple(within))
 

@@ -267,12 +267,15 @@ def test_constructors_move_each_state_by_its_conditioned_row():
         assert mu.within == _oracle_within(rows, blocks)
         assert is_consistent(mu, StochasticMatrix.from_rows(rows))
         zero_mass += sum(len(entry) < len(blocks) for entry in mu.within)
+    # rows that miss a block are common, so the mutant below is exercised
     assert zero_mass >= 100
     with pytest.raises(coalesce.DimensionMismatch):
         BlockCoupling.conditioned(StochasticMatrix.uniform(3), Partition.single_block(4), UniformPermLaw(1))
 
 
 def test_a_builder_keeping_zero_mass_blocks_is_rejected(monkeypatch):
+    # a builder that lists every block, reached or not, is refused by
+    # BlockCoupling's reachable-blocks check wherever a row misses a block
     def keeps_zero_mass_blocks(cls, P, partition, law):
         within = tuple(
             tuple(
