@@ -2,10 +2,12 @@
 
 Greedy peeling: find a perfect matching on the positive entries of the
 residual, subtract the smallest matched entry times that permutation, and
-stop when the residual is zero. Each peel runs one matching: every row takes
-its least free column, then Kuhn's augmenting paths (Kuhn 1955) place the
-rows left over, searching columns in increasing order. Nothing else enters,
-so the same matrix always yields the same terms in the same order.
+stop when the residual is zero. The residual is held in integers over the
+lcm of P's denominators; each weight becomes a Fraction as its term is
+emitted. Each peel runs one matching: every row takes its least free column,
+then Kuhn's augmenting paths (Kuhn 1955) place the rows left over, searching
+columns in increasing order. Nothing else enters, so the same matrix always
+yields the same terms in the same order.
 
 Greedy peeling needs at most (n-1)^2 + 1 permutations, whatever matching it
 picks at each step (Johnson, Dulmage & Mendelsohn 1960), the dimension bound
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotDoublyStochastic
 from .matrix import StochasticMatrix, is_doubly_stochastic
@@ -101,14 +104,14 @@ def birkhoff_decomposition(P: StochasticMatrix) -> BirkhoffDecomposition:
     if not is_doubly_stochastic(P):
         raise NotDoublyStochastic("birkhoff decomposition needs a doubly stochastic matrix")
     n = P.n
-    residual = [list(row) for row in P.entries]
+    den = lcm(*(v.denominator for row in P.entries for v in row))  # P = residual / den
+    residual = [[v.numerator * (den // v.denominator) for v in row] for row in P.entries]
     terms: list[tuple[MapFunction, Fraction]] = []
-    remaining = Fraction(1)
-    while remaining > 0:
-        match = _matching([[j for j in range(n) if residual[i][j] > 0] for i in range(n)])
+    remaining = den
+    while remaining:
+        match = _matching([[j for j, a in enumerate(row) if a] for row in residual])
         theta = min(residual[i][match[i]] for i in range(n))
-        perm = MapFunction(tuple(match))
-        terms.append((perm, theta))
+        terms.append((MapFunction(tuple(match)), Fraction(theta, den)))
         for i in range(n):
             residual[i][match[i]] -= theta
         remaining -= theta

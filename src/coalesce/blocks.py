@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .birkhoff import birkhoff_decomposition
 from .coupling import (
@@ -32,9 +33,6 @@ from .errors import BlockConditionsFail, DimensionMismatch, NotADivisor
 from .mapfun import Partition
 from .matrix import StochasticMatrix, is_doubly_stochastic
 from .semigroup import coalescing_pairs
-
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class NotLumpable:
@@ -67,22 +65,18 @@ def check_lumpability(
     """
     if partition.n != P.n:
         raise DimensionMismatch(f"partition on n={partition.n}, matrix on n={P.n}")
-    l = partition.size
+    den = lcm(*(v.denominator for row in P.entries for v in row))
+    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in P.entries]
+    masses = [[sum(a[j] for j in blk) for blk in partition.blocks] for a in scaled]  # den * P(i, B_s)
     rows = []
     for r, blk in enumerate(partition.blocks):
-        members = sorted(blk)
-        ref = members[0]
-        ref_masses = [
-            sum((P.entries[ref][j] for j in partition.blocks[s]), _ZERO)
-            for s in range(l)
-        ]
-        for i in members[1:]:
-            for s in range(l):
-                mass = sum((P.entries[i][j] for j in partition.blocks[s]), _ZERO)
-                if mass != ref_masses[s]:
-                    return NotLumpable(r, (ref, i), s, (ref_masses[s], mass))
-        rows.append(ref_masses)
-    return StochasticMatrix(tuple(tuple(row) for row in rows))
+        ref, *others = sorted(blk)
+        for i in others:
+            for s, (a, b) in enumerate(zip(masses[ref], masses[i])):
+                if a != b:
+                    return NotLumpable(r, (ref, i), s, (Fraction(a, den), Fraction(b, den)))
+        rows.append(tuple(Fraction(m, den) for m in masses[ref]))
+    return StochasticMatrix(tuple(rows))
 
 
 def construct_block_measure(P: StochasticMatrix, partition: Partition) -> BlockCoupling:

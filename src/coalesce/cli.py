@@ -10,6 +10,11 @@ wall-clock time. Each command handler returns its exit code and its output
 (a JSON document, or lines of text, tsv or dot) in a --format the command
 writes (checked in main), and main alone writes that output to stdout.
 
+main(argv) may be called any number of times in one process. The parser is
+built on the first call and reused, since parsing leaves it unchanged; the
+handler (looked up by name in this module), the seed drawn when --seed is
+not given, and the manifest are all per call.
+
 Exit codes: 0 success, 1 a check or reproduction failed, 2 bad input,
 3 a configured budget was exceeded, 4 an internal error (a program fault,
 not bad input; stderr gets its traceback, then the manifest).
@@ -18,6 +23,7 @@ not bad input; stderr gets its traceback, then the manifest).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -585,6 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, reused after
+
+
 def check_options(args) -> None:
     """Raise InvalidOption for a value out of its range or a test that cannot fail."""
     for option, least in (("n_samples", 1), ("runs", 1), ("t_max", 1), ("exact_cap", 0), ("max_closure", 1)):
@@ -607,7 +616,7 @@ def check_options(args) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
 
     if "seed" in args and args.seed is None:
         args.seed = secrets.randbits(32)
@@ -616,7 +625,8 @@ def main(argv=None) -> int:
     try:
         _require_format(args)
         check_options(args)
-        code, output = args.handler(args, run)
+        # by name, so a handler rebound after the parser was built is the one called
+        code, output = globals()[args.handler.__name__](args, run)
         print(json.dumps(output, indent=2) if isinstance(output, dict) else "\n".join(output))
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -304,6 +304,45 @@ class FractionSimplex:
         return val, x
 
 
+# --- Birkhoff peeling and block masses over Fractions ----------------------
+
+
+def oracle_peeling(P_rows, matching):
+    """Greedy Birkhoff peeling with a Fraction residual, as (image, weight)
+    pairs in peel order. matching(adj) picks each step's permutation from
+    the rows' positive columns; the caller passes the package's rule, so
+    the terms must agree with the package's exactly."""
+    n = len(P_rows)
+    residual = [list(row) for row in P_rows]
+    terms = []
+    while any(v > 0 for row in residual for v in row):
+        match = matching([[j for j in range(n) if residual[i][j] > 0] for i in range(n)])
+        theta = min(residual[i][match[i]] for i in range(n))
+        for i in range(n):
+            residual[i][match[i]] -= theta
+        terms.append((tuple(match), theta))
+    return terms
+
+
+def oracle_lumpability(P_rows, blocks):
+    """From the definition, with Fraction sums: the block-level rows when
+    every state of each block sends the same mass into every block, else
+    (block, (least state, state), target block, (its mass, the state's
+    mass)) for the first disagreement, states and then target blocks in
+    increasing order. blocks lists sorted blocks, by least state."""
+    def mass(i, s):
+        return sum((P_rows[i][j] for j in blocks[s]), Fraction(0))
+
+    rows = []
+    for r, blk in enumerate(blocks):
+        for i in blk[1:]:
+            for s in range(len(blocks)):
+                if mass(i, s) != mass(blk[0], s):
+                    return (r, (blk[0], i), s, (mass(blk[0], s), mass(i, s)))
+        rows.append([mass(blk[0], s) for s in range(len(blocks))])
+    return rows
+
+
 # --- random instances -------------------------------------------------------
 
 
@@ -355,6 +394,40 @@ def random_doubly_stochastic(rng: random.Random, n: int, max_perms: int = 10):
                 rows[i][perm[i]] += Fraction(a, total)
         if strongly_connected(rows):
             return rows
+
+
+def random_permutation_mixture(rng: random.Random, n: int, denominators, max_perms: int = 10):
+    """A convex combination of a few random permutation matrices, each
+    weight a random fraction over one of the given denominators before
+    normalising, so the entries' denominators differ."""
+    perms = [random_permutation_image(rng, n) for _ in range(rng.randint(1, max_perms))]
+    raw = [Fraction(rng.randint(1, 9), rng.choice(denominators)) for _ in perms]
+    total = sum(raw)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for perm, a in zip(perms, raw):
+        for i in range(n):
+            rows[i][perm[i]] += a / total
+    return rows
+
+
+def random_lumpable(rng: random.Random, n: int):
+    """A random partition of range(n) (sorted blocks, by least state) and a
+    matrix lumpable over it: each state of block r sends block r's row of a
+    random block-level matrix into the blocks, split at random inside each."""
+    top = rng.randint(min(n, 2), n)
+    labels = [rng.randrange(top) for _ in range(n)]
+    blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
+    blocks.sort()
+    lumped = random_stochastic(rng, len(blocks), irreducible=False)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for r, blk in enumerate(blocks):
+        for i in blk:
+            for s, target in enumerate(blocks):
+                raw = [rng.randint(0, 4) for _ in target]
+                raw[rng.randrange(len(target))] += 1
+                for j, a in zip(target, raw):
+                    rows[i][j] = lumped[r][s] * a / sum(raw)
+    return blocks, rows
 
 
 def random_stochastic_denominators(rng: random.Random, n: int, denominators):

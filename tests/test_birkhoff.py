@@ -75,3 +75,14 @@ def test_uniform_matrix(ex11):
     assert len(dec.terms) <= 10
     dec11 = birkhoff_decomposition(ex11)
     assert dec11.resum().entries == ex11.entries
+
+
+def test_integer_peeling_matches_fraction_peeling():
+    # the package peels integers over the lcm of P's denominators; the
+    # oracle peels Fractions with the same matching rule, so every term and
+    # its place in peel order must agree
+    rng = random.Random(2029)
+    for _ in range(180):
+        rows = oracles.random_permutation_mixture(rng, rng.randint(1, 8), (1, 2, 3, 7, 9, 97))
+        dec = birkhoff_decomposition(StochasticMatrix.from_rows(rows))
+        assert [(f.image, w) for f, w in dec.terms] == oracles.oracle_peeling(rows, _matching)

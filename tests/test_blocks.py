@@ -295,3 +295,32 @@ def test_a_builder_keeping_zero_mass_blocks_is_rejected(monkeypatch):
             assert "do not match reachable blocks" in str(exc)
             rejected += 1
     assert rejected >= 100
+
+
+def test_integer_lumpability_matches_fraction_block_sums():
+    # lumpable matrices over random partitions, the same with one state's
+    # mass moved between two target blocks, and unstructured matrices: the
+    # block matrix or the certificate must be the one Fraction sums give
+    rng = random.Random(2030)
+    later_blocks = 0  # certificates whose first target block agrees
+    for _ in range(400):
+        blocks, rows = oracles.random_lumpable(rng, rng.randint(1, 8))
+        kind = rng.randrange(3)
+        wide = [blk for blk in blocks if len(blk) > 1]
+        if kind == 1 and wide and len(blocks) > 1:
+            i = rng.choice(rng.choice(wide)[1:])
+            j = rng.choice([j for j in range(len(rows)) if rows[i][j]])
+            k = rng.choice([k for blk in blocks if j not in blk for k in blk])
+            moved = rows[i][j] * Fraction(rng.randint(1, 4), 4)
+            rows[i][j] -= moved
+            rows[i][k] += moved
+        elif kind == 2:
+            rows = oracles.random_stochastic(rng, len(rows), irreducible=False)
+        want = oracles.oracle_lumpability(rows, blocks)
+        got = check_lumpability(StochasticMatrix.from_rows(rows), Partition.from_blocks(blocks))
+        if isinstance(want, list):
+            assert got == StochasticMatrix.from_rows(want)
+        else:
+            assert got == NotLumpable(*want)
+            later_blocks += want[2] > 0
+    assert later_blocks >= 10

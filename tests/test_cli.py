@@ -1103,3 +1103,59 @@ def test_any_input_exits_with_a_reported_code(run):
         code, _, err = run_cli(*argv)
     assert code in (0, 1, 2, 3), err
     assert "Traceback" not in err and "internal error" not in err, err
+
+
+def test_repeated_in_process_calls_stay_independent(
+    monkeypatch, tmp_path, ex10_file, ex11_file, quarter_file, doeblin_file
+):
+    # main builds its parser once per process; what each call prints, its
+    # exit code, its manifest, its seed and the handler it runs stay its own
+    from coalesce import cli
+
+    files = {"ex10": ex10_file, "ex11": ex11_file, "quarter": quarter_file, "doeblin": doeblin_file}
+    argvs = [
+        [a.format(**files) for a in argv] + ["--format", fmt]
+        for argv, formats in HANDLER_RUNS
+        for fmt in formats
+    ]
+    usage_error, help_, foreign_option, missing = (
+        ["sample", ex10_file],  # --n-samples is required
+        ["birkhoff", "--help"],
+        ["birkhoff", ex10_file, "--seed", "1"],
+        ["birkhoff", str(tmp_path / "missing.txt")],
+    )
+    argvs += [usage_error, help_, foreign_option, missing]
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+
+    def masked(argv):
+        code, out, err = run_cli(*argv)
+        lines = err.splitlines()
+        if lines and lines[-1].startswith("{"):
+            lines[-1] = json.loads(lines[-1])
+            lines[-1]["wall_clock_seconds"] = None
+        return code, out, lines
+
+    cli._parser.cache_clear()  # so the first pass builds it, whatever ran before
+    first = [masked(argv) for argv in argvs]
+    assert built
+    built.clear()
+    assert [masked(argv) for argv in argvs] == first
+    assert built == []
+
+    results = dict(zip(map(tuple, argvs), first))
+    code, _, err = results[tuple(usage_error)]
+    assert code == 2 and not isinstance(err[-1], dict)
+    assert results[tuple(help_)][0] == 0
+    assert results[tuple(foreign_option)][0] == 2
+    code, _, err = results[tuple(missing)]
+    assert code == 2 and err[-1]["exit_code"] == 2
+
+    unseeded = [manifest_of(run_cli("sample", ex10_file, "--n-samples", "2")[2])["seed"] for _ in range(2)]
+    assert unseeded[0] != unseeded[1]
+
+    monkeypatch.setattr(cli, "_cmd_birkhoff", lambda args, run: (0, ["patched"]))
+    assert run_cli("birkhoff", ex10_file)[:2] == (0, "patched\n")
