@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import NotDoublyStochastic
 from .matrix import StochasticMatrix, is_doubly_stochastic
@@ -104,8 +103,8 @@ def birkhoff_decomposition(P: StochasticMatrix) -> BirkhoffDecomposition:
     if not is_doubly_stochastic(P):
         raise NotDoublyStochastic("birkhoff decomposition needs a doubly stochastic matrix")
     n = P.n
-    den = lcm(*(v.denominator for row in P.entries for v in row))  # P = residual / den
-    residual = [[v.numerator * (den // v.denominator) for v in row] for row in P.entries]
+    den, scaled = P.scaled  # P = residual / den
+    residual = [list(row) for row in scaled]
     terms: list[tuple[MapFunction, Fraction]] = []
     remaining = den
     while remaining:

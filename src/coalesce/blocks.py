@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .birkhoff import birkhoff_decomposition
 from .coupling import (
@@ -33,6 +32,7 @@ from .errors import BlockConditionsFail, DimensionMismatch, NotADivisor
 from .mapfun import Partition
 from .matrix import StochasticMatrix, is_doubly_stochastic
 from .semigroup import coalescing_pairs
+
 
 @dataclass(frozen=True)
 class NotLumpable:
@@ -65,17 +65,18 @@ def check_lumpability(
     """
     if partition.n != P.n:
         raise DimensionMismatch(f"partition on n={partition.n}, matrix on n={P.n}")
-    den = lcm(*(v.denominator for row in P.entries for v in row))
-    scaled = [[v.numerator * (den // v.denominator) for v in row] for row in P.entries]
-    masses = [[sum(a[j] for j in blk) for blk in partition.blocks] for a in scaled]  # den * P(i, B_s)
+    den, a = P.scaled
+    blocks = partition.blocks
     rows = []
-    for r, blk in enumerate(partition.blocks):
+    for r, blk in enumerate(blocks):
         ref, *others = sorted(blk)
+        ref_masses = [sum(a[ref][j] for j in tgt) for tgt in blocks]  # den * P(ref, B_s)
         for i in others:
-            for s, (a, b) in enumerate(zip(masses[ref], masses[i])):
-                if a != b:
-                    return NotLumpable(r, (ref, i), s, (Fraction(a, den), Fraction(b, den)))
-        rows.append(tuple(Fraction(m, den) for m in masses[ref]))
+            for s, tgt in enumerate(blocks):
+                mass = sum(a[i][j] for j in tgt)
+                if mass != ref_masses[s]:
+                    return NotLumpable(r, (ref, i), s, (Fraction(ref_masses[s], den), Fraction(mass, den)))
+        rows.append(tuple(Fraction(m, den) for m in ref_masses))
     return StochasticMatrix(tuple(rows))
 
 

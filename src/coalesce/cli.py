@@ -12,8 +12,9 @@ writes (checked in main), and main alone writes that output to stdout.
 
 main(argv) may be called any number of times in one process. The parser is
 built on the first call and reused, since parsing leaves it unchanged; the
-handler (looked up by name in this module), the seed drawn when --seed is
-not given, and the manifest are all per call.
+handler (the function of this module that the parser names, looked up on
+each call), the seed drawn when --seed is not given, and the manifest are
+all per call.
 
 Exit codes: 0 success, 1 a check or reproduction failed, 2 bad input,
 3 a configured budget was exceeded, 4 an internal error (a program fault,
@@ -525,10 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def command(name, handler, formats, *options, **kwargs):
-        """A subcommand: --format over the formats its handler writes (checked
-        in main) and the options its handler reads, each a (name, keywords) pair."""
+        """A subcommand run by the function this module names handler:
+        --format over the formats it writes (checked in main) and the options
+        it reads, each a (name, keywords) pair."""
         p = sub.add_parser(name, parents=[common], epilog=f"formats: {', '.join(formats)}", **kwargs)
-        p.set_defaults(handler=handler, formats=formats)
+        p.set_defaults(handler=globals()[handler], handler_name=handler, formats=formats)
         for option, spec in options:
             p.add_argument(option, **spec)
         return p
@@ -542,30 +544,30 @@ def build_parser() -> argparse.ArgumentParser:
     seed = ("--seed", {"type": int, "default": None, "help": "RNG seed (default: fresh random, recorded in the manifest)"})
     text_json = ("text", "json")
 
-    command("analyze", _cmd_analyze, text_json, matrix, exact_cap, max_closure, help="full report for a matrix file")
-    command("coupling-check", _cmd_coupling_check, text_json, coupling, matrix, help="does a coupling resum to a matrix")
-    command("k-number", _cmd_k_number, text_json, coupling, max_closure, help="coalescence number of a coupling file")
+    command("analyze", "_cmd_analyze", text_json, matrix, exact_cap, max_closure, help="full report for a matrix file")
+    command("coupling-check", "_cmd_coupling_check", text_json, coupling, matrix, help="does a coupling resum to a matrix")
+    command("k-number", "_cmd_k_number", text_json, coupling, max_closure, help="coalescence number of a coupling file")
     command(
-        "feasible", _cmd_feasible, text_json, matrix,
+        "feasible", "_cmd_feasible", text_json, matrix,
         ("--support", {"required": True, "help": "file of function notations, or inline whitespace-separated notations"}),
         help="exact-support feasibility for a matrix",
     )
     command(
-        "blocks", _cmd_blocks, text_json, matrix,
+        "blocks", "_cmd_blocks", text_json, matrix,
         ("--partition", {"required": True, "help": 'one-based blocks, e.g. "1,2|3,4"'}),
         help="lumpability and block-structured coupling over a partition",
     )
-    command("birkhoff", _cmd_birkhoff, text_json, matrix, help="permutation mixture of a doubly stochastic matrix")
-    command("kset", _cmd_kset, text_json, matrix, exact_cap, max_closure, help="achievable coalescence numbers of a matrix")
+    command("birkhoff", "_cmd_birkhoff", text_json, matrix, help="permutation mixture of a doubly stochastic matrix")
+    command("kset", "_cmd_kset", text_json, matrix, exact_cap, max_closure, help="achievable coalescence numbers of a matrix")
     command(
-        "sample", _cmd_sample, ("text", "json", "tsv"), matrix,
+        "sample", "_cmd_sample", ("text", "json", "tsv"), matrix,
         ("--coupling", {"default": None, "help": "coupling file (default: the independent product coupling)"}),
         ("--n-samples", {"type": int, "required": True}),
         t_max(DEFAULT_T_MAX), seed,
         help="exact invariant-law samples via coupling from the past",
     )
     command(
-        "verify-equidist", _cmd_verify_equidist, text_json, coupling,
+        "verify-equidist", "_cmd_verify_equidist", text_json, coupling,
         ("--runs", {"type": int, "required": True}),
         ("--tolerance", {
             "type": Fraction,
@@ -578,14 +580,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # the one command that expands a support, through to_explicit
     command(
-        "examples", _cmd_examples, ("text", "json", "tsv"),
+        "examples", "_cmd_examples", ("text", "json", "tsv"),
         ("--only", {"action": "append", "help": "example id(s), comma-separated or repeated"}),
         ("--override", {"action": "append", "help": "id=path: replace a bundled matrix (a negative control)"}),
         aliases=["paper-examples"],
         help="re-run the bundled worked examples against their pinned results",
     ).set_defaults(support_cap=DEFAULT_SUPPORT_CAP)
     command(
-        "diagram", _cmd_diagram, ("text", "dot"), coupling, t_max(DEFAULT_DIAGRAM_STEPS), seed,
+        "diagram", "_cmd_diagram", ("text", "dot"), coupling, t_max(DEFAULT_DIAGRAM_STEPS), seed,
         help="trajectory merge diagram for a coupling file",
     )
     return parser
@@ -625,8 +627,9 @@ def main(argv=None) -> int:
     try:
         _require_format(args)
         check_options(args)
-        # by name, so a handler rebound after the parser was built is the one called
-        code, output = globals()[args.handler.__name__](args, run)
+        # by the name the parser was written with, so a handler rebound
+        # before or after the parser was built is the one called
+        code, output = globals()[args.handler_name](args, run)
         print(json.dumps(output, indent=2) if isinstance(output, dict) else "\n".join(output))
     except (BudgetExceeded, SupportTooLarge, ClosureTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

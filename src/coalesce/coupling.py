@@ -356,9 +356,7 @@ class BlockCoupling(_Coupling):
             raise DimensionMismatch(f"partition on n={partition.n}, matrix on n={P.n}")
         blocks = [sorted(b) for b in partition.blocks]
         within = []
-        for row in P.entries:
-            den = lcm(*(v.denominator for v in row))  # integer masses: P(i, j) = a[j] / den
-            a = [v.numerator * (den // v.denominator) for v in row]
+        for a in P.scaled[1]:  # integer masses: a[j] = den * P(i, j) for one den
             entry = []
             for s, blk in enumerate(blocks):
                 mass = sum(a[j] for j in blk)

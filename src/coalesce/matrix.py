@@ -77,6 +77,13 @@ class StochasticMatrix:
             tuple(j for j, v in enumerate(row) if v > 0) for row in self.entries
         )
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, rows): the entries as integers over the lcm of their
+        denominators, so that entry (i, j) is rows[i][j] / den."""
+        den = lcm(*(v.denominator for row in self.entries for v in row))
+        return den, tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in self.entries)
+
     def to_text(self) -> str:
         lines = []
         for row in self.entries:

@@ -1159,3 +1159,16 @@ def test_repeated_in_process_calls_stay_independent(
 
     monkeypatch.setattr(cli, "_cmd_birkhoff", lambda args, run: (0, ["patched"]))
     assert run_cli("birkhoff", ex10_file)[:2] == (0, "patched\n")
+
+
+def test_a_handler_patched_before_the_parser_is_built(monkeypatch, ex10_file):
+    # the parser records each handler's name, not the function bound to it
+    # when it was built, so a patch in place at that moment still comes off
+    from coalesce import cli
+
+    expected = run_cli("birkhoff", ex10_file)[:2]
+    cli._parser.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cmd_birkhoff", lambda args, run: (0, ["patched"]))
+        assert run_cli("birkhoff", ex10_file)[:2] == (0, "patched\n")
+    assert run_cli("birkhoff", ex10_file)[:2] == expected

@@ -66,6 +66,12 @@ def test_row_supports(ex10):
     assert ex10.row_supports == ((0, 1), (1, 2), (0, 2))
 
 
+def test_scaled_is_the_least_common_denominator():
+    P = StochasticMatrix.from_rows([["1/2", "1/2", 0], ["1/3", "1/6", "1/2"], [0, 0, 1]])
+    assert P.scaled == (6, ((3, 3, 0), (2, 1, 3), (0, 0, 6)))
+    assert StochasticMatrix.identity(3).scaled == (1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def test_irreducible(ex10, ex11):
     assert is_irreducible(ex10)
     assert is_irreducible(ex11)
