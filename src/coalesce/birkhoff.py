@@ -116,5 +116,9 @@ def birkhoff_decomposition(P: StochasticMatrix) -> BirkhoffDecomposition:
         remaining -= theta
     assert len(terms) <= (n - 1) ** 2 + 1
     decomp = BirkhoffDecomposition(n, tuple(terms))
-    assert decomp.resum().entries == P.entries
+    resum = [[0] * n for _ in range(n)]
+    for perm, w in decomp.terms:
+        for i, j in enumerate(perm.image):
+            resum[i][j] += w.numerator * (den // w.denominator)
+    assert tuple(map(tuple, resum)) == scaled, "birkhoff terms do not resum to P"
     return decomp

@@ -6,7 +6,8 @@ class CoalesceError(Exception):
 
 
 class MalformedRational(CoalesceError):
-    """Text did not parse as an integer or p/q rational."""
+    """Not an exact rational: text that is not an integer or p/q, or a
+    matrix entry that is neither an int nor a Fraction."""
 
 
 class EntryOutOfRange(CoalesceError):

@@ -17,18 +17,17 @@ the polytope of weightings of all the allowed functions? That holds iff the colu
 unique solution of the augmented system [A_S | b] is strictly positive, so
 one elimination decides it, with no simplex.
 
-Everything is exact. The right-hand side is scaled by the least common
-denominator of its entries, so the system is integral. The elimination and
-the simplex, a dense two-phase tableau with Bland's rule, share the one
-fraction-free (Bareiss) pivot of matrix.row_reduce over Python integers:
-neither needs a tolerance, and Fractions are built only for the weights
-the simplex reports.
+Everything is exact. The right-hand side is P's positive cells as read
+from StochasticMatrix.scaled, over one common denominator, so the system is
+integral. The elimination and the simplex, a dense two-phase tableau with
+Bland's rule, share the one fraction-free (Bareiss) pivot of
+matrix.row_reduce over Python integers: neither needs a tolerance, and
+Fractions are built only for the weights the simplex reports.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .coupling import ExplicitCoupling
 from .errors import DimensionMismatch
@@ -178,9 +177,7 @@ class SupportTester:
         self.P = P
         self.functions = allowed.sorted_functions()
         n = P.n
-        self.cells = [
-            (i, j) for i in range(n) for j in range(n) if P.entries[i][j] > 0
-        ]
+        self.cells = [(i, j) for i, cols in enumerate(P.row_supports) for j in cols]
         cell_index = {c: pos for pos, c in enumerate(self.cells)}
         self.masks = []
         for f in self.functions:
@@ -197,10 +194,9 @@ class SupportTester:
         rows = [
             [mask >> pos & 1 for mask in self.masks] for pos in range(len(self.cells))
         ]
-        # b times its least common denominator: the whole system is integral
-        b = [P.entries[i][j] for i, j in self.cells]
-        self._scale = lcm(*(v.denominator for v in b))
-        b = [v.numerator * (self._scale // v.denominator) for v in b]
+        # b: P's positive cells over one denominator, so the system is integral
+        self._scale, scaled = P.scaled
+        b = [scaled[i][j] for i, j in self.cells]
         keep = _independent_rows(rows, b)
         self._rows = [rows[r] for r in keep]
         self._columns = [

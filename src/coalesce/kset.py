@@ -49,7 +49,6 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .blocks import construct_block_measure, is_block_measure
 from .coupling import GrandCoupling, doeblin_coupling, permutation_coupling
@@ -61,8 +60,6 @@ from .semigroup import DEFAULT_CLOSURE_CAP, coalescence_number
 
 DEFAULT_SUBSET_BUDGET = 2**20
 MAX_PARTITIONS = 20_000  # set partitions k_set_certificates tries
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -144,9 +141,10 @@ def single_pair_balance(P: StochasticMatrix, a: int, b: int) -> bool:
     if not (0 <= a < n and 0 <= b < n) or a == b:
         raise ValueError("need two distinct states")
     others = [i for i in range(n) if i not in (a, b)]
-    out_a = sum((P.entries[a][j] for j in others), _ZERO)
-    out_b = sum((P.entries[b][j] for j in others), _ZERO)
-    into = sum((P.entries[i][a] + P.entries[i][b] for i in others), _ZERO)
+    rows = P.scaled[1]  # all three sums over one denominator
+    out_a = sum(rows[a][j] for j in others)
+    out_b = sum(rows[b][j] for j in others)
+    into = sum(rows[i][a] + rows[i][b] for i in others)
     return out_a == out_b == into
 
 

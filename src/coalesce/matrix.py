@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DimensionMismatch,
     EntryOutOfRange,
+    MalformedRational,
     NonSquare,
     NotationError,
     NotIrreducible,
@@ -22,8 +23,6 @@ from .errors import (
 )
 from .mapfun import MapFunction
 from .rational import format_rational, parse_rational
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -37,14 +36,20 @@ class StochasticMatrix:
         if n == 0:
             raise NonSquare("empty matrix")
         for idx, row in enumerate(self.entries):
+            for v in row:
+                if not isinstance(v, (int, Fraction)):
+                    raise MalformedRational(f"row {idx + 1} entry {v!r} is not an int or Fraction")
+        # checked row by row on the integer form; Fractions only for messages
+        den, rows = self.scaled
+        for idx, row in enumerate(rows):
             if len(row) != n:
                 raise NonSquare(f"row {idx + 1} has {len(row)} entries, expected {n}")
-            for v in row:
-                if v < 0 or v > 1:
-                    raise EntryOutOfRange(f"entry {v} outside [0, 1]")
-            total = sum(row, _ZERO)
-            if total != 1:
-                raise RowSumNotOne(idx + 1, total)
+            for a in row:
+                if a < 0 or a > den:
+                    raise EntryOutOfRange(f"entry {Fraction(a, den)} outside [0, 1]")
+            total = sum(row)
+            if total != den:
+                raise RowSumNotOne(idx + 1, Fraction(total, den))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "StochasticMatrix":
@@ -73,9 +78,7 @@ class StochasticMatrix:
     @cached_property
     def row_supports(self) -> tuple[tuple[int, ...], ...]:
         """For each row, the columns carrying positive probability."""
-        return tuple(
-            tuple(j for j, v in enumerate(row) if v > 0) for row in self.entries
-        )
+        return tuple(tuple(j for j, a in enumerate(row) if a) for row in self.scaled[1])
 
     @cached_property
     def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -150,11 +153,8 @@ def period(P: StochasticMatrix) -> int:
 
 
 def is_doubly_stochastic(P: StochasticMatrix) -> bool:
-    n = P.n
-    for j in range(n):
-        if sum(P.entries[i][j] for i in range(n)) != 1:
-            return False
-    return True
+    den, rows = P.scaled
+    return all(sum(col) == den for col in zip(*rows))
 
 
 def invariant_distribution(P: StochasticMatrix) -> tuple[Fraction, ...]:
@@ -166,13 +166,10 @@ def invariant_distribution(P: StochasticMatrix) -> tuple[Fraction, ...]:
     if not is_irreducible(P):
         raise NotIrreducible("invariant distribution requires irreducibility")
     n = P.n
-    scale = lcm(*(v.denominator for row in P.entries for v in row))
-    # Augmented rows of scale * (P^T - I) x = 0 plus the normalisation row
+    den, a = P.scaled
+    # Augmented rows of den * (P^T - I) x = 0 plus the normalisation row
     # sum(x) = 1, all integral.
-    rows = [
-        [int(scale * (P.entries[i][j] - (i == j))) for i in range(n)] + [0]
-        for j in range(n)
-    ]
+    rows = [[a[i][j] - den * (i == j) for i in range(n)] + [0] for j in range(n)]
     rows.append([1] * (n + 1))
     d, pivots = row_reduce(rows, n)
     # an irreducible chain has exactly one invariant law, so rank n
@@ -232,7 +229,7 @@ def relabel(P: StochasticMatrix, sigma: MapFunction) -> StochasticMatrix:
     if not sigma.is_permutation():
         raise NotationError("relabel requires a permutation")
     n = P.n
-    out = [[_ZERO] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             out[sigma(i)][sigma(j)] = P.entries[i][j]

@@ -304,6 +304,54 @@ class FractionSimplex:
         return val, x
 
 
+# --- matrix validation and readers over Fractions --------------------------
+
+
+def oracle_validation_error(entries):
+    """(error class name, message) that validating a matrix of int and
+    Fraction entries must raise, or None for a valid one: the Fraction rule,
+    row by row (length, then each entry in [0, 1], then the row sum)."""
+    n = len(entries)
+    if n == 0:
+        return "NonSquare", "empty matrix"
+    for idx, row in enumerate(entries):
+        if len(row) != n:
+            return "NonSquare", f"row {idx + 1} has {len(row)} entries, expected {n}"
+        for v in row:
+            if v < 0 or v > 1:
+                return "EntryOutOfRange", f"entry {v} outside [0, 1]"
+        total = sum(row, Fraction(0))
+        if total != 1:
+            return "RowSumNotOne", f"row {idx + 1} sums to {total}, expected 1"
+    return None
+
+
+def oracle_row_supports(P_rows):
+    return tuple(tuple(j for j, v in enumerate(row) if v > 0) for row in P_rows)
+
+
+def oracle_doubly_stochastic(P_rows) -> bool:
+    n = len(P_rows)
+    return all(sum((P_rows[i][j] for i in range(n)), Fraction(0)) == 1 for j in range(n))
+
+
+def oracle_pair_balance(P_rows, a: int, b: int) -> bool:
+    """The mass a and b each send outside {a, b}, and the mass the other
+    states send into it, as Fraction sums: all three equal."""
+    others = [i for i in range(len(P_rows)) if i not in (a, b)]
+    out_a = sum((P_rows[a][j] for j in others), Fraction(0))
+    out_b = sum((P_rows[b][j] for j in others), Fraction(0))
+    into = sum((P_rows[i][a] + P_rows[i][b] for i in others), Fraction(0))
+    return out_a == out_b == into
+
+
+def oracle_invariant(P_rows):
+    """The unique pi with pi P = pi and sum(pi) = 1, by Fraction elimination."""
+    n = len(P_rows)
+    A = [[Fraction(P_rows[i][j]) - (i == j) for i in range(n)] for j in range(n)]
+    return solve_exact(A + [[Fraction(1)] * n], [Fraction(0)] * n + [Fraction(1)])
+
+
 # --- Birkhoff peeling and block masses over Fractions ----------------------
 
 
@@ -448,6 +496,32 @@ def random_stochastic_denominators(rng: random.Random, n: int, denominators):
             rows.append(row)
         if strongly_connected(rows):
             return rows
+
+
+def _random_split(rng: random.Random, total, k: int):
+    """k nonnegative Fractions summing to total, at least one positive."""
+    raw = [rng.randint(0, 4) for _ in range(k)]
+    raw[rng.randrange(k)] += 1
+    return [total * a / sum(raw) for a in raw]
+
+
+def random_balanced_pair(rng: random.Random, n: int, denominators):
+    """(a, b, rows) for n >= 3: a matrix whose pair {a, b} passes the
+    single-pair balance. a and b each send mass t outside the pair and the
+    other states send t into it in all, where t is a random fraction over
+    one of the given denominators, so the entries' denominators differ."""
+    a, b = sorted(rng.sample(range(n), 2))
+    others = [i for i in range(n) if i not in (a, b)]
+    den = rng.choice(denominators)
+    t = Fraction(rng.randint(1, den), den)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in (a, b):
+        for j, v in zip(others + [a, b], _random_split(rng, t, len(others)) + _random_split(rng, 1 - t, 2)):
+            rows[i][j] = v
+    for i, m in zip(others, _random_split(rng, t, len(others))):
+        for j, v in zip([a, b] + others, _random_split(rng, m, 2) + _random_split(rng, 1 - m, len(others))):
+            rows[i][j] = v
+    return a, b, rows
 
 
 def allowed_images(P_rows) -> list[Image]:

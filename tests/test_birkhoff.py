@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from coalesce import birkhoff
 from coalesce import (
+    MapFunction,
     NotDoublyStochastic,
     StochasticMatrix,
     birkhoff_decomposition,
@@ -66,6 +68,25 @@ def test_pattern_without_perfect_matching_is_a_fault():
     # not bad input
     with pytest.raises(AssertionError, match="no perfect matching"):
         _matching([[0], [0]])
+
+
+def test_resum_check_catches_a_corrupted_term(monkeypatch):
+    # swap two images of the first emitted permutation: still a permutation
+    # with the same weight, so only the resum against P can notice
+    built = []
+
+    def corrupting(image):
+        if not built:
+            image = (image[1], image[0]) + image[2:]
+        built.append(image)
+        return MapFunction(image)
+
+    P = StochasticMatrix.uniform(3)
+    assert len(birkhoff_decomposition(P)) == 3
+    monkeypatch.setattr(birkhoff, "MapFunction", corrupting)
+    with pytest.raises(AssertionError, match="do not resum to P"):
+        birkhoff_decomposition(P)
+    assert len(built) == 3
 
 
 def test_uniform_matrix(ex11):

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import oracles
 from coalesce import matrix
 from coalesce import (
+    CoalesceError,
     EntryOutOfRange,
+    MalformedRational,
     MapFunction,
     NonSquare,
     NotIrreducible,
@@ -18,6 +22,7 @@ from coalesce import (
     parse_matrix,
     period,
     relabel,
+    single_pair_balance,
 )
 
 H = Fraction(1, 2)
@@ -50,6 +55,98 @@ def test_parse_rejects_bad_row_sum():
 def test_parse_rejects_negative():
     with pytest.raises(EntryOutOfRange):
         parse_matrix("3/2 -1/2\n0 1\n")
+
+
+def test_rejects_an_entry_that_is_neither_int_nor_fraction():
+    # a float used to pass and then break the first exact reader
+    with pytest.raises(MalformedRational, match=r"^row 2 entry 0\.25 is not an int or Fraction$"):
+        StochasticMatrix(((H, H), (0.25, 0.75)))
+    with pytest.raises(MalformedRational, match=r"^row 1 entry '1/2' is not an int or Fraction$"):
+        StochasticMatrix((("1/2", "1/2"), (0, 1)))
+    # from_rows still converts what Fraction accepts
+    P = StochasticMatrix.from_rows(((0.5, 0.5), (0.25, 0.75)))
+    assert P.entries == ((H, H), (Fraction(1, 4), Fraction(3, 4)))
+
+
+_DENS = (1, 2, 3, 7, 9, 97)
+
+
+def _broken_rows(rng: random.Random, rows):
+    """rows with some of them broken, each its own way: ragged, a negative
+    entry, an entry above 1 (sometimes offset by a negative one so the sum
+    stays 1), or a wrong sum with every entry in range; some integral
+    entries become ints. Returns the rows and the ways used."""
+    out, ways = [], set()
+    for row in rows:
+        row = [int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in row]
+        way = rng.choice(("valid", "valid", "valid", "ragged", "negative", "above", "sum"))
+        j, k = rng.randrange(len(row)), rng.randrange(len(row))
+        x = Fraction(rng.randint(1, 5), rng.choice(_DENS))
+        if way == "ragged":
+            if rng.random() < 0.5:
+                del row[j]
+            else:
+                row.insert(j, rng.choice((0, x)))
+        elif way == "negative":
+            row[j] = -x
+        elif way == "above":
+            row[j] += 1
+            if j != k and rng.random() < 0.5:
+                row[k] -= 1
+        elif way == "sum":
+            row = [v * Fraction(rng.randint(1, 8), 9) for v in row]
+        out.append(tuple(row))
+        ways.add(way)
+    return tuple(out), ways - {"valid"}
+
+
+def test_validation_matches_the_fraction_rule():
+    rng = random.Random(75)
+    outcomes, mixed = Counter(), 0
+    for trial in range(600):
+        valid = oracles.random_stochastic_denominators(rng, rng.randint(1, 5), _DENS) if trial else ()
+        rows, ways = _broken_rows(rng, valid)
+        want = oracles.oracle_validation_error(rows)
+        outcomes[want[0] if want else None] += 1
+        mixed += len(ways) > 1
+        if want is None:
+            assert StochasticMatrix(rows).entries == rows
+            continue
+        with pytest.raises(CoalesceError) as info:
+            StochasticMatrix(rows)
+        assert (type(info.value).__name__, str(info.value)) == want
+    assert min(outcomes.values()) >= 60, outcomes
+    assert mixed >= 100
+
+
+def test_exact_readers_match_fraction_sums():
+    rng = random.Random(76)
+    seen = Counter()
+    for trial in range(240):
+        n = rng.randint(1, 6)
+        kind = trial % 3
+        if kind == 0:
+            rows = oracles.random_stochastic_denominators(rng, n, _DENS)
+        elif kind == 1:
+            rows = oracles.random_permutation_mixture(rng, n, _DENS)
+        else:
+            a, b, rows = oracles.random_balanced_pair(rng, max(n, 3), _DENS)
+        rows = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+        P = StochasticMatrix(tuple(map(tuple, rows)))
+        if kind == 2:
+            assert single_pair_balance(P, a, b)
+        assert P.row_supports == oracles.oracle_row_supports(rows)
+        ds = is_doubly_stochastic(P)
+        assert ds == oracles.oracle_doubly_stochastic(rows)
+        seen[f"doubly stochastic {ds}"] += 1
+        for a, b in combinations(range(P.n), 2):
+            balanced = single_pair_balance(P, a, b)
+            assert balanced == oracles.oracle_pair_balance(rows, a, b)
+            seen[f"balanced {balanced}"] += 1
+        if oracles.strongly_connected(rows):
+            assert invariant_distribution(P) == tuple(oracles.oracle_invariant(rows))
+            seen["invariant"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_to_text_roundtrip(ex11):
