@@ -44,6 +44,7 @@ from .coupling import (
     is_consistent,
     parse_coupling,
     permutation_coupling,
+    resum_mismatches,
     serialize_coupling,
     to_explicit,
 )

@@ -54,7 +54,9 @@ from .coupling import (
     DEFAULT_SUPPORT_CAP,
     BlockCoupling,
     doeblin_coupling,
+    is_consistent,
     parse_coupling,
+    resum_mismatches,
     serialize_coupling,
 )
 from .diagram import emit_trajectory_diagram
@@ -249,15 +251,7 @@ def _cmd_analyze(args, run: _Run) -> tuple[int, dict | list[str]]:
 def _cmd_coupling_check(args, run: _Run) -> tuple[int, dict | list[str]]:
     mu = _load_coupling(run, args.coupling)
     P = _load_matrix(run, args.matrix)
-    if mu.n != P.n:
-        raise DimensionMismatch(f"coupling is on {mu.n} states, matrix on {P.n}")
-    induced = mu.induced
-    mismatches = [
-        (i, j, induced.entries[i][j], P.entries[i][j])
-        for i in range(P.n)
-        for j in range(P.n)
-        if induced.entries[i][j] != P.entries[i][j]
-    ]
+    mismatches = resum_mismatches(mu, P)
     if not mismatches:
         if args.format == "json":
             return 0, {"consistent": True}
@@ -390,9 +384,7 @@ def _cmd_sample(args, run: _Run) -> tuple[int, dict | list[str]]:
     P = _load_irreducible(run, args.matrix)
     if args.coupling is not None:
         mu = _load_coupling(run, args.coupling)
-        if mu.n != P.n:
-            raise DimensionMismatch(f"coupling is on {mu.n} states, matrix on {P.n}")
-        if mu.induced.entries != P.entries:
+        if not is_consistent(mu, P):
             raise InvalidOption("the coupling does not resum to the matrix")
     else:
         mu = doeblin_coupling(P)
@@ -460,12 +452,13 @@ def _cmd_verify_equidist(args, run: _Run) -> tuple[int, dict | list[str]]:
 
 
 def _cmd_examples(args, run: _Run) -> tuple[int, dict | list[str]]:
-    overrides = {}
-    for item in args.override or []:
-        example_id, sep, path = item.partition("=")
+    pairs = [item.partition("=") for item in args.override or []]
+    for example_id, sep, path in pairs:
         if not sep or not path:
-            raise InvalidOption(f"--override wants id=path, got {item!r}")
-        overrides[example_id] = _load_matrix(run, path)
+            raise InvalidOption(f"--override wants id=path, got {example_id + sep + path!r}")
+        if [p[0] for p in pairs].count(example_id) > 1:
+            raise InvalidOption(f"--override names {example_id!r} more than once")
+    overrides = {example_id: _load_matrix(run, path) for example_id, _, path in pairs}
     only = None
     if args.only:
         only = [x for item in args.only for x in item.split(",") if x]

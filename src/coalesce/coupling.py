@@ -20,8 +20,8 @@ dists[c] the (target, weight) distribution of states[c]. The explicit form
 yields one point mass per term; the block form one component per outcome of
 its law's image_law(blocks), with the states' within-distributions (given
 the block permutation, states move independently). coalescing_pairs reads
-its pairs from the components' supports and induced sums row i from
-image_law((i,)), so neither expands the support.
+its pairs from the components' supports and resum_mismatches sums row i
+from image_law((i,)), so neither expands the support.
 
 The support is read from image_law(range(n)) too. On all states the
 components carry disjoint sets of maps (a term each, or a block permutation
@@ -157,16 +157,6 @@ class _Coupling:
         for w, dists in self.image_law(range(self.n)):
             for combo in itertools.product(*dists):
                 yield MapFunction(tuple(j for j, _ in combo)), w * prod(v for _, v in combo)
-
-    @cached_property
-    def induced(self) -> StochasticMatrix:
-        """mu(f(i) = j), row i summed from image_law((i,))."""
-        rows = [[_ZERO] * self.n for _ in range(self.n)]
-        for i, row in enumerate(rows):
-            for w, (dist,) in self.image_law((i,)):
-                for j, v in dist:
-                    row[j] += w * v
-        return StochasticMatrix(tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -438,11 +428,27 @@ class BlockCoupling(_Coupling):
 GrandCoupling = ExplicitCoupling | BlockCoupling
 
 
+def resum_mismatches(mu: GrandCoupling, P: StochasticMatrix) -> list:
+    """(i, j, mu(f(i) = j), P(i, j)) for each cell where mu's one-step
+    marginals differ from P, in row-major order: empty exactly when mu is
+    consistent with P. Row i is summed from image_law((i,)), in integers
+    over the lcm of P.scaled's denominator and the masses' denominators."""
+    if mu.n != P.n:
+        raise DimensionMismatch(f"coupling is on {mu.n} states, matrix on {P.n}")
+    den, rows = P.scaled
+    masses = [(i, j, w.numerator * v.numerator, w.denominator * v.denominator)
+              for i in range(P.n) for w, (dist,) in mu.image_law((i,)) for j, v in dist]
+    scale = lcm(den, *(d for *_, d in masses))
+    got = [[0] * P.n for _ in range(P.n)]
+    for i, j, a, d in masses:
+        got[i][j] += a * (scale // d)
+    return [(i, j, Fraction(got[i][j], scale), Fraction(want[j], den))
+            for i, want in enumerate(rows) for j in range(P.n) if got[i][j] * den != want[j] * scale]
+
+
 def is_consistent(mu: GrandCoupling, P: StochasticMatrix) -> bool:
     """True when mu's per-state marginals equal P row by row."""
-    if mu.n != P.n:
-        raise DimensionMismatch(f"coupling on n={mu.n}, matrix on n={P.n}")
-    return mu.induced.entries == P.entries
+    return not resum_mismatches(mu, P)
 
 
 def _check_support_cap(size: int, cap: int) -> None:

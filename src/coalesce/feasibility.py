@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coupling import ExplicitCoupling
+from .coupling import ExplicitCoupling, is_consistent
 from .errors import DimensionMismatch
 from .mapfun import MapFunction, Support
 from .matrix import StochasticMatrix, _pivot, row_reduce
@@ -47,7 +47,7 @@ class FeasibilityWitness:
     def __post_init__(self):
         if any(w <= 0 for _, w in self.weights):
             raise ValueError("witness weights must be strictly positive")
-        if self.as_coupling().induced.entries != self.matrix.entries:
+        if not is_consistent(self.as_coupling(), self.matrix):
             raise ValueError("witness weights do not resum to the matrix")
 
     def __bool__(self) -> bool:

@@ -391,6 +391,20 @@ def oracle_lumpability(P_rows, blocks):
     return rows
 
 
+def oracle_resum(terms, P_rows):
+    """(i, j, mass, P(i, j)) for each cell, in row-major order, where the
+    law given by terms, (image, Fraction weight) pairs, sends i to j with a
+    mass other than P(i, j): mass is the Fraction sum of the weights of the
+    images with image[i] == j."""
+    n = len(P_rows)
+    out = []
+    for i, j in product(range(n), repeat=2):
+        mass = sum((w for image, w in terms if image[i] == j), Fraction(0))
+        if mass != P_rows[i][j]:
+            out.append((i, j, mass, P_rows[i][j]))
+    return out
+
+
 # --- random instances -------------------------------------------------------
 
 
@@ -458,15 +472,20 @@ def random_permutation_mixture(rng: random.Random, n: int, denominators, max_per
     return rows
 
 
-def random_lumpable(rng: random.Random, n: int):
+def random_lumpable(rng: random.Random, n: int, doubly_stochastic: bool = False):
     """A random partition of range(n) (sorted blocks, by least state) and a
     matrix lumpable over it: each state of block r sends block r's row of a
-    random block-level matrix into the blocks, split at random inside each."""
+    random block-level matrix into the blocks, split at random inside each.
+    With doubly_stochastic, the block-level matrix is a random irreducible
+    doubly stochastic one, so the matrix carries a block measure."""
     top = rng.randint(min(n, 2), n)
     labels = [rng.randrange(top) for _ in range(n)]
     blocks = [[i for i in range(n) if labels[i] == b] for b in sorted(set(labels))]
     blocks.sort()
-    lumped = random_stochastic(rng, len(blocks), irreducible=False)
+    if doubly_stochastic:
+        lumped = random_doubly_stochastic(rng, len(blocks))
+    else:
+        lumped = random_stochastic(rng, len(blocks), irreducible=False)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for r, blk in enumerate(blocks):
         for i in blk:

@@ -575,12 +575,19 @@ HANDLER_FAULTS = [
     ),
     (["examples", "--override", "ex10"], "InvalidOption", "--override wants id=path, got 'ex10'"),
     (["feasible", "{ex10}", "--support", ""], "NotationError", "empty support"),
+    # the first file does not exist: the repeat is found before any is read
+    (
+        ["examples", "--only", "ex10", "--override", "ex10={absent}", "--override", "ex10={ex10}"],
+        "InvalidOption",
+        "--override names 'ex10' more than once",
+    ),
 ]
+# argv[0]-error, with the row number added to an id an earlier row has
+_FAULT_IDS = [f"{a[0]}-{e}" for a, e, _ in HANDLER_FAULTS]
+_FAULT_IDS = [x if _FAULT_IDS.index(x) == k else f"{x}-{k}" for k, x in enumerate(_FAULT_IDS)]
 
 
-@pytest.mark.parametrize(
-    "argv, error, message", HANDLER_FAULTS, ids=[f"{a[0]}-{e}" for a, e, _ in HANDLER_FAULTS]
-)
+@pytest.mark.parametrize("argv, error, message", HANDLER_FAULTS, ids=_FAULT_IDS)
 def test_handler_faults_are_typed_errors(
     tmp_path, ex10_file, quarter_file, doeblin_file, argv, error, message
 ):
@@ -596,6 +603,7 @@ def test_handler_faults_are_typed_errors(
         "doeblin": doeblin_file,
         "reducible": str(reducible),
         "rotated": str(rotated),
+        "absent": str(tmp_path / "absent.txt"),
     }
     argv = [a.format(**files) for a in argv]
     args = build_parser().parse_args(argv)

@@ -12,6 +12,7 @@ import oracles
 from coalesce import (
     BlockCoupling,
     CouplingFormatError,
+    DimensionMismatch,
     ExplicitCoupling,
     ExplicitPermLaw,
     MapFunction,
@@ -19,12 +20,16 @@ from coalesce import (
     StochasticMatrix,
     SupportTooLarge,
     UniformPermLaw,
+    allowed_functions,
     coalescing_pairs,
+    construct_block_measure,
     doeblin_coupling,
     expand_support,
+    feasible_weights,
     is_consistent,
     parse_coupling,
     permutation_coupling,
+    resum_mismatches,
     serialize_coupling,
     to_explicit,
     uniform_divisor_coupling,
@@ -35,7 +40,6 @@ H = Fraction(1, 2)
 
 
 def test_quarter_coupling_induces_cycle_walk(quarter_coupling, ex11):
-    assert quarter_coupling.induced.entries == ex11.entries
     assert is_consistent(quarter_coupling, ex11)
     assert not is_consistent(quarter_coupling, StochasticMatrix.identity(4))
     assert not is_consistent(quarter_coupling, StochasticMatrix.uniform(4))
@@ -129,7 +133,7 @@ def test_uniform_divisor_coupling_support():
     assert len(expand_support(mu)) == 32
     ex = to_explicit(mu)
     assert ex.support_size() == 32
-    assert ex.induced.entries == StochasticMatrix.uniform(4).entries
+    assert is_consistent(ex, StochasticMatrix.uniform(4))
 
 
 def test_uniform_divisor_coupling_rejects_non_divisor():
@@ -463,7 +467,7 @@ def _pushforward(mixture):
 
 def test_image_law_matches_brute_force():
     # image_law on random block couplings, in block and explicit form, against
-    # the pushforward of their terms; the pairs and induced it feeds against
+    # the pushforward of their terms; the pairs and marginals it feeds against
     # the brute-force pairs of the support images and a resum of the terms
     rng = random.Random(16)
     oracle_checked = 0
@@ -498,7 +502,60 @@ def test_image_law_matches_brute_force():
             for f, w in terms:
                 for i in range(n):
                     resum[i][f.image[i]] += w
-            assert [list(row) for row in mu.induced.entries] == resum
+            assert is_consistent(mu, StochasticMatrix.from_rows(resum))
             if pairs is not None:
                 assert coalescing_pairs(mu) == pairs
     assert oracle_checked >= 150
+
+
+def _moved_mass(rng, rows):
+    """rows with a share of one positive entry moved to another entry of
+    the same row, the row drawn at random."""
+    rows = [list(row) for row in rows]
+    i = rng.randrange(len(rows))
+    j = rng.choice([j for j, v in enumerate(rows[i]) if v > 0])
+    k = rng.choice([k for k in range(len(rows)) if k != j])
+    moved = rows[i][j] * Fraction(rng.randint(1, 5), rng.choice((5, 7)))
+    rows[i][j] -= moved
+    rows[i][k] += moved
+    return rows
+
+
+def _resum_panel(rng):
+    """(coupling, P) with the coupling consistent with P: product couplings
+    of mixed-denominator matrices in both forms, block measures of lumpable
+    matrices, divisor couplings, and simplex witnesses with a weight whose
+    denominator does not divide P.scaled's."""
+    for c in range(24):
+        P = StochasticMatrix.from_rows(oracles.random_stochastic_denominators(rng, 2 + c % 3, (2, 3, 7, 9)))
+        for mu in (doeblin_coupling(P), to_explicit(doeblin_coupling(P))):
+            yield mu, P
+    for c in range(24):
+        blocks, rows = oracles.random_lumpable(rng, 2 + c % 4, doubly_stochastic=True)
+        P = StochasticMatrix.from_rows(rows)
+        yield construct_block_measure(P, Partition.from_blocks(blocks)), P
+    for n, l in ((2, 1), (3, 3), (4, 1), (4, 2), (4, 4), (6, 2), (6, 3), (6, 6)):
+        yield uniform_divisor_coupling(n, l), StochasticMatrix.uniform(n)
+    witnesses = 0
+    while witnesses < 24:
+        n = 3 + witnesses // 18  # a 4-state witness costs a simplex per allowed map
+        P = StochasticMatrix.from_rows(oracles.random_stochastic_denominators(rng, n, (2, 3, 5)))
+        mu = feasible_weights(P, allowed_functions(P)).as_coupling()
+        if any(P.scaled[0] % w.denominator for _, w in mu.terms):
+            witnesses += 1
+            yield mu, P
+
+
+def test_resum_mismatches_match_the_fraction_oracle():
+    # cells, values and order against Fraction sums from the definition,
+    # against each coupling's own P and against P with mass moved in a row
+    rng = random.Random(31)
+    for mu, P in _resum_panel(rng):
+        terms = [(f.image, w) for f, w in mu.iter_terms()]
+        assert resum_mismatches(mu, P) == oracles.oracle_resum(terms, P.entries) == []
+        moved = _moved_mass(rng, P.entries)
+        want = oracles.oracle_resum(terms, moved)
+        assert resum_mismatches(mu, StochasticMatrix.from_rows(moved)) == want
+        assert len(want) == 2
+    with pytest.raises(DimensionMismatch, match="coupling is on 3 states, matrix on 2"):
+        resum_mismatches(uniform_divisor_coupling(3, 3), StochasticMatrix.uniform(2))

@@ -48,7 +48,19 @@ def test_full_allowed_support_feasible(ex10):
     assert len(res.weights) == 8
     assert all(w > 0 for _, w in res.weights)
     assert sum(w for _, w in res.weights) == 1
-    assert res.as_coupling().induced.entries == ex10.entries
+    assert is_consistent(res.as_coupling(), ex10)
+
+
+def test_witness_rejects_weights_that_do_not_resum(ex10):
+    res = feasible_weights(ex10, allowed_functions(ex10))
+    assert FeasibilityWitness(ex10, res.weights) == res
+    (f, w), (g, v), *rest = res.weights
+    moved = ((f, w / 2), (g, v + w / 2), *rest)  # still sums to one
+    assert sum(u for _, u in moved) == 1
+    with pytest.raises(ValueError, match="^witness weights do not resum to the matrix$"):
+        FeasibilityWitness(ex10, moved)
+    with pytest.raises(ValueError, match="^witness weights must be strictly positive$"):
+        FeasibilityWitness(ex10, ((f, Fraction(0)), (g, v + w), *rest))
 
 
 def test_pair_support_feasible(ex10):
@@ -327,7 +339,7 @@ def test_large_denominators_stay_exact():
     assert tester._scale == 7 * 9 * 97
     res = tester.witness(range(len(tester.functions)))
     assert isinstance(res, FeasibilityWitness)
-    assert res.as_coupling().induced.entries == P.entries
+    assert is_consistent(res.as_coupling(), P)
     assert sum(w for _, w in res.weights) == 1
 
 

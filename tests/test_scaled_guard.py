@@ -3,12 +3,17 @@ readers of P's numbers read that form. A reader that put P over a common
 denominator by its own lcm, or read P's Fraction entries, would pass every
 other test while the choice lived in two places, so both are checked here,
 read from the source. Validation reads the entries only for their types,
-and the other lcm scales a sampled law's weights, not P."""
+and the other two lcms scale a sampled law's weights and a coupling's
+one-step masses, not P."""
 import ast
 
 from test_block_builder_guard import PACKAGE, _call_sites
 
-LCM_SITES = {"matrix.py:StochasticMatrix.scaled", "coupling.py:_sampling_table"}
+LCM_SITES = {
+    "matrix.py:StochasticMatrix.scaled",
+    "coupling.py:_sampling_table",
+    "coupling.py:resum_mismatches",
+}
 READERS = {
     "matrix.py:StochasticMatrix.row_supports",
     "matrix.py:is_doubly_stochastic",
@@ -16,6 +21,10 @@ READERS = {
     "kset.py:single_pair_balance",
     "feasibility.py:SupportTester.__init__",
     "birkhoff.py:birkhoff_decomposition",
+    "coupling.py:resum_mismatches",
+    "cli.py:_cmd_coupling_check",
+    "cli.py:_cmd_sample",
+    "feasibility.py:FeasibilityWitness.__post_init__",
 }
 
 
