@@ -16,6 +16,7 @@ from .blocks import (
     check_lumpability,
     construct_block_measure,
     is_block_measure,
+    lumpable_partitions,
     uniform_divisor_coupling,
 )
 from .cftp import (

@@ -28,10 +28,12 @@ from .coupling import (
     UniformPermLaw,
     _check_support_cap,
 )
-from .errors import BlockConditionsFail, DimensionMismatch, NotADivisor
+from .errors import BlockConditionsFail, BudgetExceeded, DimensionMismatch, NotADivisor
 from .mapfun import Partition
-from .matrix import StochasticMatrix, is_doubly_stochastic
+from .matrix import StochasticMatrix, invariant_scaled, is_doubly_stochastic
 from .semigroup import coalescing_pairs
+
+MAX_CANDIDATE_BLOCKS = 100_000  # sets one lumpable-partition search forms, over every l
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ def check_lumpability(
     a state sends into block s is the same for all states of block r.
     """
     if partition.n != P.n:
-        raise DimensionMismatch(f"partition on n={partition.n}, matrix on n={P.n}")
+        raise DimensionMismatch(f"partition covers {partition.n} states, matrix has {P.n}")
     den, a = P.scaled
     blocks = partition.blocks
     rows = []
@@ -78,6 +80,103 @@ def check_lumpability(
                     return NotLumpable(r, (ref, i), s, (Fraction(ref_masses[s], den), Fraction(mass, den)))
         rows.append(tuple(Fraction(m, den) for m in ref_masses))
     return StochasticMatrix(tuple(rows))
+
+
+class _PartitionSearch:
+    """lumpable_partitions over one P, with one budget for every l."""
+
+    def __init__(self, P: StochasticMatrix):
+        self.n = P.n
+        self.rows = P.scaled[1]
+        self.d, self.pi = invariant_scaled(P)
+        self.formed = 0
+
+    def partitions(self, l: int):
+        if not 1 <= l <= self.n or self.d % l:
+            return
+        target, rows, blocks = self.d // l, self.rows, []
+        into: list[list[int]] = []  # into[t][i]: den * P(i, B_t), for every state i
+
+        def agrees(states, block) -> bool:
+            first = sum(rows[states[0]][j] for j in block)
+            return all(sum(rows[i][j] for j in block) == first for i in states[1:])
+
+        def place(unplaced: list[int]):
+            v = unplaced[0]
+            cls = [u for u in unplaced if all(m[u] == m[v] for m in into)]
+            if len(blocks) == l - 1:
+                if len(cls) == len(unplaced):
+                    yield Partition.from_blocks(blocks + [unplaced])
+                return
+            for block in self._candidates(cls, target):
+                if agrees(block, block) and all(agrees(b, block) for b in blocks):
+                    kept = list(block)
+                    blocks.append(kept)
+                    into.append([sum(row[j] for j in kept) for row in rows])
+                    yield from place([u for u in unplaced if u not in kept])
+                    blocks.pop()
+                    into.pop()
+
+        yield from place(list(range(self.n)))
+
+    def _candidates(self, cls: list[int], target: int):
+        """The sets of pi-mass target in cls that hold cls[0], lower states
+        first in. Every set formed on the way is charged."""
+        pi = self.pi
+        tail = [0] * (len(cls) + 1)  # tail[k]: the pi-mass of cls[k:]
+        for k in reversed(range(len(cls))):
+            tail[k] = tail[k + 1] + pi[cls[k]]
+        block: list[int] = []
+
+        def grow(k: int, mass: int):
+            if mass == target:
+                yield block
+                return
+            for c in range(k, len(cls)):
+                if mass + tail[c] < target:
+                    return
+                if mass + pi[cls[c]] <= target:
+                    self._charge()
+                    block.append(cls[c])
+                    yield from grow(c + 1, mass + pi[cls[c]])
+                    block.pop()
+
+        self._charge()
+        block.append(cls[0])
+        yield from grow(1, pi[cls[0]])
+
+    def _charge(self):
+        if self.formed == MAX_CANDIDATE_BLOCKS:
+            raise BudgetExceeded(
+                f"lumpable-partition search stopped after {self.formed} candidate blocks"
+            )
+        self.formed += 1
+
+
+def lumpable_partitions(P: StochasticMatrix, l: int):
+    """Every partition into l blocks, each of pi-mass 1/l, over which P lumps.
+
+    P must be irreducible, and pi is its invariant law. These are exactly
+    the partitions whose lumped matrix is doubly stochastic, since the
+    block masses of pi are the invariant law of the irreducible lumped
+    chain.
+
+    Blocks are chosen in order of their least state. The next block holds
+    the least unplaced state v and lies in v's class: the unplaced states
+    whose masses into every earlier block equal v's. Its candidates, the
+    sets of pi-mass 1/l in that class that hold v, are grown one state at
+    a time, lower states first in; one is kept when the masses into it
+    agree within it and within every earlier block. The last block is what
+    remains, and it must be one class (rows sum to one, so the masses into
+    it then agree). Each partition is yielded once. Masses and pi are read
+    in integers, from P.scaled and invariant_scaled.
+
+    Every set formed while a candidate grows is charged as a candidate
+    block, so that the budget also bounds a search in which no set reaches
+    mass 1/l. Raises BudgetExceeded rather than form more than
+    MAX_CANDIDATE_BLOCKS.
+    """
+    return _PartitionSearch(P).partitions(l)
 
 
 def construct_block_measure(P: StochasticMatrix, partition: Partition) -> BlockCoupling:

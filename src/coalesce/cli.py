@@ -65,7 +65,6 @@ from .errors import (
     BudgetExceeded,
     ClosureTooLarge,
     CoalesceError,
-    DimensionMismatch,
     InvalidOption,
     NotationError,
     NotIrreducible,
@@ -325,8 +324,6 @@ def _cmd_feasible(args, run: _Run) -> tuple[int, dict | list[str]]:
 def _cmd_blocks(args, run: _Run) -> tuple[int, dict | list[str]]:
     P = _load_matrix(run, args.matrix)
     partition = Partition.parse(args.partition)
-    if partition.n != P.n:
-        raise DimensionMismatch(f"partition covers {partition.n} states, matrix has {P.n}")
     try:
         mu = construct_block_measure(P, partition)
     except BlockConditionsFail as exc:

@@ -343,7 +343,7 @@ class BlockCoupling(_Coupling):
         state order: P's row conditioned on B_s. The marginals are P's rows
         when law sends block r to s with chance P(i, B_s) for i in B_r."""
         if partition.n != P.n:
-            raise DimensionMismatch(f"partition on n={partition.n}, matrix on n={P.n}")
+            raise DimensionMismatch(f"partition covers {partition.n} states, matrix has {P.n}")
         blocks = [sorted(b) for b in partition.blocks]
         within = []
         for a in P.scaled[1]:  # integer masses: a[j] = den * P(i, j) for one den

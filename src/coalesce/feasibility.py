@@ -56,9 +56,6 @@ class FeasibilityWitness:
     def as_coupling(self) -> ExplicitCoupling:
         return ExplicitCoupling.from_pairs(self.weights)
 
-    def support(self) -> Support:
-        return Support.of(f for f, _ in self.weights)
-
 
 @dataclass(frozen=True)
 class Infeasible:
@@ -284,6 +281,8 @@ def _independent_rows(rows: list[list[int]], b: list[int]) -> list[int]:
 
 
 def _split_unsupported(P: StochasticMatrix, support: Support):
+    if support.n != P.n:
+        raise DimensionMismatch(f"support on n={support.n}, matrix on n={P.n}")
     good, bad = [], []
     for f in support.sorted_functions():
         hit = next((i for i in range(P.n) if P.entries[i][f(i)] == 0), None)
@@ -297,8 +296,6 @@ def feasible_weights(P: StochasticMatrix, support: Support) -> FeasibilityWitnes
     The result is truthy exactly when the support is feasible, so
     bool(feasible_weights(P, S)) is the yes/no question.
     """
-    if support.n != P.n:
-        raise DimensionMismatch(f"support on n={support.n}, matrix on n={P.n}")
     good, bad = _split_unsupported(P, support)
     if bad:
         f, i = bad[0]
@@ -320,8 +317,6 @@ def is_weakly_feasible(P: StochasticMatrix, support: Support) -> bool:
     feasibility, hence a weakly infeasible set has only weakly infeasible
     subsets.
     """
-    if support.n != P.n:
-        raise DimensionMismatch(f"support on n={support.n}, matrix on n={P.n}")
     good, _ = _split_unsupported(P, support)
     if not good:
         return False

@@ -24,10 +24,15 @@ was found feasible. Hence:
   columns and a strictly positive unique solution: one elimination decides
   it.
 
-Certificates settle part of K(P) with no search: aperiodicity settles
-membership of 1, double stochasticity settles n, a per-pair balance
+Certificates settle part of K(P) with no subset search: aperiodicity
+settles membership of 1, double stochasticity settles n, a per-pair balance
 condition can rule out n-1, and lumpable partitions with doubly stochastic
-block matrices contribute verified block-measure members. k_set_report
+block matrices contribute verified block-measure members. Those partitions
+are the ones blocks.lumpable_partitions lists: blocks of equal invariant
+mass, built block by block in order of their least state, each inside the
+class of states that agree on the masses into the blocks before it. For
+each open l the witness is the first partition into l blocks, in that
+order, whose block measure verifies. k_set_report
 hands the exclusions to the enumeration, which stops once every value from
 k(allowed) to n is achieved or excluded, so it searches only for the values
 the theorems leave open. Past the subset budget the certificates alone
@@ -41,7 +46,11 @@ excluded unless some pair passes it. If {a, b} passes it, P(a,c) = P(b,c)
 the doubly stochastic block matrix [[1-x, x], [x, 1-x]], and x > 0 since
 the chain is irreducible. The block coupling built over ab|c then swaps the
 blocks with probability x, sending a and b both to c, so it merges {a, b}:
-it is a block measure with two blocks, and 2 is a certified member.
+it is a block measure with two blocks. Its block matrix is doubly
+stochastic, so ab and c have invariant mass 1/2 each, and the partition
+search lists ab|c among the partitions into two blocks. The witness for 2
+may be an earlier partition in the search's order, but one is found, and 2
+is a certified member.
 """
 from __future__ import annotations
 
@@ -50,16 +59,15 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
-from .blocks import construct_block_measure, is_block_measure
+from .blocks import _PartitionSearch, construct_block_measure, is_block_measure
 from .coupling import GrandCoupling, doeblin_coupling, permutation_coupling
-from .errors import BlockConditionsFail, BudgetExceeded
+from .errors import BudgetExceeded
 from .feasibility import FeasibilityWitness, SupportTester
-from .mapfun import MapFunction, Partition, Support
+from .mapfun import MapFunction, Support
 from .matrix import StochasticMatrix, is_doubly_stochastic, period
 from .semigroup import DEFAULT_CLOSURE_CAP, coalescence_number
 
 DEFAULT_SUBSET_BUDGET = 2**20
-MAX_PARTITIONS = 20_000  # set partitions k_set_certificates tries
 
 
 @dataclass(frozen=True)
@@ -160,24 +168,6 @@ def can_exclude_second_largest(P: StochasticMatrix) -> bool:
     return not any(
         single_pair_balance(P, a, b) for a, b in itertools.combinations(range(n), 2)
     )
-
-
-def _set_partitions(n: int):
-    """All partitions of range(n), by restricted growth strings."""
-    codes = [0] * n
-
-    def rec(i: int, m: int):
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(m)]
-            for v, c in enumerate(codes):
-                blocks[c].append(v)
-            yield Partition.from_blocks(blocks)
-            return
-        for c in range(m + 1):
-            codes[i] = c
-            yield from rec(i + 1, max(m, c + 1))
-
-    yield from rec(1, 1) if n else iter(())
 
 
 def k_set_exact(
@@ -360,8 +350,16 @@ def k_set_certificates(P: StochasticMatrix) -> KSetReport:
     is doubly stochastic contribute members after their constructed coupling
     verifies as a block measure; is_block_measure reads that coupling's
     state pairs from its structure, so every such partition is decided,
-    whatever the size of the coupling's support. The report is marked
-    inexact.
+    whatever the size of the coupling's support.
+
+    Those partitions are found by blocks.lumpable_partitions, block by
+    block, asked only for the values l from 2 to n-1 that the theorems
+    leave open, in increasing order. The witness for l is the first of
+    them, in the search's order, whose block measure verifies, and the
+    search for l stops there.
+    One budget of blocks.MAX_CANDIDATE_BLOCKS candidate blocks covers every
+    l; once it is spent, the value being searched and those after it stay
+    open, and a note says so. The report is marked inexact.
     """
     n = P.n
     members: list[KMember] = []
@@ -374,27 +372,18 @@ def k_set_certificates(P: StochasticMatrix) -> KSetReport:
     if n not in seen:
         members.append(KMember(n, permutation_coupling(P), "double-stochasticity"))
         seen.add(n)
-    counted = 0
-    truncated = False
-    for partition in _set_partitions(n):
-        counted += 1
-        if counted > MAX_PARTITIONS:
-            truncated = True
-            break
-        l = partition.size
-        if l in seen:  # 1 and n are always settled
-            continue
-        try:
-            mu = construct_block_measure(P, partition)
-        except BlockConditionsFail:
-            continue
-        if is_block_measure(mu, partition):
-            members.append(KMember(l, mu, "block-partition"))
-            seen.add(l)
-    if truncated:
-        notes.append(
-            f"partition search stopped after {MAX_PARTITIONS} partitions"
-        )
+    search = _PartitionSearch(P)  # one budget for every block count
+    try:
+        for l in range(2, n):
+            if l in seen:
+                continue
+            for partition in search.partitions(l):
+                mu = construct_block_measure(P, partition)
+                if is_block_measure(mu, partition):
+                    members.append(KMember(l, mu, "block-partition"))
+                    break
+    except BudgetExceeded as exc:
+        notes.append(str(exc))
     return KSetReport(
         n=n,
         members=tuple(sorted(members, key=lambda m: m.k)),

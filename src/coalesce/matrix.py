@@ -163,6 +163,14 @@ def invariant_distribution(P: StochasticMatrix) -> tuple[Fraction, ...]:
     Raises NotIrreducible when the chain is not irreducible, since uniqueness
     is only guaranteed there.
     """
+    d, weights = invariant_scaled(P)
+    return tuple(Fraction(w, d) for w in weights)
+
+
+def invariant_scaled(P: StochasticMatrix) -> tuple[int, tuple[int, ...]]:
+    """(d, weights): the invariant law as integers over one denominator
+    d > 0, so that pi_i = weights[i] / d. Raises NotIrreducible as
+    invariant_distribution does."""
     if not is_irreducible(P):
         raise NotIrreducible("invariant distribution requires irreducibility")
     n = P.n
@@ -174,7 +182,7 @@ def invariant_distribution(P: StochasticMatrix) -> tuple[Fraction, ...]:
     d, pivots = row_reduce(rows, n)
     # an irreducible chain has exactly one invariant law, so rank n
     assert len(pivots) == n, "irreducible chain with a singular invariant system"
-    return tuple(Fraction(rows[r][n], d) for _, r in pivots)
+    return d, tuple(rows[r][n] for _, r in pivots)
 
 
 def _pivot(M: list[list[int]], r: int, e: int, d: int) -> int:

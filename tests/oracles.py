@@ -391,6 +391,42 @@ def oracle_lumpability(P_rows, blocks):
     return rows
 
 
+def oracle_set_partitions(n: int):
+    """Every partition of range(n), as sorted blocks by least state, in
+    restricted-growth order: state i joins one of the blocks before it or
+    opens the next one, the earlier choice first."""
+    def extend(blocks, i):
+        if i == n:
+            yield [list(b) for b in blocks]
+            return
+        for b in range(len(blocks) + 1):
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(i)
+            yield from extend(blocks, i + 1)
+            blocks[b].pop()
+            if not blocks[b]:
+                blocks.pop()
+
+    if n:
+        yield from extend([], 0)
+
+
+def oracle_lumpable_partitions(P_rows, l: int):
+    """The partitions of an irreducible matrix's states into l blocks, each
+    of invariant mass 1/l, over which it lumps, in restricted-growth order:
+    every set partition, filtered with oracle_invariant and
+    oracle_lumpability."""
+    pi = oracle_invariant(P_rows)
+    return [
+        blocks
+        for blocks in oracle_set_partitions(len(P_rows))
+        if len(blocks) == l
+        and all(sum((pi[i] for i in blk), Fraction(0)) == Fraction(1, l) for blk in blocks)
+        and isinstance(oracle_lumpability(P_rows, blocks), list)
+    ]
+
+
 def oracle_resum(terms, P_rows):
     """(i, j, mass, P(i, j)) for each cell, in row-major order, where the
     law given by terms, (image, Fraction weight) pairs, sends i to j with a
@@ -541,6 +577,75 @@ def random_balanced_pair(rng: random.Random, n: int, denominators):
         for j, v in zip([a, b] + others, _random_split(rng, m, 2) + _random_split(rng, 1 - m, len(others))):
             rows[i][j] = v
     return a, b, rows
+
+
+# --- the K(P) panel -----------------------------------------------------------
+
+
+def cycle_walk_rows(n: int):
+    """Stay or step to the next state on an n-cycle, each with probability 1/2."""
+    return [[Fraction(1, 2) if j in (i, (i + 1) % n) else Fraction(0) for j in range(n)]
+            for i in range(n)]
+
+
+def path_walk_rows(n: int):
+    """Reflecting walk on a path: each state moves to each neighbour with
+    probability 1/2, and an end state holds where its neighbour is missing."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][max(i - 1, 0)] += Fraction(1, 2)
+        rows[i][min(i + 1, n - 1)] += Fraction(1, 2)
+    return rows
+
+
+def _text_rows(text: str):
+    return [[Fraction(v) for v in line.split()] for line in text.strip().splitlines()]
+
+
+# 4 states, K(P) = {1, 2}, where the certificates leave 2 open
+CERTGAP_ROWS = _text_rows("0 1/4 3/4 0\n3/4 0 1/4 0\n0 1/4 0 3/4\n0 3/4 1/4 0")
+# the two matrices at the top of the default subset budget: 18 and 20 maps
+M18_ROWS = _text_rows("1/5 2/5 2/5\n1/5 2/5 2/5\n1/3 0 2/3")
+M20_ROWS = _text_rows(
+    "1/5 1/5 1/5 1/5 1/5\n1/4 1/4 1/4 1/4 0\n0 0 0 1 0\n0 0 0 0 1\n1 0 0 0 0"
+)
+
+
+def named_chains():
+    """(name, rows) for the named chains of the K(P) panel: the cycle walks
+    on 3 to 12 states, the uniform chains on 3 to 8, the path walks on 3 to
+    6, certgap, m18 and m20."""
+    chains = [(f"walk{n}", cycle_walk_rows(n)) for n in range(3, 13)]
+    chains += [(f"uniform{n}", [[Fraction(1, n)] * n for _ in range(n)]) for n in range(3, 9)]
+    chains += [(f"path{n}", path_walk_rows(n)) for n in range(3, 7)]
+    chains += [("certgap", CERTGAP_ROWS), ("m18", M18_ROWS), ("m20", M20_ROWS)]
+    return chains
+
+
+def kset_panel(seed: int, per_size: int, sizes):
+    """(name, rows) of irreducible matrices for K(P) checks: the named
+    chains on at most max(sizes) states, then per_size seeded random ones
+    for each n in sizes. The random ones take the generators in turn:
+    plain, over mixed denominators, doubly stochastic, a permutation
+    mixture, lumpable over a random partition, and lumpable with a doubly
+    stochastic block matrix; a reducible draw is drawn again."""
+    rng = random.Random(seed)
+    panel = [c for c in named_chains() if len(c[1]) <= max(sizes)]
+    kinds = [
+        lambda n: random_stochastic(rng, n),
+        lambda n: random_stochastic_denominators(rng, n, (2, 3, 7, 9, 97)),
+        lambda n: random_doubly_stochastic(rng, n, max_perms=4),
+        lambda n: random_permutation_mixture(rng, n, (1, 2, 3), max_perms=3),
+        lambda n: random_lumpable(rng, n)[1],
+        lambda n: random_lumpable(rng, n, doubly_stochastic=True)[1],
+    ]
+    for n in sizes:
+        for k in range(per_size):
+            rows = None
+            while rows is None or not strongly_connected(rows):
+                rows = kinds[k % len(kinds)](n)
+            panel.append((f"random{n}-{k}", rows))
+    return panel
 
 
 def allowed_images(P_rows) -> list[Image]:

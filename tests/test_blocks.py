@@ -24,6 +24,7 @@ from coalesce import (
     expand_support,
     is_block_measure,
     is_consistent,
+    lumpable_partitions,
     provably_never_coalesces,
     to_explicit,
     uniform_divisor_coupling,
@@ -324,3 +325,47 @@ def test_integer_lumpability_matches_fraction_block_sums():
             assert got == NotLumpable(*want)
             later_blocks += want[2] > 0
     assert later_blocks >= 10
+
+
+def test_lumpable_partitions_match_the_oracle():
+    # every partition into l blocks of invariant mass 1/l over which P
+    # lumps, each once and no other, on the K(P) panel up to 7 states: the
+    # named chains and seeded random ones, lumpable ones among them
+    found = 0
+    for name, rows in oracles.kset_panel(3201, 12, range(3, 8)):
+        P = StochasticMatrix.from_rows(rows)
+        for l in range(1, len(rows) + 1):
+            got = [sorted(sorted(b) for b in p.blocks) for p in lumpable_partitions(P, l)]
+            want = oracles.oracle_lumpable_partitions(rows, l)
+            assert sorted(got) == sorted(want), (name, l)
+            found += 1 < l < len(rows) and len(got)
+    assert found >= 40
+
+
+def test_partition_size_mismatch_has_one_wording(ex10):
+    # the wording the blocks command prints
+    partition = Partition.parse("1,2|3,4")
+    for build in (check_lumpability, construct_block_measure):
+        with pytest.raises(coalesce.DimensionMismatch) as info:
+            build(ex10, partition)
+        assert str(info.value) == "partition covers 4 states, matrix has 3"
+    with pytest.raises(coalesce.DimensionMismatch) as info:
+        BlockCoupling.conditioned(ex10, partition, UniformPermLaw(2))
+    assert str(info.value) == "partition covers 4 states, matrix has 3"
+
+
+def test_a_block_must_agree_within_earlier_blocks():
+    # 16|25|34 has blocks of equal mass, 25 lies in 2's class and agrees on
+    # the mass into itself, and 34 is one class; only states 1 and 6, of the
+    # earlier block, disagree on 25 (0 and 1), so P does not lump over it
+    rows = [
+        [0, 0, 1, 0, 0, 0],
+        [0, H, 0, H, 0, 0],
+        [H, 0, 0, 0, 0, H],
+        [H, 0, 0, 0, 0, H],
+        [0, 0, 0, H, H, 0],
+        [0, H, 0, 0, H, 0],
+    ]
+    P = StochasticMatrix.from_rows(rows)
+    assert not check_lumpability(P, Partition.parse("1,6|2,5|3,4"))
+    assert list(lumpable_partitions(P, 3)) == oracles.oracle_lumpable_partitions(rows, 3) == []

@@ -739,6 +739,20 @@ def test_kset_budget_on_large_cycle_falls_back(tmp_path):
     assert "note: 2^19683 - 1 candidate supports exceed the budget of 1048576" in out
 
 
+def test_kset_certificates_search_every_partition_of_the_ten_cycle(tmp_path):
+    # the set-partition scan stopped after 20,000 of Bell(10) partitions
+    # here; the lumpable-partition search ends, so the only note is the
+    # subset budget's
+    p = tmp_path / "cycle10.txt"
+    p.write_text("".join(" ".join("1" if j == (i + 1) % 10 else "0" for j in range(10)) + "\n"
+                         for i in range(10)))
+    code, out, err = run_cli("kset", str(p), "--exact-cap", "0")
+    assert code == 0, err
+    assert [line for line in out.splitlines() if "note:" in line] == [
+        "  note: 2^1 - 1 candidate supports exceed the budget of 0; use the certificate route instead"
+    ]
+
+
 def test_verify_equidist_tolerance_is_exact(tmp_path):
     # the verdict needs the gap strictly below the tolerance, compared
     # exactly: a tolerance equal to the gap fails, one just above it passes

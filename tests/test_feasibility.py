@@ -9,6 +9,7 @@ import pytest
 import oracles
 from coalesce import feasibility
 from coalesce import (
+    DimensionMismatch,
     FeasibilityWitness,
     Infeasible,
     MapFunction,
@@ -178,7 +179,14 @@ def test_random_four_state_spot_checks(ex11):
 
 def test_witness_support_matches_input(ex11, quarter_coupling):
     res = feasible_weights(ex11, quarter_coupling.support())
-    assert res.support() == quarter_coupling.support()
+    assert res.as_coupling().support() == quarter_coupling.support()
+
+
+def test_support_size_mismatch_has_one_wording(ex10, quarter_coupling):
+    for decide in (feasible_weights, is_weakly_feasible):
+        with pytest.raises(DimensionMismatch) as info:
+            decide(ex10, quarter_coupling.support())
+        assert str(info.value) == "support on n=4, matrix on n=3"
 
 
 def _integral(sx):

@@ -6,15 +6,18 @@ from itertools import combinations
 import pytest
 
 import oracles
-from coalesce import feasibility, kset
+from coalesce import blocks, feasibility, kset
 from coalesce import (
     BudgetExceeded,
+    Partition,
     StochasticMatrix,
     allowed_functions,
     can_exclude_second_largest,
     coalescence_number,
+    construct_block_measure,
     expand_support,
     feasible_weights,
+    is_block_measure,
     is_consistent,
     k_set_certificates,
     k_set_exact,
@@ -335,3 +338,104 @@ def test_budget_fallback(ex10):
     assert any("exceed" in note for note in report.notes)
     assert sorted(report.values) == [1]
     assert [e.k for e in report.exclusions] == [3, 4]
+
+
+def test_certificates_match_the_oracle_scan():
+    # the block values are those of the scan the search replaced: each open
+    # l from 2 to n-1 whose partitions (every set partition in
+    # restricted-growth order, filtered by the oracle) hold one whose block
+    # measure verifies, on the K(P) panel up to 8 states
+    found = 0
+    for name, rows in oracles.kset_panel(3202, 6, range(3, 9)):
+        n = len(rows)
+        P = StochasticMatrix.from_rows(rows)
+        report = k_set_certificates(P)
+        assert not report.notes
+        excluded = {e.k for e in report.exclusions}
+        scan = {}
+        for l in range(2, n):
+            if l in excluded:
+                continue
+            partitions = [Partition.from_blocks(b) for b in oracles.oracle_lumpable_partitions(rows, l)]
+            if any(is_block_measure(construct_block_measure(P, q), q) for q in partitions):
+                scan[l] = partitions
+        members = {m.k: m for m in report.members if m.how == "block-partition"}
+        assert members.keys() == scan.keys(), name
+        for l, m in members.items():
+            assert m.coupling.partition in scan[l]
+            assert is_block_measure(m.coupling)
+        found += len(members)
+    assert found >= 10
+
+
+def _three_permutation_mixture(rng, n):
+    # three random permutations with random weights: uniform pi
+    while True:
+        perms = [oracles.random_permutation_image(rng, n) for _ in range(3)]
+        raw = [rng.randint(1, 9) for _ in perms]
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for perm, a in zip(perms, raw):
+            for i in range(n):
+                rows[i][perm[i]] += Fraction(a, sum(raw))
+        if oracles.strongly_connected(rows):
+            return rows
+
+
+def _planted(rng, n, l):
+    # lumpable over a random partition into l blocks of n/l states, with the
+    # lazy l-cycle as block matrix and every state of a target block in
+    # reach, so that the block coupling merges each block
+    states = rng.sample(range(n), n)
+    m = n // l
+    parts = [sorted(states[r * m:(r + 1) * m]) for r in range(l)]
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for r, blk in enumerate(parts):
+        for i in blk:
+            for s in (r, (r + 1) % l):
+                raw = [rng.randint(1, 4) for _ in parts[s]]
+                for j, a in zip(parts[s], raw):
+                    rows[i][j] = Fraction(a, 2 * sum(raw))
+    return rows, Partition.from_blocks(parts)
+
+
+def test_block_members_past_eight_states():
+    # the set-partition scan stopped after 20,000 partitions, short of
+    # Bell(9): these were cut short, and the divisors 4 and 6 of 12 and the
+    # planted blocks were missed
+    report = k_set_certificates(StochasticMatrix.uniform(12))
+    assert sorted(report.values) == [1, 2, 3, 4, 6, 12]
+    assert not report.notes
+    rng = random.Random(3203)
+    for l in (3, 4):
+        rows, planted = _planted(rng, 12, l)
+        report = k_set_certificates(StochasticMatrix.from_rows(rows))
+        assert not report.notes
+        member = next(m for m in report.members if m.k == l)
+        assert (member.how, member.coupling.partition) == ("block-partition", planted)
+
+
+def test_partition_search_charges_its_budget(monkeypatch):
+    # nothing lumps over equal masses on these mixtures: at 16 states every
+    # candidate block is formed within the budget, at 20 the search forms
+    # exactly the budget's worth and the report says it stopped
+    charged = []
+    charge = blocks._PartitionSearch._charge
+
+    def counting(search):
+        charged.append(search)
+        charge(search)
+
+    monkeypatch.setattr(blocks._PartitionSearch, "_charge", counting)
+    rng = random.Random(7)
+    report = k_set_certificates(StochasticMatrix.from_rows(_three_permutation_mixture(rng, 16)))
+    assert sorted(report.values) == [1, 16] and not report.notes
+    assert 1000 < len(charged) < blocks.MAX_CANDIDATE_BLOCKS
+    charged.clear()
+    report = k_set_certificates(StochasticMatrix.from_rows(_three_permutation_mixture(rng, 20)))
+    assert sorted(report.values) == [1, 20]
+    assert report.notes == (
+        f"lumpable-partition search stopped after {blocks.MAX_CANDIDATE_BLOCKS} candidate blocks",
+    )
+    # the charge that finds the budget spent raises before its block forms
+    assert len(charged) == blocks.MAX_CANDIDATE_BLOCKS + 1
+    assert charged[-1].formed == blocks.MAX_CANDIDATE_BLOCKS

@@ -25,6 +25,11 @@ READERS = {
     "cli.py:_cmd_coupling_check",
     "cli.py:_cmd_sample",
     "feasibility.py:FeasibilityWitness.__post_init__",
+    "matrix.py:invariant_scaled",
+    "blocks.py:check_lumpability",
+    "blocks.py:lumpable_partitions",
+    "blocks.py:_PartitionSearch.__init__",
+    "blocks.py:_PartitionSearch.partitions",
 }
 
 
